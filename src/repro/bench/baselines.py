@@ -77,7 +77,9 @@ def _simulate_candidate(env: BenchEnvironment, src, dst, nbytes, paths, fraction
         predicted_time=1e-9,
     )
     start = engine.now
-    engine.run(until=ctx.pipeline.execute(plan, tag="static"))
+    settled = engine.run(until=ctx.pipeline.execute(plan, tag="static"))
+    if not settled.ok:  # a faulted candidate has no meaningful time
+        raise settled.faults[0].error
     return engine.now - start
 
 

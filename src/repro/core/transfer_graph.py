@@ -14,9 +14,8 @@ This module mirrors that design in the simulator:
   resolved :class:`~repro.core.planner.PathAssignment`, the pooled-stream
   keys, the chunk byte schedule, the precomputed ε sync cost, and the
   per-chunk tag/event-name suffixes (labels are ``tag``-dependent, so
-  only their invariant parts can be frozen; replay concatenates
-  ``label + suffix``, producing strings equal to the cold path's
-  f-strings).
+  only their invariant parts can be frozen; execution concatenates
+  ``label + suffix``).
 * :class:`TransferGraph` — a whole plan compiled: the immutable
   :class:`~repro.core.planner.TransferPlan` plus one
   :class:`CompiledPath` per active assignment, stamped with the
@@ -41,10 +40,11 @@ Invalidation rides the same signals as the plan cache:
   registry's epoch, which joins the key: a graph compiled under an old
   epoch is unreachable and falls off the LRU.
 
-Replay must be *pure observation*: the execution a graph replays is
-op-for-op the one the cold path would have issued, asserted bit-exactly
-(tracer records, clock, byte accounting) by
-``tests/test_timeline_invariance.py``.
+A compiled schedule is the pipeline's only execution form: cache misses
+compile and store, recovery replans and direct ``PipelineEngine.execute``
+callers compile one-shot (bypassing the cache).  The resulting timelines
+(tracer records, clock, byte accounting) are pinned bit-exactly by the
+golden digests in ``tests/golden/timelines.json``.
 """
 
 from __future__ import annotations
@@ -75,16 +75,11 @@ class CompiledPath:
     chunk_sizes: tuple[int, ...]
     #: Precomputed staging sync cost (0.0 for direct paths).
     epsilon: float = 0.0
-    #: Per-chunk tag/event-name suffixes: ``label + suffix`` equals the
-    #: cold path's f-string, so tracer records match bit for bit.
+    #: Per-chunk tag/event-name suffixes, appended to the path's label.
     h1_suffixes: tuple[str, ...] = ()
     event_suffixes: tuple[str, ...] = ()
     sync_suffixes: tuple[str, ...] = ()
     h2_suffixes: tuple[str, ...] = ()
-
-    @property
-    def is_staged(self) -> bool:
-        return bool(self.chunk_sizes)
 
 
 @dataclass
@@ -103,19 +98,16 @@ class TransferGraph:
         """Compile cost spread over every execution the graph served."""
         return self.compile_wall_s / (1 + self.replays)
 
-    def compiled_for(self, path_index: int) -> CompiledPath:
-        return self.paths[path_index]
-
 
 def compile_plan(
     plan: TransferPlan, pipeline: "PipelineEngine"
 ) -> tuple[CompiledPath, ...]:
     """Freeze a plan's per-path execution schedules.
 
-    Everything the pipeline's ``_run_path`` derives per transfer that does
-    not depend on the transfer's tag is resolved here once: stream-pool
-    keys, chunk byte splits, the ε sync cost, and the invariant suffix of
-    every per-chunk tag/event name.
+    Everything the pipeline's ``_run_path`` needs that does not depend on
+    the transfer's tag is resolved here once: stream-pool keys, chunk byte
+    splits, the ε sync cost, and the invariant suffix of every per-chunk
+    tag/event name.
     """
     compiled = []
     for a in plan.active_assignments:

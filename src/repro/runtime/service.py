@@ -1,10 +1,9 @@
 """The transfer service: one admission point for every byte in the system.
 
-Before this layer existed, three call sites issued transfers directly —
-``UCXContext``/``cuda_ipc.put``, the MPI :class:`~repro.mpi.comm.Communicator`
-(and through it every collective), and the bench experiment drivers — each
-carrying its own plan-then-execute glue and each assuming an idle fabric.
-:class:`TransferManager` unifies them:
+Every caller — ``UCXContext.put``, endpoints, the MPI
+:class:`~repro.mpi.comm.Communicator` (and through it every collective), and
+the bench experiments — submits here, and the manager dispatches
+admitted transfers to ``CudaIpcModule.start_put``.  It adds:
 
 * **Admission control** — optional per-GPU-pair and global in-flight caps
   (``TransportConfig.max_inflight_per_pair`` / ``max_inflight_total``).
@@ -39,9 +38,8 @@ carrying its own plan-then-execute glue and each assuming an idle fabric.
 With the default configuration (no caps, coalescing off, contention-aware
 planning off, no deadlines/limits/budgets) the manager dispatches
 synchronously and returns the put process event untouched, so
-single-transfer timelines are bit-identical to the pre-service issue path —
-asserted by ``tests/test_transfer_manager.py`` and
-``tests/test_timeline_invariance.py``.
+single-transfer timelines are bit-identical to a bare ``start_put`` —
+asserted by ``tests/test_transfer_manager.py``.
 """
 
 from __future__ import annotations
@@ -180,9 +178,9 @@ class TransferManager:
 
         Admissible requests dispatch synchronously — no extra simulated
         time, no wrapper process — so the default (uncapped) configuration
-        issues exactly what ``cuda_ipc.put`` issued before the service
-        existed.  Requests over an in-flight cap queue FIFO and dispatch
-        from the completion callback of an earlier transfer.
+        dispatches exactly what a bare ``cuda_ipc.start_put`` would.  Requests
+        over an in-flight cap queue FIFO and dispatch from the completion
+        callback of an earlier transfer.
 
         ``deadline`` is an absolute simulated time by which the transfer
         must complete; ``timeout`` is the relative form (``now + timeout``).
@@ -306,13 +304,11 @@ class TransferManager:
         if not cfg.multipath:
             return None
         exclude = cfg.exclude_paths
-        health = getattr(self.context, "health", None)
-        if health is not None:
-            # Pure read (no probe side effect): price the pair's *surviving*
-            # capacity so a half-quarantined pair doesn't over-admit.
-            unhealthy = health.unhealthy_paths(src, dst)
-            if unhealthy:
-                exclude = tuple(sorted(set(exclude) | set(unhealthy)))
+        # Pure read (no probe side effect): price the pair's *surviving*
+        # capacity so a half-quarantined pair doesn't over-admit.
+        unhealthy = self.context.health.unhealthy_paths(src, dst)
+        if unhealthy:
+            exclude = tuple(sorted(set(exclude) | set(unhealthy)))
         try:
             return self.context.planner.predict_time(
                 src,
@@ -768,11 +764,7 @@ class TransferManager:
             "overload": self.governor.snapshot(),
             "retry_budget": self._retry_budget.snapshot(),
             "load": self.load.stats_snapshot(),
-            "graphs": (
-                self.context.graphs.stats()
-                if getattr(self.context, "graphs", None) is not None
-                else {}
-            ),
+            "graphs": self.context.graphs.stats(),
         }
 
 

@@ -27,11 +27,6 @@ from repro.topology.routing import enumerate_paths
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ucx.context import UCXContext
 
-#: Sentinel distinguishing "not computed" from a computed ``None``/empty
-#: value when :meth:`CudaIpcModule._acquire_plan` threads its one-shot load
-#: snapshot and health query into the planning helpers below.
-_UNSET = object()
-
 
 @dataclass(frozen=True)
 class PutResult:
@@ -78,38 +73,6 @@ class CudaIpcModule:
         self.rerouted_bytes = 0
 
     # ------------------------------------------------------------------
-    def put(
-        self,
-        src: int,
-        dst: int,
-        nbytes: int,
-        *,
-        tag: str = "",
-        deadline: float | None = None,
-        timeout: float | None = None,
-    ) -> Event:
-        """One-sided PUT; returns the process event (value: PutResult).
-
-        Every put routes through the context's :class:`TransferManager`
-        (admission control, coalescing, load tracking); the manager calls
-        back into :meth:`start_put` to issue the actual transfer.
-        ``deadline``/``timeout`` (absolute/relative completion bound) flow
-        through to the manager's deadline-aware admission (DESIGN.md §5h).
-        """
-        if nbytes < 0:
-            raise ValueError("negative PUT size")
-        manager = getattr(self.context, "transfers", None)
-        if manager is None:  # standalone module (no service wired): direct
-            if deadline is not None and timeout is not None:
-                raise ValueError("pass deadline or timeout, not both")
-            deadline_at = deadline if deadline is not None else (
-                self.context.engine.now + timeout if timeout is not None else None
-            )
-            return self.start_put(src, dst, nbytes, tag=tag, deadline_at=deadline_at)
-        return manager.submit(
-            src, dst, nbytes, tag=tag, deadline=deadline, timeout=timeout
-        )
-
     def start_put(
         self,
         src: int,
@@ -120,49 +83,26 @@ class CudaIpcModule:
         trace: tuple[int, int] = (-1, -1),
         deadline_at: float | None = None,
     ) -> Event:
-        """Issue a PUT directly, bypassing the transfer service.
+        """Start one admitted PUT; returns the process event (value:
+        :class:`PutResult`).
 
-        This is the pre-service issue path, kept as the manager's dispatch
-        target and as the bit-identity reference for tests.  Application
-        code should call :meth:`put`.
-
-        ``trace`` is the flight-recorder identity (``trace_id, root_sid``)
-        minted at admission; a standalone call (no manager in front) mints
-        its own trace here so every put has a complete story.
-        ``deadline_at`` is the absolute completion bound the recovery loop
-        honours (backoff sleeps are capped at the remaining budget).
+        This is the :class:`~repro.runtime.TransferManager`'s dispatch
+        target; application code calls ``UCXContext.put``, which admits the
+        transfer first.  ``trace`` is the flight-recorder identity
+        (``trace_id, root_sid``) the manager minted at admission; the
+        manager also settles it.  ``deadline_at`` is the absolute
+        completion bound the recovery loop honours (backoff sleeps are
+        capped at the remaining budget).
         """
         self.puts_issued += 1
-        flight = self.context.flight
         trace_id, root_sid = trace
-        owns_root = False
-        if trace_id < 0 and flight.enabled:
-            trace_id, root_sid = flight.begin_trace(
-                "transfer", {"src": src, "dst": dst, "nbytes": nbytes, "tag": tag}
-            )
-            owns_root = True
-        ev = self.context.engine.process(
+        return self.context.engine.process(
             self._put_proc(
                 src, dst, nbytes, tag, self.puts_issued, trace_id, root_sid,
                 deadline_at=deadline_at,
             ),
             name=f"put:{src}->{dst}",
         )
-        if owns_root:
-            ev.add_callback(
-                lambda e, t=trace_id, r=root_sid: self._settle_trace(t, r, e)
-            )
-        return ev
-
-    def _settle_trace(self, trace_id: int, root_sid: int, ev: Event) -> None:
-        """Standalone puts: record ``settle`` and close the root span."""
-        flight = self.context.flight
-        attrs = {"ok": ev.ok}
-        if ev.ok:
-            result = ev.value
-            attrs["retries"] = result.retries
-            attrs["rerouted_bytes"] = result.rerouted_bytes
-        flight.settle(trace_id, root_sid, attrs)
 
     def _put_proc(
         self,
@@ -241,10 +181,10 @@ class CudaIpcModule:
         # plan (degrade level joins the plan/graph cache keys), and its
         # retry budget meters the recovery loop below.  Both are inert at
         # the defaults (degrade 0, budget disabled).
-        manager = getattr(ctx, "transfers", None)
-        degrade = manager.degrade_level if manager is not None else 0
-        budget = manager.retry_budget if manager is not None else None
-        if budget is not None and not budget.enabled:
+        manager = ctx.transfers
+        degrade = manager.degrade_level
+        budget = manager.retry_budget
+        if not budget.enabled:
             budget = None
         plan, graph = self._acquire_plan(
             src, dst, nbytes, mode, trace_id, root_sid, degrade=degrade
@@ -253,12 +193,10 @@ class CudaIpcModule:
         # ------------------------------------------------------------------
         # Execute, recovering from path failures/timeouts: each round runs
         # the current plan to a settled outcome; failed paths' missing bytes
-        # are replanned over the surviving paths (bounded retries with
-        # exponential backoff — a flapping link needs the pause to settle).
-        # With recovery disabled by config, the legacy fail-fast path runs
-        # with zero extra machinery (timeline-invariance escape hatch).
+        # are replanned over the surviving paths (at most max_path_retries
+        # rounds, with exponential backoff — a flapping link needs the
+        # pause to settle).
         # ------------------------------------------------------------------
-        resilient = cfg.max_path_retries > 0 or cfg.deadline_factor is not None
         health = ctx.health
         obs = ctx.obs
         # The service's load tracker: each execution round registers its
@@ -266,7 +204,7 @@ class CudaIpcModule:
         # this one moves bytes see the fabric as loaded.  Acquired *after*
         # planning (a transfer never derates against itself), released as
         # soon as the round settles (recovery replans against current load).
-        tracker = manager.load if manager is not None else None
+        tracker = manager.load
         budget_fallback_used = False
         exec_start = engine.now
         retries = 0
@@ -281,28 +219,18 @@ class CudaIpcModule:
         exec_parent = root_sid
         retry_sid = -1
         while True:
-            hold = tracker.acquire(current) if tracker is not None else None
+            hold = tracker.acquire(current)
             try:
-                if resilient:
-                    settled = yield ctx.pipeline.execute_settled(
-                        current,
-                        tag=attempt_label,
-                        deadline_factor=cfg.deadline_factor,
-                        trace=(trace_id, exec_parent),
-                        graph=graph,
-                    )
-                    execs, faults = settled.executions, settled.faults
-                else:
-                    execs = yield ctx.pipeline.execute(
-                        current,
-                        tag=attempt_label,
-                        trace=(trace_id, exec_parent),
-                        graph=graph,
-                    )
-                    faults = ()
+                settled = yield ctx.pipeline.execute(
+                    current,
+                    tag=attempt_label,
+                    deadline_factor=cfg.deadline_factor,
+                    trace=(trace_id, exec_parent),
+                    graph=graph,
+                )
             finally:
-                if hold is not None:
-                    tracker.release(hold)
+                tracker.release(hold)
+            execs, faults = settled.executions, settled.faults
             delivered += sum(e.nbytes for e in execs)
             delivered += sum(f.delivered for f in faults)
             if tracing and retry_sid >= 0:
@@ -310,18 +238,17 @@ class CudaIpcModule:
                 # ends when its execution round settles
                 flight.finish(retry_sid, faults=len(faults))
                 retry_sid = -1
-            if health is not None:
-                now = engine.now
-                for e in execs:
-                    health.record_success(src, dst, e.path_id, now=now)
-                for f in faults:
-                    health.record_failure(src, dst, f.path_id, now=now)
+            now = engine.now
+            for e in execs:
+                health.record_success(src, dst, e.path_id, now=now)
+            for f in faults:
+                health.record_failure(src, dst, f.path_id, now=now)
             if not faults:
                 break
             if graph is not None:
                 # The schedule just proved wrong for the fabric as it is:
                 # drop it so the next same-shape put compiles fresh.  The
-                # recovery replans below always take the cold path.
+                # recovery replans below compile one-shot, outside the cache.
                 ctx.graphs.discard(graph.key)
                 graph = None
             if fault_time is None:
@@ -550,10 +477,7 @@ class CudaIpcModule:
         """
         if not self.context.config.contention_aware:
             return None
-        manager = getattr(self.context, "transfers", None)
-        if manager is None:
-            return None
-        return manager.load.snapshot()
+        return self.context.transfers.load.snapshot()
 
     def _acquire_plan(
         self,
@@ -565,34 +489,22 @@ class CudaIpcModule:
         parent_sid: int = -1,
         degrade: int = 0,
     ):
-        """Resolve the transfer's plan, trying compiled-graph replay first.
+        """Resolve the transfer's plan and its compiled graph.
 
-        Returns ``(plan, graph)``; ``graph`` is ``None`` when graphs are
-        disabled (or no cache is wired), otherwise the replayed *or*
-        freshly compiled :class:`~repro.core.transfer_graph.TransferGraph`
-        the execution rounds should drive.
-
-        ``degrade`` is the overload ladder level: it joins both cache keys,
-        and at level 2 graph compilation is skipped entirely — the shedding
-        state wants the cheapest possible issue path, not an amortisable
-        artifact for a load pattern that should be transient.
+        Returns ``(plan, graph)``: a graph-cache hit replays the cached
+        :class:`~repro.core.transfer_graph.TransferGraph`, a miss plans cold
+        and compiles (and caches) a fresh one.  ``degrade`` is the overload
+        ladder level; it joins both cache keys, so a degraded graph never
+        replays for a healthy submit.
 
         The load snapshot and the health query are taken exactly ONCE here
-        and threaded into the cold path: :meth:`PathHealthRegistry.excluded`
+        and threaded into the cold plan: :meth:`PathHealthRegistry.excluded`
         has a probe side effect (quarantined -> probing when the probe is
-        due), so querying it a second time for the cold plan would see the
-        path as PROBING (excluded) where the graphs-off transport would
-        have probed it — breaking bit-identity.
+        due), so a second query would see the path as PROBING (excluded)
+        instead of probing it.
         """
         ctx = self.context
-        graphs = getattr(ctx, "graphs", None)
-        if graphs is None or not ctx.config.transfer_graphs or degrade >= 2:
-            return (
-                self._make_plan(
-                    src, dst, nbytes, mode, trace_id, parent_sid, degrade=degrade
-                ),
-                None,
-            )
+        graphs = ctx.graphs
         flight = ctx.flight
         tracing = flight.enabled and trace_id >= 0
         obs = ctx.obs
@@ -602,12 +514,11 @@ class CudaIpcModule:
         health = ctx.health
         if mode == "dynamic":
             load = self._load_snapshot()
-            if health is not None:
-                quarantined = health.excluded(src, dst, now=ctx.engine.now)
+            quarantined = health.excluded(src, dst, now=ctx.engine.now)
         load_key: tuple = ()
         if load is not None and not load.is_idle:
             load_key = load.bucket_key()
-        epoch = health.epoch if health is not None else 0
+        epoch = health.epoch
         key = graphs.key_for(
             src, dst, nbytes, mode,
             load_key=load_key, health_epoch=epoch, excluded=quarantined,
@@ -661,12 +572,12 @@ class CudaIpcModule:
         dst: int,
         nbytes: int,
         mode: str,
-        trace_id: int = -1,
-        parent_sid: int = -1,
+        trace_id: int,
+        parent_sid: int,
         *,
-        load=_UNSET,
-        quarantined=None,
-        degrade: int = 0,
+        load,
+        quarantined: tuple[str, ...],
+        degrade: int,
     ) -> TransferPlan:
         """Obtain the mode's plan, recording a flight ``plan`` span.
 
@@ -676,19 +587,11 @@ class CudaIpcModule:
         is set only across this call, which never yields, so interleaved
         put processes cannot observe each other's trace id.
         """
-        ctx = self.context
-        flight = ctx.flight
+        flight = self.context.flight
         tracing = flight.enabled and trace_id >= 0
-        if not tracing:
-            if mode == "single":
-                return self._single_path_plan(src, dst, nbytes)
-            if mode == "static":
-                return self._static_plan(src, dst, nbytes)
-            return self._dynamic_plan(
-                src, dst, nbytes, load=load, quarantined=quarantined, degrade=degrade
-            )
-        wall0 = time.perf_counter()
-        flight.active_trace = trace_id
+        if tracing:
+            wall0 = time.perf_counter()
+            flight.active_trace = trace_id
         try:
             if mode == "single":
                 plan = self._single_path_plan(src, dst, nbytes)
@@ -700,20 +603,22 @@ class CudaIpcModule:
                     degrade=degrade,
                 )
         finally:
-            flight.active_trace = -1
-        wall = time.perf_counter() - wall0
-        flight.record(
-            "plan.cache_hit" if plan.from_cache else "plan",
-            trace_id,
-            parent_sid,
-            attrs={
-                "mode": mode,
-                "paths": plan.num_active_paths,
-                "predicted": plan.predicted_time,
-                "wall_time_s": wall,
-            },
-            stage_value=wall,
-        )
+            if tracing:
+                flight.active_trace = -1
+        if tracing:
+            wall = time.perf_counter() - wall0
+            flight.record(
+                "plan.cache_hit" if plan.from_cache else "plan",
+                trace_id,
+                parent_sid,
+                attrs={
+                    "mode": mode,
+                    "paths": plan.num_active_paths,
+                    "predicted": plan.predicted_time,
+                    "wall_time_s": wall,
+                },
+                stage_value=wall,
+            )
         return plan
 
     def _dynamic_plan(
@@ -722,33 +627,21 @@ class CudaIpcModule:
         dst: int,
         nbytes: int,
         *,
-        load=_UNSET,
-        quarantined=None,
-        degrade: int = 0,
+        load,
+        quarantined: tuple[str, ...],
+        degrade: int,
     ) -> TransferPlan:
         """Planner invocation with quarantined paths excluded.
 
         Exclusions are part of the planner's cache key, so health-driven
         narrowing never serves a stale cached plan.  If quarantining left
         no candidate, fall back to the configured set — a quarantined path
-        is still a better bet than failing outright.
-
-        ``load``/``quarantined`` arrive precomputed from
-        :meth:`_acquire_plan` (the graph-key probe); when unset they are
-        computed here, preserving the single health query per planning.
+        is still a better bet than failing outright.  ``load`` and
+        ``quarantined`` are the one-shot queries of :meth:`_acquire_plan`.
         """
         ctx = self.context
         cfg = ctx.config
         exclude = cfg.exclude_paths
-        if load is _UNSET:
-            load = self._load_snapshot()
-        health = ctx.health
-        if quarantined is None:
-            quarantined = (
-                health.excluded(src, dst, now=ctx.engine.now)
-                if health is not None
-                else ()
-            )
         if quarantined:
             merged = tuple(sorted(set(exclude) | set(quarantined)))
             try:
@@ -790,9 +683,7 @@ class CudaIpcModule:
         ctx = self.context
         cfg = ctx.config
         base = set(cfg.exclude_paths)
-        health = ctx.health
-        if health is not None:
-            base |= set(health.excluded(src, dst, now=ctx.engine.now))
+        base |= set(ctx.health.excluded(src, dst, now=ctx.engine.now))
         for exclude in (base | failed_paths, base, set(cfg.exclude_paths)):
             try:
                 paths = enumerate_paths(

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.planner import PathAssignment, TransferPlan
+from repro.core.transfer_graph import compile_plan
 from repro.gpu.errors import LinkFailure, TransferTimeout
 from repro.gpu.runtime import GPURuntime
 from repro.gpu.stream import Stream
@@ -100,8 +101,8 @@ class PathFault:
 
 @dataclass(frozen=True)
 class SettledExecution:
-    """Outcome of :meth:`PipelineEngine.execute_settled`: every path ran to
-    completion or to a typed failure — nothing is lost to fail-fast."""
+    """Outcome of :meth:`PipelineEngine.execute`: every path ran to
+    completion or to a typed failure."""
 
     executions: tuple[PathExecution, ...] = ()
     faults: tuple[PathFault, ...] = field(default_factory=tuple)
@@ -154,65 +155,36 @@ class PipelineEngine:
         plan: TransferPlan,
         *,
         tag: str = "",
-        trace: tuple[int, int] = (-1, -1),
-        graph: "TransferGraph | None" = None,
-    ) -> Event:
-        """Run all path assignments concurrently; event carries the
-        list of :class:`PathExecution` results (completion = slowest path,
-        matching Eq. 4).  ``trace`` is the flight-recorder identity
-        (``trace_id, parent_sid``) the per-path spans attach under.
-        ``graph`` replays a compiled schedule — same ops, setup skipped."""
-        active = plan.active_assignments
-        if not active:
-            done = self.engine.event()
-            done.succeed([])
-            return done
-        self.transfers_executed += 1
-        if graph is not None:
-            self.transfers_replayed += 1
-        procs = []
-        for i, a in enumerate(active):
-            procs.append(
-                self.engine.process(
-                    self._run_path(
-                        plan, a, tag, trace=trace, path_index=i,
-                        compiled=None if graph is None else graph.compiled_for(i),
-                    ),
-                    name=f"path:{a.path.path_id}",
-                )
-            )
-        return self.engine.all_of(procs)
-
-    # ------------------------------------------------------------------
-    def execute_settled(
-        self,
-        plan: TransferPlan,
-        *,
-        tag: str = "",
         deadline_factor: float | None = None,
         trace: tuple[int, int] = (-1, -1),
         graph: "TransferGraph | None" = None,
     ) -> Event:
-        """Run all paths and *settle* every one of them.
+        """Run all paths of ``plan`` concurrently and *settle* every one.
 
-        Unlike :meth:`execute` (fail-fast ``all_of``), the returned process
-        waits for each path to either complete or fail with a typed error
-        (:class:`~repro.gpu.errors.LinkFailure` /
+        The returned process waits for each path to either complete or fail
+        with a typed error (:class:`~repro.gpu.errors.LinkFailure` /
         :class:`~repro.gpu.errors.TransferTimeout`) and succeeds with a
-        :class:`SettledExecution` carrying both outcomes — the recovery
-        layer needs every path's delivered-byte count to replan the
-        remainder.  With ``deadline_factor`` set, each path gets a watchdog
-        that aborts its in-flight copies once ``predicted T_i x factor``
-        elapses.  Non-transfer errors propagate unchanged.
+        :class:`SettledExecution` carrying both outcomes (completion = the
+        slowest path, Eq. 4); the recovery layer needs every path's
+        delivered-byte count to replan the remainder.  With
+        ``deadline_factor`` set, each path gets a watchdog that aborts its
+        in-flight copies once ``predicted T_i x factor`` elapses.
+        Non-transfer errors propagate unchanged.
 
-        In the no-fault case the event timeline is identical to
-        :meth:`execute` (the settle loop consumes completions in the same
-        order ``all_of`` would; only this wrapper process is added).
+        ``trace`` is the flight-recorder identity (``trace_id, parent_sid``)
+        the per-path spans attach under.  ``graph`` replays a cached
+        compiled schedule; without one the plan is compiled one-shot, which
+        bypasses the :class:`~repro.core.transfer_graph.GraphCache`, so
+        ``transfers_replayed`` counts cached replays only.
         """
         return self.engine.process(
             self._settled_proc(plan, tag, deadline_factor, trace, graph),
             name=f"settle:{tag or f'{plan.src}->{plan.dst}'}",
         )
+
+    #: Former name of :meth:`execute`; ``benchmarks/e2e/layertrace.py``
+    #: looks up both names when it instruments a pipeline.
+    execute_settled = execute
 
     def _settled_proc(
         self,
@@ -226,16 +198,18 @@ class PipelineEngine:
         if not active:
             return SettledExecution()
         self.transfers_executed += 1
-        if graph is not None:
+        if graph is None:
+            compiled = compile_plan(plan, self)
+        else:
             self.transfers_replayed += 1
+            compiled = graph.paths
         t0 = self.engine.now
         entries: list[tuple[PathAssignment, Event, _PathProgress]] = []
         for i, a in enumerate(active):
             progress = _PathProgress()
             proc = self.engine.process(
                 self._run_path(
-                    plan, a, tag, progress, trace=trace, path_index=i,
-                    compiled=None if graph is None else graph.compiled_for(i),
+                    plan, compiled[i], tag, progress, trace=trace, path_index=i
                 ),
                 name=f"path:{a.path.path_id}",
             )
@@ -365,14 +339,14 @@ class PipelineEngine:
     def _run_path(
         self,
         plan: TransferPlan,
-        a: PathAssignment,
+        compiled: "CompiledPath",
         tag: str,
-        progress: _PathProgress | None = None,
+        progress: _PathProgress,
         *,
         trace: tuple[int, int] = (-1, -1),
         path_index: int = 0,
-        compiled: "CompiledPath | None" = None,
     ):
+        a = compiled.assignment
         start = self.engine.now
         label = f"{tag}/{a.path.path_id}" if tag else a.path.path_id
         # The path's flight span is recorded in one shot when the path
@@ -384,75 +358,49 @@ class PipelineEngine:
         finals: list = []
         try:
             if not a.path.is_staged:
-                if compiled is not None:
-                    stream = self._stream(compiled.stream_keys[0], plan.src)
-                else:
-                    stream = self._stream(
-                        (plan.src, plan.dst, a.path.path_id, "direct"), plan.src
-                    )
+                stream = self._stream(
+                    compiled.stream_keys[0], compiled.stream_devices[0]
+                )
                 done = self.runtime.copy_on_hop_async(
                     a.path.hops[0], a.nbytes, stream, tag=f"{label}:direct"
                 )
-                if progress is not None:
-                    done.add_callback(
-                        lambda ev, p=progress, n=a.nbytes: (
-                            setattr(p, "delivered", p.delivered + n)
-                            if ev.ok
-                            else None
-                        )
+                done.add_callback(
+                    lambda ev, p=progress, n=a.nbytes: (
+                        setattr(p, "delivered", p.delivered + n) if ev.ok else None
                     )
+                )
                 yield done
                 return self._path_done(
                     plan, a, label, start, 1,
                     trace if traced else None, path_index, finals,
                 )
 
-            # Staged path: three-step chunk loop over two streams.  A
-            # compiled schedule resolves the same values without the
-            # per-transfer derivation; the op sequence is identical, down
-            # to the tag strings (``label + suffix`` == the f-strings).
+            # Staged path: three-step chunk loop over two streams, driven
+            # by the compiled schedule (tags are ``label + suffix``).
             hop1, hop2 = a.path.hops
-            if compiled is not None:
-                s1 = self._stream(compiled.stream_keys[0], compiled.stream_devices[0])
-                s2 = self._stream(compiled.stream_keys[1], compiled.stream_devices[1])
-                epsilon = compiled.epsilon
-                chunks = compiled.chunk_sizes
-            else:
-                stage_dev = a.path.via if a.path.via is not None else plan.src
-                s1 = self._stream((plan.src, plan.dst, a.path.path_id, "h1"), plan.src)
-                s2 = self._stream((plan.src, plan.dst, a.path.path_id, "h2"), stage_dev)
-                epsilon = self.runtime.sync_cost(via_gpu=a.path.via is not None)
-                chunks = self._chunk_sizes(a.nbytes, a.chunks)
+            s1 = self._stream(compiled.stream_keys[0], compiled.stream_devices[0])
+            s2 = self._stream(compiled.stream_keys[1], compiled.stream_devices[1])
+            epsilon = compiled.epsilon
+            chunks = compiled.chunk_sizes
             for c, chunk_bytes in enumerate(chunks):
-                if compiled is not None:
-                    h1_tag = label + compiled.h1_suffixes[c]
-                    ev_name = label + compiled.event_suffixes[c]
-                    sync_label = label + compiled.sync_suffixes[c]
-                    h2_tag = label + compiled.h2_suffixes[c]
-                else:
-                    h1_tag = f"{label}:h1:{c}"
-                    ev_name = f"{label}:c{c}"
-                    sync_label = f"{label}:sync:{c}"
-                    h2_tag = f"{label}:h2:{c}"
                 # Step 1: source -> staging location.
-                self.runtime.copy_on_hop_async(hop1, chunk_bytes, s1, tag=h1_tag)
-                arrived = self.runtime.create_event(ev_name)
+                self.runtime.copy_on_hop_async(
+                    hop1, chunk_bytes, s1, tag=label + compiled.h1_suffixes[c]
+                )
+                arrived = self.runtime.create_event(label + compiled.event_suffixes[c])
                 arrived.record(s1)
                 # Step 2: synchronization point on the staging device.
                 s2.wait_event(arrived)
-                s2.delay(epsilon, label=sync_label)
+                s2.delay(epsilon, label=label + compiled.sync_suffixes[c])
                 # Step 3: staging location -> destination.
                 final = self.runtime.copy_on_hop_async(
-                    hop2, chunk_bytes, s2, tag=h2_tag
+                    hop2, chunk_bytes, s2, tag=label + compiled.h2_suffixes[c]
                 )
-                if progress is not None:
-                    final.add_callback(
-                        lambda ev, p=progress, n=chunk_bytes: (
-                            setattr(p, "delivered", p.delivered + n)
-                            if ev.ok
-                            else None
-                        )
+                final.add_callback(
+                    lambda ev, p=progress, n=chunk_bytes: (
+                        setattr(p, "delivered", p.delivered + n) if ev.ok else None
                     )
+                )
                 finals.append(final)
             yield finals[-1]
             return self._path_done(
@@ -508,8 +456,8 @@ class PipelineEngine:
         self.chunks_executed += chunks
         if trace is not None:
             # One-shot span + chunk markers in a single journal append.
-            # Every final-hop event is ok here (fail-fast routes faults to
-            # the except path), and its TransferResult value carries the
+            # Every final-hop event is ok here (a faulted path takes the
+            # except path), and its TransferResult value carries the
             # chunk's destination-delivery time, so the recorder extracts
             # timestamps lazily at materialisation.
             trace_id, parent = trace

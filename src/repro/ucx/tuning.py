@@ -44,15 +44,14 @@ class TransportConfig:
     eager_overhead: float = 1.0 * us
     request_overhead: float = 0.4 * us  # per-request software cost
     planner_alignment: int = 256
-    # Failure recovery (see DESIGN.md §5d).  With max_path_retries=0 and no
-    # deadline_factor the transport runs the legacy fail-fast path with zero
-    # recovery bookkeeping.
+    # Failure recovery (see DESIGN.md §5d).  max_path_retries=0 runs zero
+    # recovery rounds: a put whose paths fail raises PathUnavailable.
     max_path_retries: int = 3  # replans of a put's remaining bytes
     retry_backoff: float = 25 * us  # first backoff; doubles per retry
     deadline_factor: float | None = None  # per-path watchdog: T_i x factor
     # Transfer service (see DESIGN.md §5e).  All off by default: the
     # TransferManager then dispatches synchronously and plans at idle load,
-    # keeping single-transfer timelines bit-identical to the legacy path.
+    # keeping single-transfer timelines bit-identical to a bare start_put.
     contention_aware: bool = False  # plan against live load (beta/(1+load))
     max_inflight_total: int | None = None  # global admission cap
     max_inflight_per_pair: int | None = None  # per-(src,dst) admission cap
@@ -62,10 +61,8 @@ class TransportConfig:
     # and the measured overhead stays under the perfsuite's 3% gate.
     flight_recorder: bool = True
     flight_capacity: int = 65_536  # span ring slots
-    # Compiled transfer graphs (see DESIGN.md §5g).  On by default: replay
-    # is pure observation (bit-identical timelines), so the flag exists
-    # only for certification runs and A/B benchmarking.
-    transfer_graphs: bool = True
+    # Compiled transfer graphs (see DESIGN.md §5g): every put executes a
+    # compiled schedule, replayed from this cache on repeated shapes.
     graph_cache_capacity: int = 256  # compiled graphs kept per context
     # Overload resilience (see DESIGN.md §5h).  All off by default: with no
     # queue limit, no overload thresholds, and no retry budgets the service
@@ -156,11 +153,20 @@ class TransportConfig:
 
             UCX_MP_ENABLE=y UCX_MP_INCLUDE_HOST=n UCX_MP_EXCLUDE=gpu:3
             UCX_MP_MAX_CHUNKS=32 UCX_RNDV_THRESH=512K
+
+        A ``UCX_MP_*`` variable this method does not read is rejected by
+        name, so a typo or a retired knob never passes silently.
         """
+        consulted: set[str] = set()
+
+        def has(key: str) -> bool:
+            consulted.add(key)
+            return key in env
+
         def flag(key: str, default: bool) -> bool:
-            raw = env.get(key)
-            if raw is None:
+            if not has(key):
                 return default
+            raw = env[key]
             v = raw.strip().lower()
             if v in ("y", "yes", "1", "true", "on"):
                 return True
@@ -183,26 +189,25 @@ class TransportConfig:
             sequential_initiation=flag("UCX_MP_SEQ_INIT", True),
             contention_aware=flag("UCX_MP_CONTENTION_AWARE", False),
             flight_recorder=flag("UCX_MP_FLIGHT_RECORDER", True),
-            transfer_graphs=flag("UCX_MP_TRANSFER_GRAPHS", True),
         )
-        if "UCX_MP_FLIGHT_CAPACITY" in env:
+        if has("UCX_MP_FLIGHT_CAPACITY"):
             cfg = cfg.with_(flight_capacity=conv("UCX_MP_FLIGHT_CAPACITY", int))
-        if "UCX_MP_GRAPH_CACHE" in env:
+        if has("UCX_MP_GRAPH_CACHE"):
             cfg = cfg.with_(graph_cache_capacity=conv("UCX_MP_GRAPH_CACHE", int))
-        if "UCX_MP_MAX_GPU_STAGED" in env:
+        if has("UCX_MP_MAX_GPU_STAGED"):
             cfg = cfg.with_(max_gpu_staged=conv("UCX_MP_MAX_GPU_STAGED", int))
-        if "UCX_MP_EXCLUDE" in env:
+        if has("UCX_MP_EXCLUDE"):
             items = tuple(
                 s.strip() for s in env["UCX_MP_EXCLUDE"].split(",") if s.strip()
             )
             cfg = cfg.with_(exclude_paths=items)
-        if "UCX_MP_MAX_CHUNKS" in env:
+        if has("UCX_MP_MAX_CHUNKS"):
             cfg = cfg.with_(max_chunks=conv("UCX_MP_MAX_CHUNKS", int))
-        if "UCX_RNDV_THRESH" in env:
+        if has("UCX_RNDV_THRESH"):
             cfg = cfg.with_(rndv_threshold=conv("UCX_RNDV_THRESH", parse_size))
-        if "UCX_MP_MAX_RETRIES" in env:
+        if has("UCX_MP_MAX_RETRIES"):
             cfg = cfg.with_(max_path_retries=conv("UCX_MP_MAX_RETRIES", int))
-        if "UCX_MP_DEADLINE_FACTOR" in env:
+        if has("UCX_MP_DEADLINE_FACTOR"):
             raw = env["UCX_MP_DEADLINE_FACTOR"].strip().lower()
             cfg = cfg.with_(
                 deadline_factor=None
@@ -214,28 +219,33 @@ class TransportConfig:
             raw = env[key].strip().lower()
             return None if raw in ("", "none", "off", "inf") else conv(key, int)
 
-        if "UCX_MP_MAX_INFLIGHT" in env:
+        if has("UCX_MP_MAX_INFLIGHT"):
             cfg = cfg.with_(max_inflight_total=cap("UCX_MP_MAX_INFLIGHT"))
-        if "UCX_MP_MAX_INFLIGHT_PAIR" in env:
+        if has("UCX_MP_MAX_INFLIGHT_PAIR"):
             cfg = cfg.with_(max_inflight_per_pair=cap("UCX_MP_MAX_INFLIGHT_PAIR"))
-        if "UCX_MP_COALESCE" in env:
+        if has("UCX_MP_COALESCE"):
             cfg = cfg.with_(coalesce_threshold=conv("UCX_MP_COALESCE", parse_size))
-        if "UCX_MP_QUEUE_LIMIT" in env:
+        if has("UCX_MP_QUEUE_LIMIT"):
             cfg = cfg.with_(admission_queue_limit=cap("UCX_MP_QUEUE_LIMIT"))
-        if "UCX_MP_SHED_POLICY" in env:
+        if has("UCX_MP_SHED_POLICY"):
             cfg = cfg.with_(shed_policy=env["UCX_MP_SHED_POLICY"].strip())
-        if "UCX_MP_PRESSURED_DEPTH" in env:
+        if has("UCX_MP_PRESSURED_DEPTH"):
             cfg = cfg.with_(overload_pressured_depth=cap("UCX_MP_PRESSURED_DEPTH"))
-        if "UCX_MP_SHEDDING_DEPTH" in env:
+        if has("UCX_MP_SHEDDING_DEPTH"):
             cfg = cfg.with_(overload_shedding_depth=cap("UCX_MP_SHEDDING_DEPTH"))
-        if "UCX_MP_RETRY_BUDGET" in env:
+        if has("UCX_MP_RETRY_BUDGET"):
             cfg = cfg.with_(retry_budget_total=cap("UCX_MP_RETRY_BUDGET"))
-        if "UCX_MP_RETRY_BUDGET_PAIR" in env:
+        if has("UCX_MP_RETRY_BUDGET_PAIR"):
             cfg = cfg.with_(retry_budget_per_pair=cap("UCX_MP_RETRY_BUDGET_PAIR"))
-        if "UCX_MP_RETRY_BUDGET_REFILL" in env:
+        if has("UCX_MP_RETRY_BUDGET_REFILL"):
             cfg = cfg.with_(
                 retry_budget_refill=conv("UCX_MP_RETRY_BUDGET_REFILL", float)
             )
+        unknown = sorted(
+            k for k in env if k.startswith("UCX_MP_") and k not in consulted
+        )
+        if unknown:
+            raise ValueError(f"unknown transport variable(s): {', '.join(unknown)}")
         return cfg
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.path_health import PathHealth, PathHealthRegistry
 from repro.mpi import Communicator, collectives
+from repro.runtime.sanitizer import check_invariants
 from repro.sim import (
     Engine,
     Fabric,
@@ -21,6 +22,7 @@ from repro.sim import (
 from repro.topology import systems
 from repro.ucx import PathUnavailable, TransportConfig, UCXContext
 from repro.units import MiB, gbps
+from tests.golden import assert_golden, timeline_digest
 
 
 def make_ctx(topology=None, config=None, tracer=None):
@@ -239,12 +241,23 @@ class TestPutRecovery:
         # Fail-fast, not a hang: bounded by the backoff sum, far under T.
         assert eng.now < 64 * MiB / gbps(1)
 
-    def test_recovery_disabled_fails_fast_with_link_failure(self):
-        cfg = TransportConfig(max_path_retries=0)
-        eng, ctx = make_ctx(config=cfg)
-        FaultSchedule(LinkDown("nvl:0->1", at=1e-5)).attach(ctx.runtime.fabric)
-        with pytest.raises(LinkFailure):
+    def test_recovery_disabled_fails_typed_and_pair_heals(self):
+        """max_path_retries=0 runs zero recovery rounds of the same loop:
+        the put fails with a typed error naming the failed path, the
+        faulted path's streams are dropped instead of left poisoned, and
+        the pair serves a put again once the link heals."""
+        eng, ctx = make_ctx(config=TransportConfig(max_path_retries=0))
+        FaultSchedule(LinkDown("nvl:0->1", at=1e-5, duration=1e-3)).attach(
+            ctx.runtime.fabric
+        )
+        with pytest.raises(PathUnavailable) as exc:
             eng.run(until=ctx.put(0, 1, 64 * MiB))
+        assert exc.value.failed == ("direct",)
+        check_invariants(ctx)  # raises on leaked stream-pool entries
+        eng.run(until=eng.timeout(max(0.0, 2e-3 - eng.now)))  # link is back
+        result = eng.run(until=ctx.put(0, 1, 64 * MiB))
+        assert result.nbytes == 64 * MiB and result.retries == 0
+        check_invariants(ctx)
 
     def test_stall_recovered_by_deadline_watchdog(self):
         eng0, ctx0 = make_ctx()
@@ -264,31 +277,25 @@ class TestPutRecovery:
 
     def test_no_fault_timeline_invariant_vs_legacy(self):
         """Without faults, the recovery machinery must not perturb the
-        simulated timeline: tracer records are bit-identical to the
-        legacy fail-fast execution path (osu_bw-style windowed puts)."""
+        simulated timeline: 3 windows of 4 concurrent 32 MiB puts match the
+        golden digest recorded from the former fail-fast executor, with
+        recovery armed (the default) and with zero retry rounds."""
 
         def run(config):
             eng, ctx = make_ctx(config=config, tracer=Tracer())
+            results = []
 
             def workload():
-                for i in range(3):  # 3 windows of 4 concurrent puts
-                    yield eng.all_of(
-                        [
-                            ctx.put(0, 1, 32 * MiB, tag=f"w{i}p{j}")
-                            for j in range(4)
-                        ]
-                    )
+                for i in range(3):
+                    results.extend((yield eng.all_of(
+                        [ctx.put(0, 1, 32 * MiB, tag=f"w{i}p{j}") for j in range(4)]
+                    )))
 
             eng.run(until=eng.process(workload()))
-            return eng.now, [
-                (r.channel, r.tag, r.start, r.end, r.nbytes)
-                for r in ctx.tracer.records
-            ]
+            return timeline_digest(eng, ctx.tracer, results, ctx.runtime.fabric)
 
-        t_resilient, rec_resilient = run(TransportConfig())  # retries on
-        t_legacy, rec_legacy = run(TransportConfig(max_path_retries=0))
-        assert t_resilient == t_legacy
-        assert rec_resilient == rec_legacy
+        assert_golden("fault_free_window_3x4", run(TransportConfig()))
+        assert_golden("fault_free_window_3x4", run(TransportConfig(max_path_retries=0)))
 
 
 # ----------------------------------------------------------------------

@@ -130,6 +130,6 @@ class TestEndToEndEq4:
         engine = Engine()
         ctx = UCXContext(engine, topo)
         plan = ctx.planner.plan(0, 1, 128 * MiB, include_host=False)
-        results = engine.run(until=ctx.pipeline.execute(plan))
-        ends = [r.end for r in results]
+        settled = engine.run(until=ctx.pipeline.execute(plan))
+        ends = [r.end for r in settled.executions]
         assert engine.now == pytest.approx(max(ends))

@@ -25,6 +25,7 @@ from repro.sim.faults import (
     StallInjector,
 )
 from repro.units import MiB, gbps
+from tests.golden import assert_golden, timeline_digest
 
 
 @dataclass(frozen=True)
@@ -213,15 +214,10 @@ def test_flight_recorder_off_bit_identical_across_recovery():
     assert eng_on.now != eng0.now  # and it changed the timeline it traced
 
 
-def _graph_workload(
-    *,
-    transfer_graphs: bool,
-    fault_at: float | None = None,
-    flight_recorder: bool = True,
-):
+def _graph_workload(*, fault_at: float | None = None, flight_recorder: bool = True):
     """A transport workload with *repeated same-shape puts*, so compiled
     graph replay actually fires (the first put of each shape compiles, the
-    repeats replay).  Returns the context too, for cache-stat assertions."""
+    repeats replay).  Returns the run's golden digest and its context."""
     from repro.sim.faults import FaultSchedule as Schedule
     from repro.topology import systems
     from repro.ucx import TransportConfig, UCXContext
@@ -233,9 +229,7 @@ def _graph_workload(
         eng,
         topo,
         config=TransportConfig(
-            max_inflight_per_pair=1,
-            flight_recorder=flight_recorder,
-            transfer_graphs=transfer_graphs,
+            max_inflight_per_pair=1, flight_recorder=flight_recorder
         ),
         tracer=tracer,
     )
@@ -247,61 +241,46 @@ def _graph_workload(
     events = [ctx.put(0, 1, n, tag=f"t{i}") for i, n in enumerate(sizes)]
     events.append(ctx.put(2, 3, 4 * MiB, tag="x"))
     results = tuple(eng.run(until=ev) for ev in events)
-    return eng, tracer, results, ctx
+    digest = timeline_digest(eng, tracer, results, ctx.runtime.fabric)
+    return digest, results, ctx
 
 
-def _assert_bit_identical(run_a, run_b):
-    eng_a, tr_a, res_a, ctx_a = run_a
-    eng_b, tr_b, res_b, ctx_b = run_b
-    assert tr_a.records == tr_b.records
-    assert eng_a.now == eng_b.now
-    assert res_a == res_b
-    fab_a, fab_b = ctx_a.runtime.fabric, ctx_b.runtime.fabric
-    assert sorted(fab_a.channels) == sorted(fab_b.channels)
-    for name, ch_a in fab_a.channels.items():
-        ch_b = fab_b.channel(name)
-        assert ch_a.total_bytes == ch_b.total_bytes
-        assert ch_a.busy_time == ch_b.busy_time
-        assert ch_a.completed_bytes == ch_b.completed_bytes
+# The golden digests below were recorded from cold, uncompiled execution:
+# replay must reproduce that timeline (tracer records, clock, results,
+# per-channel byte accounting) bit for bit.
 
 
 def test_graph_replay_bit_identical():
-    """ISSUE 8 acceptance: a replayed transfer's observable timeline —
-    tracer records, clock, results, per-channel byte accounting — is
-    bit-identical to cold-path execution, with the flight recorder on."""
-    on = _graph_workload(transfer_graphs=True)
-    off = _graph_workload(transfer_graphs=False)
+    """A replayed transfer's observable timeline is bit-identical to
+    cold-path execution, with the flight recorder on."""
+    digest, _results, ctx = _graph_workload()
     # replay genuinely fired (the certification would prove nothing if
-    # every put silently took the cold path)
-    stats = on[3].graphs.stats()
+    # every put silently compiled fresh)
+    stats = ctx.graphs.stats()
     assert stats["hits"] > 0 and stats["compiles"] > 0
-    assert on[3].pipeline.transfers_replayed > 0
-    assert off[3].pipeline.transfers_replayed == 0
-    assert off[3].graphs.stats()["hits"] == 0
-    _assert_bit_identical(on, off)
+    assert ctx.pipeline.transfers_replayed > 0
+    assert_golden("graph_workload", digest)
 
 
 def test_graph_replay_bit_identical_recorder_off():
     """Same certification with the flight recorder disabled — replay must
     not depend on the recorder's span bookkeeping."""
-    on = _graph_workload(transfer_graphs=True, flight_recorder=False)
-    off = _graph_workload(transfer_graphs=False, flight_recorder=False)
-    assert on[3].graphs.stats()["hits"] > 0
-    _assert_bit_identical(on, off)
+    digest, _results, ctx = _graph_workload(flight_recorder=False)
+    assert ctx.graphs.stats()["hits"] > 0
+    assert_golden("graph_workload_recorder_off", digest)
 
 
 def test_graph_replay_bit_identical_across_recovery():
     """Replay through the retry/replan machinery: faults invalidate the
-    affected graph, recovery replans take the cold path, and the timeline
-    still matches graphs-off bit for bit."""
-    _eng0, _tr0, res0, _ctx0 = _graph_workload(transfer_graphs=False)
+    affected graph, recovery replans compile one-shot, and the timeline
+    still matches cold execution bit for bit."""
+    _digest, res0, _ctx = _graph_workload()
     fault_at = res0[0].duration + 0.45 * res0[1].duration
-    on = _graph_workload(transfer_graphs=True, fault_at=fault_at)
-    off = _graph_workload(transfer_graphs=False, fault_at=fault_at)
-    assert any(r.retries > 0 for r in on[2])  # the fault actually bit
+    digest, results, ctx = _graph_workload(fault_at=fault_at)
+    assert any(r.retries > 0 for r in results)  # the fault actually bit
     # the faulted graph was discarded so the next same-shape put recompiles
-    assert on[3].graphs.recovery_invalidations > 0
-    _assert_bit_identical(on, off)
+    assert ctx.graphs.recovery_invalidations > 0
+    assert_golden("graph_workload_recovery", digest)
 
 
 def _overload_workload(extra: dict, *, fault_at: float | None = None):

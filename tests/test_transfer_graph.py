@@ -53,13 +53,6 @@ class TestReplay:
         assert stats["compiles"] == 2
         assert stats["hits"] == 2
 
-    def test_disabled_by_config(self):
-        eng, ctx = _context(TransportConfig(transfer_graphs=False))
-        _run_puts(eng, ctx, [8 * MiB] * 3)
-        stats = ctx.graphs.stats()
-        assert stats["compiles"] == 0 and stats["hits"] == 0
-        assert ctx.pipeline.transfers_replayed == 0
-
     def test_eager_puts_replay_too(self):
         eng, ctx = _context()
         nbytes = 64 * 1024  # below the rndv threshold: eager single-path
@@ -203,12 +196,16 @@ class TestObservability:
 
 
 class TestConfig:
-    def test_from_env_flag(self):
-        cfg = TransportConfig.from_env({"UCX_MP_TRANSFER_GRAPHS": "n"})
-        assert cfg.transfer_graphs is False
+    def test_from_env_rejects_unknown_variables(self):
         cfg = TransportConfig.from_env({"UCX_MP_GRAPH_CACHE": "64"})
-        assert cfg.transfer_graphs is True
         assert cfg.graph_cache_capacity == 64
+        # a retired knob and a typo are named, never silently ignored
+        for var in ("UCX_MP_TRANSFER_GRAPHS", "UCX_MP_MAX_RETRY"):
+            with pytest.raises(ValueError, match=var):
+                TransportConfig.from_env({var: "0", "UCX_MP_MAX_RETRIES": "2"})
+        # variables outside the UCX_MP_ namespace are not the config's
+        cfg = TransportConfig.from_env({"UCX_TLS": "cuda_ipc", "HOME": "/"})
+        assert cfg == TransportConfig()
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -253,6 +250,6 @@ class TestCompilePlan:
             assert cp.epsilon == ctx.pipeline.runtime.sync_cost(
                 via_gpu=a.path.via is not None
             )
-            # label + suffix must equal the cold path's f-strings
+            # label + suffix forms each executed tag / event name
             assert cp.h1_suffixes[0] == ":h1:0"
             assert cp.event_suffixes[-1] == f":c{len(cp.chunk_sizes) - 1}"

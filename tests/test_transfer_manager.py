@@ -1,6 +1,6 @@
 """Tests for the transfer service: TransferManager + LoadTracker.
 
-Covers the bit-identity guarantee (default config == legacy issue path),
+Covers the bit-identity guarantee (default config == bare dispatch),
 admission control (per-pair and global caps, no cross-pair head-of-line
 blocking), small-message coalescing, load accounting, and the re-routed
 entry points (context.put, endpoints, MPI traffic).
@@ -112,22 +112,22 @@ class TestLoadTracker:
 
 
 class TestBitIdentity:
-    """Default config through the manager == legacy direct issue path."""
+    """Default config through the manager == a bare ``start_put``."""
 
     @pytest.mark.parametrize("nbytes", [64 * KiB, 8 * MiB, 64 * MiB])
     def test_single_put_timeline_identical(self, nbytes):
-        t_legacy, t_managed = Tracer(), Tracer()
-        eng1, ctx1 = make_ctx(tracer=t_legacy)
+        t_direct, t_managed = Tracer(), Tracer()
+        eng1, ctx1 = make_ctx(tracer=t_direct)
         eng2, ctx2 = make_ctx(tracer=t_managed)
         r1 = eng1.run(until=ctx1.cuda_ipc.start_put(0, 1, nbytes, tag="t"))
         r2 = eng2.run(until=ctx2.put(0, 1, nbytes, tag="t"))
         assert r1 == r2  # PutResult is a frozen dataclass: field-exact
         assert eng1.now == eng2.now
-        assert t_legacy.records == t_managed.records
+        assert t_direct.records == t_managed.records
 
     def test_window_of_puts_identical(self):
-        t_legacy, t_managed = Tracer(), Tracer()
-        eng1, ctx1 = make_ctx(tracer=t_legacy)
+        t_direct, t_managed = Tracer(), Tracer()
+        eng1, ctx1 = make_ctx(tracer=t_direct)
         eng2, ctx2 = make_ctx(tracer=t_managed)
         evs1 = [
             ctx1.cuda_ipc.start_put(0, 1, 4 * MiB, tag=f"w{i}") for i in range(4)
@@ -136,7 +136,7 @@ class TestBitIdentity:
         eng1.run(until=eng1.all_of(evs1))
         eng2.run(until=eng2.all_of(evs2))
         assert eng1.now == eng2.now
-        assert t_legacy.records == t_managed.records
+        assert t_direct.records == t_managed.records
 
     def test_contention_aware_idle_put_identical(self):
         """A lone put plans at idle load: awareness must change nothing."""

@@ -6,7 +6,7 @@ from repro.core.params import ParameterStore
 from repro.sim import Engine, Tracer
 from repro.topology import systems
 from repro.ucx import ModelRegistry, TransportConfig, UCXContext
-from repro.ucx.pipeline import PipelineEngine
+from repro.ucx.pipeline import PipelineEngine, SettledExecution
 from repro.ucx.tuning import StaticShare
 from repro.units import KiB, MiB, gbps
 
@@ -98,11 +98,12 @@ class TestPipelineEngine:
         eng, ctx = make_ctx()
         plan = ctx.planner.plan(0, 1, 46 * MiB, max_gpu_staged=0, include_host=False)
         t0 = eng.now
-        results = eng.run(until=ctx.pipeline.execute(plan))
+        settled = eng.run(until=ctx.pipeline.execute(plan))
         hop = ctx.topology.direct_hop(0, 1)
         expected = ctx.topology.hop_alpha(hop) + 46 * MiB / gbps(46)
         assert eng.now - t0 == pytest.approx(expected, rel=1e-9)
-        assert results[0].path_id == "direct"
+        assert settled.ok
+        assert settled.executions[0].path_id == "direct"
 
     def test_multipath_beats_direct(self):
         eng1, ctx1 = make_ctx()
@@ -179,7 +180,18 @@ class TestPipelineEngine:
         eng, ctx = make_ctx()
         plan = ctx.planner.plan(0, 1, 0)
         done = ctx.pipeline.execute(plan)
-        assert eng.run(until=done) == []
+        assert eng.run(until=done) == SettledExecution()
+        assert ctx.pipeline.transfers_executed == 0
+
+    def test_direct_execute_compiles_one_shot(self):
+        """Without a graph, execute compiles the plan for this run only:
+        nothing enters the graph cache and nothing counts as a replay."""
+        eng, ctx = make_ctx()
+        plan = ctx.planner.plan(0, 1, 8 * MiB)
+        eng.run(until=ctx.pipeline.execute(plan))
+        assert ctx.pipeline.transfers_executed == 1
+        assert ctx.pipeline.transfers_replayed == 0
+        assert ctx.graphs.stats()["compiles"] == 0 and len(ctx.graphs) == 0
 
 
 class TestCudaIpcPut:
