@@ -35,7 +35,6 @@ from repro.sim.faults import (
     FlappingLink,
     LinkDown,
     StallInjector,
-    record_fault_spans,
 )
 from repro.ucx.cuda_ipc import PutResult
 from repro.units import MiB
@@ -121,8 +120,6 @@ def _measure_put(
     if schedule is not None:
         schedule.attach(ctx.runtime.fabric)
     result = engine.run(until=ctx.put(src, dst, nbytes, tag=tag))
-    if schedule is not None:
-        record_fault_spans(schedule, ctx.obs.spans, clip_end=engine.now)
     return ctx, result
 
 
@@ -203,6 +200,7 @@ class TracedScenario:
     channel: str
     results: tuple[PutResult, ...]
     trace_id: int  # the transfer that hit the fault and recovered
+    windows: tuple[FaultWindow, ...]  # for the Chrome-trace fault rows
 
     @property
     def context(self):
@@ -246,7 +244,6 @@ def run_traced_scenario(
     schedule.attach(ctx.runtime.fabric)
     events = [ctx.put(src, dst, nbytes, tag=f"t{i}") for i in range(puts)]
     results = tuple(engine.run(until=ev) for ev in events)
-    record_fault_spans(schedule, ctx.obs.spans, clip_end=engine.now)
 
     # the fault victim: the one trace whose root settled with retries
     from repro.obs.tracing import TraceTree
@@ -262,6 +259,7 @@ def run_traced_scenario(
         channel=channel,
         results=results,
         trace_id=trace_id,
+        windows=schedule.windows(),
     )
     object.__setattr__(scenario, "_context", ctx)
     return scenario

@@ -35,7 +35,7 @@ from repro.bench.baselines import dynamic_config
 from repro.bench.runner import SystemSetup, get_setup
 from repro.gpu.errors import DeadlineUnsatisfiable, TransferShed
 from repro.runtime.sanitizer import SanitizerReport, check_invariants
-from repro.sim.faults import FaultSchedule, LinkDown, record_fault_spans
+from repro.sim.faults import FaultSchedule, FaultWindow, LinkDown
 from repro.units import MiB
 
 #: The shed policies a scenario can exercise (mirrors TransportConfig).
@@ -78,6 +78,7 @@ class OverloadResult:
     recovery: dict  # cuda_ipc recovery stats
     sanitizer: SanitizerReport | None
     bytes_ledger: dict = field(default_factory=dict)
+    windows: tuple[FaultWindow, ...] = ()  # for the Chrome-trace fault rows
 
     @property
     def shed_fraction(self) -> float:
@@ -279,8 +280,6 @@ def run_overload(
     for i in range(n):
         engine.schedule_fn(i * interval, submit, i)
     engine.run()
-    if fault:
-        record_fault_spans(schedule, ctx.obs.spans, clip_end=engine.now)
 
     # Step 3: classify.  Manager counters are authoritative (exact); the
     # per-event pass extracts admitted latencies and cross-checks types.
@@ -333,6 +332,7 @@ def run_overload(
         recovery=ctx.cuda_ipc.stats_snapshot()["recovery"],
         sanitizer=sanitizer,
         bytes_ledger=stats["bytes"],
+        windows=schedule.windows(),
     )
     if keep_context:
         object.__setattr__(result, "_context", ctx)

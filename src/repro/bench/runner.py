@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, Sequence
 
 from repro.bench.baselines import (
     StaticSearchResult,
@@ -19,6 +20,9 @@ from repro.core.params import ParameterStore
 from repro.topology import systems as systems_mod
 from repro.topology.node import NodeTopology
 from repro.units import MiB
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.faults import FaultWindow
 
 #: The paper's three multi-path configurations (§5.2 figure labels).
 PATH_CONFIGS: dict[str, dict] = {
@@ -166,7 +170,9 @@ def clear_caches() -> None:
     clear_calibration_memo()
 
 
-def dump_artifacts(prefix: str | Path, context) -> list[Path]:
+def dump_artifacts(
+    prefix: str | Path, context, *, faults: "Sequence[FaultWindow]" = ()
+) -> list[Path]:
     """Write observability artifacts for one instrumented run.
 
     Given a context created by an ``observe=True`` environment (reachable
@@ -175,8 +181,8 @@ def dump_artifacts(prefix: str | Path, context) -> list[Path]:
     their paths:
 
     * ``<prefix>.metrics.json`` — :meth:`MetricsRegistry.snapshot`;
-    * ``<prefix>.trace.json`` — Chrome-trace timeline (fabric copies +
-      put/path spans + flight-recorder traces), loadable in
+    * ``<prefix>.trace.json`` — Chrome-trace timeline (fabric copies,
+      ``faults`` windows and flight-recorder traces), loadable in
       ``chrome://tracing`` / Perfetto;
     * ``<prefix>.decisions.jsonl`` — one planner decision per line.
     """
@@ -185,20 +191,20 @@ def dump_artifacts(prefix: str | Path, context) -> list[Path]:
     prefix = Path(prefix)
     if prefix.parent != Path("."):
         prefix.parent.mkdir(parents=True, exist_ok=True)
-    obs = getattr(context, "obs", None)
+    obs = context.obs
     written: list[Path] = []
     if obs is not None:
         metrics_path = prefix.with_name(prefix.name + ".metrics.json")
         metrics_path.write_text(json.dumps(obs.metrics.snapshot(), indent=2))
         written.append(metrics_path)
-    tracer = getattr(context, "tracer", None)
-    if tracer is not None or (obs is not None and len(obs.spans)):
+    tracer = context.tracer
+    if tracer is not None or len(context.flight):
         trace_path = prefix.with_name(prefix.name + ".trace.json")
         dump_chrome_trace(
             trace_path,
             tracer,
-            obs.spans if obs is not None else None,
-            getattr(context, "flight", None),
+            context.flight,
+            faults=faults,
             metadata={"topology": context.topology.name},
         )
         written.append(trace_path)

@@ -287,7 +287,6 @@ def cmd_trace(args):
     ctx = env.last_context
     trace = chrome_trace(
         ctx.tracer,
-        ctx.obs.spans,
         ctx.flight,
         metadata={
             "system": system,
@@ -361,7 +360,7 @@ def cmd_chaos(args):
             prefix = (
                 f"{args.dump}.{scenario}" if len(scenarios) > 1 else args.dump
             )
-            for path in dump_artifacts(prefix, ctx):
+            for path in dump_artifacts(prefix, ctx, faults=result.windows):
                 print(f"wrote {path}", file=sys.stderr)
     print(
         f"# chaos: {system} GPU{src}->GPU{dst} n={nbytes} "
@@ -405,7 +404,9 @@ def cmd_overload(args):
     )
     print(result.describe())
     if args.dump:
-        for path in dump_artifacts(args.dump, result._context):
+        for path in dump_artifacts(
+            args.dump, result._context, faults=result.windows
+        ):
             print(f"wrote {path}", file=sys.stderr)
     if args.output:
         with open(args.output, "w") as f:
@@ -501,7 +502,7 @@ def cmd_slowest(args):
     print()
     print(tracing_stats_report(ctx.flight))
     if args.dump:
-        for path in dump_artifacts(args.dump, ctx):
+        for path in dump_artifacts(args.dump, ctx, faults=scn.windows):
             print(f"wrote {path}", file=sys.stderr)
 
 
@@ -520,7 +521,7 @@ def cmd_timeline(args):
         ) from None
     print(text)
     if args.dump:
-        for path in dump_artifacts(args.dump, ctx):
+        for path in dump_artifacts(args.dump, ctx, faults=scn.windows):
             print(f"wrote {path}", file=sys.stderr)
 
 
@@ -580,7 +581,7 @@ def cmd_critical_path(args):
     system = _systems(args)[0]
     env, result = _instrumented_bw_run(args, system)
     ctx = env.last_context
-    analyzer = CriticalPathAnalyzer(ctx.obs.spans, ctx.tracer)
+    analyzer = CriticalPathAnalyzer(ctx.flight)
     print(
         f"# critical path: {system} n={result.nbytes} "
         f"bw={result.bandwidth / 1e9:.1f}GB/s"

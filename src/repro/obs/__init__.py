@@ -1,10 +1,16 @@
-"""Observability: metrics registry, span log, planner decisions, exporters.
+"""Observability: metrics registry, planner decisions, exporters.
 
 One :class:`Observability` bundle per instrumented run, threaded through
 :class:`~repro.ucx.context.UCXContext` into the planner, pipeline engine,
 and cuda_ipc module.  All instrumentation is optional: components take
 ``obs=None`` and guard every touch point, so the uninstrumented hot path
 costs nothing (verified by ``benchmarks/test_planner_overhead.py``).
+
+Spans have one source: the context's always-on
+:class:`~repro.obs.tracing.FlightRecorder`.  The Chrome-trace export and
+the critical-path analyzer are views over its parent-linked spans, and
+metrics collectors pull component ``stats_snapshot()`` values instead of
+mirroring them as counters.
 
 On top of the passive layer sits the closed loop (``repro.obs.drift``):
 with ``autotune=True`` the context attaches a :class:`DriftController`
@@ -46,7 +52,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     Timer,
 )
-from repro.obs.spans import Span, SpanLog
 from repro.obs.tracing import (
     FlightRecorder,
     SpanView,
@@ -60,10 +65,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class Observability:
-    """The per-run bundle: metrics + spans + planner decisions + errors."""
+    """The per-run bundle: metrics + planner decisions + errors."""
 
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    spans: SpanLog = field(default_factory=SpanLog)
     decisions: PlannerDecisionLog = field(default_factory=PlannerDecisionLog)
     errors: PredictionErrorTracker = field(
         default_factory=PredictionErrorTracker
@@ -99,8 +103,6 @@ __all__ = [
     "Gauge",
     "Timer",
     "Histogram",
-    "SpanLog",
-    "Span",
     "PlannerDecision",
     "PlannerDecisionLog",
     "PredictionErrorTracker",

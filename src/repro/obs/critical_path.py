@@ -2,12 +2,18 @@
 
 The equal-time theorem says the optimal split finishes every path at the
 same instant — any slack on a path means bytes should have moved to it.
-This analyzer makes that directly observable: it joins each ``put`` span
-with its per-path pipeline spans (same tag prefix, contained interval)
-and reports, per transfer, which path was the bottleneck and how much
-slack every other path had.  On the noise-free simulator with a
-well-calibrated model, per-path slack of a dynamic plan is ≈ 0; a path
-with persistent slack is the planner's model being wrong about it.
+This analyzer makes that directly observable from the flight recorder:
+each transfer is a root ``transfer`` span, and its paths are the root's
+direct ``pipeline.path[i]`` children, found by parent link.  It reports,
+per transfer, which path was the bottleneck and how much slack every
+other path had.  On the noise-free simulator with a well-calibrated
+model, per-path slack of a dynamic plan is ≈ 0; a path with persistent
+slack is the planner's model being wrong about it.
+
+Only the first execution round counts: a recovery round's paths hang
+under their ``recovery.retry[k]`` span, not under the root, and a path
+that faulted (``ok=False``) never finished its share.  The retry rounds'
+time shows up as the transfer's ``post_overhead``.
 """
 
 from __future__ import annotations
@@ -15,13 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.spans import SpanLog
-    from repro.sim.trace import Tracer
+from repro.obs.tracing import TraceTree
 
-#: Joining tolerance: path spans live strictly inside their put span, but
-#: float arithmetic deserves an epsilon.
-_EPS = 1e-12
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.tracing import FlightRecorder
 
 
 @dataclass(frozen=True)
@@ -53,9 +56,9 @@ class TransferBreakdown:
     end: float
     paths: tuple[PathContribution, ...]
     bottleneck: str  # path_id of the last-finishing path
-    bottleneck_chunk: str  # tag of its last-completing copy ("" if unknown)
-    pre_overhead: float  # put start → first path start (request/IPC/rndv)
-    post_overhead: float  # last path end → put end
+    bottleneck_chunk: str  # span kind of its last chunk (the path's own if direct)
+    pre_overhead: float  # submit → first path start (queue/request/IPC/rndv)
+    post_overhead: float  # last path end → settle (includes recovery rounds)
 
     @property
     def duration(self) -> float:
@@ -75,74 +78,63 @@ class TransferBreakdown:
 
 
 class CriticalPathAnalyzer:
-    """Walks a run's span log (and optionally the fabric tracer)."""
+    """Walks a run's flight-recorder traces."""
 
-    def __init__(
-        self, spans: "SpanLog", tracer: "Tracer | None" = None
-    ) -> None:
-        self.spans = spans
-        self.tracer = tracer
+    def __init__(self, source: "FlightRecorder | TraceTree") -> None:
+        self.tree = source if isinstance(source, TraceTree) else TraceTree(source)
 
     # ------------------------------------------------------------------
     def transfers(self, *, multipath_only: bool = False) -> list[TransferBreakdown]:
-        """One breakdown per put span, in completion order."""
-        path_spans = self.spans.for_cat("path")
+        """One breakdown per settled transfer with paths, in completion order."""
         out = []
-        for put in self.spans.for_cat("put"):
-            prefix = put.name + "/"
+        for root in self.tree.roots():
+            if root.kind != "transfer" or root.open:
+                continue
+            children = self.tree.breakdown(root.trace_id).children
             mine = [
                 s
-                for s in path_spans
-                if s.name.startswith(prefix)
-                and s.start >= put.start - _EPS
-                and s.end <= put.end + _EPS
+                for s in children.get(root.sid, ())
+                if s.kind.startswith("pipeline.path") and s.attrs.get("ok", True)
             ]
-            if not mine:
+            if not mine or (multipath_only and len(mine) < 2):
                 continue
-            bottleneck_end = max(s.end for s in mine)
+            mine.sort(key=lambda s: s.attrs["path"])
+            bottleneck_end = max(s.t1 for s in mine)
             paths = tuple(
                 PathContribution(
-                    path_id=s.name[len(prefix):],
-                    start=s.start,
-                    end=s.end,
-                    nbytes=int(s.args.get("nbytes", 0)),
-                    chunks=int(s.args.get("chunks", 1)),
-                    theta=float(s.args.get("theta", 0.0)),
-                    slack=bottleneck_end - s.end,
+                    path_id=s.attrs["path"],
+                    start=s.t0,
+                    end=s.t1,
+                    nbytes=int(s.attrs.get("nbytes", 0)),
+                    chunks=int(s.attrs.get("chunks", 1)),
+                    theta=float(s.attrs.get("theta", 0.0)),
+                    slack=bottleneck_end - s.t1,
                 )
-                for s in sorted(mine, key=lambda s: s.name)
+                for s in mine
             )
-            if multipath_only and len(paths) < 2:
-                continue
-            bottleneck = max(paths, key=lambda p: p.end)
+            bn_span = max(mine, key=lambda s: s.t1)
+            last = max(
+                children.get(bn_span.sid, ()),
+                key=lambda s: (s.t0, s.sid),
+                default=bn_span,
+            )
             out.append(
                 TransferBreakdown(
-                    name=put.name,
-                    src=int(put.args.get("src", -1)),
-                    dst=int(put.args.get("dst", -1)),
-                    nbytes=int(put.args.get("nbytes", 0)),
-                    start=put.start,
-                    end=put.end,
+                    name=root.attrs.get("tag") or f"trace{root.trace_id}",
+                    src=int(root.attrs.get("src", -1)),
+                    dst=int(root.attrs.get("dst", -1)),
+                    nbytes=int(root.attrs.get("nbytes", 0)),
+                    start=root.t0,
+                    end=root.t1,
                     paths=paths,
-                    bottleneck=bottleneck.path_id,
-                    bottleneck_chunk=self._last_chunk_tag(
-                        put.name, bottleneck.path_id
-                    ),
-                    pre_overhead=min(s.start for s in mine) - put.start,
-                    post_overhead=put.end - bottleneck_end,
+                    bottleneck=bn_span.attrs["path"],
+                    bottleneck_chunk=last.kind,
+                    pre_overhead=min(s.t0 for s in mine) - root.t0,
+                    post_overhead=root.t1 - bottleneck_end,
                 )
             )
         out.sort(key=lambda t: t.end)
         return out
-
-    def _last_chunk_tag(self, put_name: str, path_id: str) -> str:
-        """Tag of the bottleneck path's last-completing fabric copy."""
-        if self.tracer is None:
-            return ""
-        recs = self.tracer.for_tag_prefix(f"{put_name}/{path_id}:")
-        if not recs:
-            return ""
-        return max(recs, key=lambda r: r.end).tag
 
     # ------------------------------------------------------------------
     def summary(self) -> dict:

@@ -279,9 +279,9 @@ class TransferManager:
                 self.bytes_cancelled += r.nbytes
                 obs = self.context.obs
                 if obs is not None:
-                    m = obs.metrics
-                    m.counter("deadline.cancelled").inc()
-                    m.gauge("transfer_manager.queue_depth").set(self.queue_depth)
+                    obs.metrics.gauge("transfer_manager.queue_depth").set(
+                        self.queue_depth
+                    )
                 if r.root_sid >= 0:
                     self._finish_terminal(r.trace_id, r.root_sid, "cancelled")
                 r.event.fail(TransferCancelled(r.src, r.dst))
@@ -350,11 +350,6 @@ class TransferManager:
         """Fast-fail a submit whose deadline is provably unreachable."""
         self.rejected += 1
         self.bytes_rejected += nbytes
-        obs = self.context.obs
-        if obs is not None:
-            m = obs.metrics
-            m.counter("deadline.rejected").inc()
-            m.counter("deadline.rejected_bytes").inc(nbytes)
         if root_sid >= 0:
             self._finish_terminal(trace_id, root_sid, "rejected")
         ev = self.engine.event()
@@ -412,11 +407,6 @@ class TransferManager:
     def _account_shed(self, nbytes: int) -> None:
         self.shed += 1
         self.bytes_shed += nbytes
-        obs = self.context.obs
-        if obs is not None:
-            m = obs.metrics
-            m.counter("overload.shed").inc()
-            m.counter("overload.shed_bytes").inc(nbytes)
 
     # ------------------------------------------------------------------
     def _expiry_sweep(self) -> None:
@@ -439,15 +429,10 @@ class TransferManager:
         if not expired:
             return
         self._queue = [r for r in self._queue if r is not None]
-        obs = self.context.obs
         for r in expired:
             self._deadline_queued -= 1
             self.expired += 1
             self.bytes_expired += r.nbytes
-            if obs is not None:
-                m = obs.metrics
-                m.counter("deadline.expired").inc()
-                m.counter("deadline.expired_bytes").inc(r.nbytes)
             if r.root_sid >= 0:
                 self._finish_terminal(r.trace_id, r.root_sid, "expired")
             r.event.fail(
@@ -462,6 +447,7 @@ class TransferManager:
                     ),
                 )
             )
+        obs = self.context.obs
         if obs is not None:
             obs.metrics.gauge("transfer_manager.queue_depth").set(self.queue_depth)
         self._update_governor()
@@ -657,12 +643,6 @@ class TransferManager:
         if members:
             self.coalesced_requests += len(members)
             self.coalesced_bytes += sum(m.nbytes for m in members)
-            if obs is not None:
-                m = obs.metrics
-                m.counter("transfer_manager.coalesced_requests").inc(len(members))
-                m.counter("transfer_manager.coalesced_bytes").inc(
-                    sum(mm.nbytes for mm in members)
-                )
         flight = self.context.flight
         gov = self.governor
         for r in group:
@@ -682,18 +662,6 @@ class TransferManager:
                 )
             if obs is not None:
                 obs.metrics.histogram("transfer_manager.queue_time").observe(waited)
-                obs.spans.record(
-                    r.tag or f"req{r.seq}",
-                    "queue",
-                    f"queue:{r.src}->{r.dst}",
-                    r.enqueued_at,
-                    now,
-                    seq=r.seq,
-                    src=r.src,
-                    dst=r.dst,
-                    nbytes=r.nbytes,
-                    coalesced=len(group) > 1,
-                )
         self.dispatched_queued += len(group)
         # A merged put honours the group's tightest deadline.
         deadlines = [r.deadline_at for r in group if r.deadline_at is not None]

@@ -27,7 +27,6 @@ from repro.sim.faults import (
     LinkDown,
     LinkFailure,
     StallInjector,
-    record_fault_spans,
 )
 from repro.sim.link import Channel, DuplexMode, LinkFlow, TransferResult
 from repro.sim.resources import Semaphore, Store
@@ -50,7 +49,6 @@ __all__ = [
     "StallInjector",
     "FaultSchedule",
     "FaultWindow",
-    "record_fault_spans",
     "TransferResult",
     "Channel",
     "DuplexMode",

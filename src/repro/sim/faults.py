@@ -20,7 +20,7 @@ shapes, attachable to any :class:`~repro.sim.fabric.Fabric` channel:
 
 A :class:`FaultSchedule` groups injectors into a scenario: it arms them all
 on a fabric and exposes the merged :class:`FaultWindow` list for reports and
-Chrome-trace markers (:func:`record_fault_spans`).
+Chrome-trace markers (``faults=`` of :func:`repro.obs.chrome_trace.chrome_trace`).
 
 Determinism: injectors schedule plain engine callbacks; all randomness
 (flap hold times) is drawn from ``numpy`` generators seeded at construction
@@ -38,7 +38,6 @@ import numpy as np
 from repro.sim.engine import SimError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.spans import SpanLog
     from repro.sim.fabric import Fabric
 
 
@@ -221,36 +220,6 @@ class FaultSchedule:
         return "\n".join(lines)
 
 
-def record_fault_spans(
-    schedule: FaultSchedule, spans: "SpanLog", *, clip_end: float | None = None
-) -> int:
-    """Mirror a schedule's windows into a span log (cat ``"fault"``).
-
-    The Chrome-trace exporter includes every span, so this is all it takes
-    to get fault markers onto the timeline.  Unbounded windows are clipped
-    to ``clip_end`` (e.g. the run's end time) and skipped if none is given.
-    Returns the number of spans recorded.
-    """
-    n = 0
-    for w in schedule.windows():
-        end = w.end
-        if not math.isfinite(end):
-            if clip_end is None:
-                continue
-            end = clip_end
-        spans.record(
-            f"{w.kind}:{w.channel}",
-            "fault",
-            f"fault:{w.channel}",
-            w.start,
-            end,
-            kind=w.kind,
-            channel=w.channel,
-        )
-        n += 1
-    return n
-
-
 __all__ = [
     "LinkFailure",
     "FaultWindow",
@@ -259,5 +228,4 @@ __all__ = [
     "StallInjector",
     "FlappingLink",
     "FaultSchedule",
-    "record_fault_spans",
 ]

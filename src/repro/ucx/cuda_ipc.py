@@ -121,8 +121,7 @@ class CudaIpcModule:
         flight = ctx.flight
         tracing = flight.enabled and trace_id >= 0
         start = engine.now
-        # One label names the put span AND prefixes its per-path pipeline
-        # spans/copy tags, so the critical-path analyzer can join them.
+        # The label prefixes the put's fabric copy tags.
         label = tag or f"put{seq}"
 
         if nbytes == 0:
@@ -132,20 +131,6 @@ class CudaIpcModule:
             self.puts_completed += 1
             self.protocol_counts["eager"] += 1
             self.mode_counts["single"] += 1
-            if ctx.obs is not None:
-                ctx.obs.spans.record(
-                    label,
-                    "put",
-                    f"put:{src}->{dst}",
-                    start,
-                    start,
-                    seq=seq,
-                    src=src,
-                    dst=dst,
-                    nbytes=0,
-                    protocol="eager",
-                    mode="single",
-                )
             return PutResult(
                 src=src,
                 dst=dst,
@@ -210,7 +195,6 @@ class CudaIpcModule:
         retries = 0
         delivered = 0
         rerouted = 0
-        fault_time: float | None = None
         failed_paths: set[str] = set()
         current = plan
         attempt_label = label
@@ -251,13 +235,10 @@ class CudaIpcModule:
                 # recovery replans below compile one-shot, outside the cache.
                 ctx.graphs.discard(graph.key)
                 graph = None
-            if fault_time is None:
-                fault_time = min(f.end for f in faults)
             failed_paths.update(f.path_id for f in faults)
             self.path_failovers += len(faults)
             if obs is not None:
                 m = obs.metrics
-                m.counter("recovery.failovers").inc(len(faults))
                 for f in faults:
                     if isinstance(f.error, TransferTimeout):
                         m.counter("recovery.timeouts").inc()
@@ -268,8 +249,6 @@ class CudaIpcModule:
                 break  # every byte landed despite the late error
             if retries >= cfg.max_path_retries:
                 self.puts_failed += 1
-                if obs is not None:
-                    obs.metrics.counter("recovery.puts_failed").inc()
                 raise PathUnavailable(
                     src,
                     dst,
@@ -292,14 +271,10 @@ class CudaIpcModule:
                     budget_scale = budget.begin_backoff()
                     backoff *= budget_scale
                 else:
-                    if obs is not None:
-                        obs.metrics.counter("overload.budget_denied").inc()
                     if budget_fallback_used:
                         # Budget dry and the fallback already ran: fail fast
                         # instead of burning more backoff on a dead pair.
                         self.puts_failed += 1
-                        if obs is not None:
-                            obs.metrics.counter("recovery.puts_failed").inc()
                         raise PathUnavailable(
                             src,
                             dst,
@@ -324,7 +299,6 @@ class CudaIpcModule:
                 if remaining_t <= 0:
                     self.puts_failed += 1
                     if obs is not None:
-                        obs.metrics.counter("recovery.puts_failed").inc()
                         obs.metrics.counter("deadline.recovery_timeouts").inc()
                     if budget_scale:
                         budget.end_backoff()
@@ -379,18 +353,12 @@ class CudaIpcModule:
                 if retry_sid >= 0:
                     flight.finish(retry_sid, ok=False)
                 self.puts_failed += 1
-                if obs is not None:
-                    obs.metrics.counter("recovery.puts_failed").inc()
                 raise PathUnavailable(
                     src, dst, failed=tuple(sorted(failed_paths))
                 )
             rerouted += remaining
             self.rerouted_bytes += remaining
             attempt_label = f"{label}:r{retries}"
-            if obs is not None:
-                m = obs.metrics
-                m.counter("recovery.retries").inc()
-                m.counter("recovery.retried_bytes").inc(remaining)
 
         end = engine.now
         self.puts_completed += 1
@@ -400,36 +368,7 @@ class CudaIpcModule:
         if retries > 0:
             self.puts_recovered += 1
         if obs is not None:
-            obs.spans.record(
-                label,
-                "put",
-                f"put:{src}->{dst}",
-                start,
-                end,
-                seq=seq,
-                src=src,
-                dst=dst,
-                nbytes=nbytes,
-                protocol=protocol,
-                mode=mode,
-                paths=plan.num_active_paths,
-                predicted=plan.predicted_time,
-                retries=retries,
-            )
             obs.metrics.histogram("cuda_ipc.put_nbytes").observe(nbytes)
-            if retries > 0:
-                # Per-put recovery overhead: first fault -> completion.
-                obs.metrics.counter("recovery.puts_recovered").inc()
-                obs.spans.record(
-                    f"{label}:recovery",
-                    "recovery",
-                    f"put:{src}->{dst}",
-                    fault_time if fault_time is not None else exec_start,
-                    end,
-                    retries=retries,
-                    rerouted_bytes=rerouted,
-                    failed_paths=sorted(failed_paths),
-                )
             # Closed-loop feedback: only dynamic rndv plans carry a real
             # model prediction (single/static use placeholder times), the
             # prediction covers the pipeline execution interval only, and

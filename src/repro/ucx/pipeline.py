@@ -209,7 +209,7 @@ class PipelineEngine:
             progress = _PathProgress()
             proc = self.engine.process(
                 self._run_path(
-                    plan, compiled[i], tag, progress, trace=trace, path_index=i
+                    compiled[i], tag, progress, trace=trace, path_index=i
                 ),
                 name=f"path:{a.path.path_id}",
             )
@@ -250,8 +250,6 @@ class PipelineEngine:
                         error=exc,
                     )
                 )
-                if self.obs is not None:
-                    self.obs.metrics.counter("pipeline.path_faults").inc()
         return SettledExecution(tuple(execs), tuple(faults))
 
     # ------------------------------------------------------------------
@@ -338,7 +336,6 @@ class PipelineEngine:
     # ------------------------------------------------------------------
     def _run_path(
         self,
-        plan: TransferPlan,
         compiled: "CompiledPath",
         tag: str,
         progress: _PathProgress,
@@ -371,8 +368,7 @@ class PipelineEngine:
                 )
                 yield done
                 return self._path_done(
-                    plan, a, label, start, 1,
-                    trace if traced else None, path_index, finals,
+                    a, start, 1, trace if traced else None, path_index, finals
                 )
 
             # Staged path: three-step chunk loop over two streams, driven
@@ -404,8 +400,8 @@ class PipelineEngine:
                 finals.append(final)
             yield finals[-1]
             return self._path_done(
-                plan, a, label, start, len(chunks),
-                trace if traced else None, path_index, finals,
+                a, start, len(chunks), trace if traced else None, path_index,
+                finals,
             )
         except BaseException:
             if traced:
@@ -441,9 +437,7 @@ class PipelineEngine:
 
     def _path_done(
         self,
-        plan: TransferPlan,
         a: PathAssignment,
-        label: str,
         start: float,
         chunks: int,
         trace: tuple[int, int] | None = None,
@@ -473,27 +467,19 @@ class PipelineEngine:
                 parent,
                 start,
                 end,
-                {"path": a.path.path_id, "nbytes": a.nbytes, "chunks": chunks},
+                {
+                    "path": a.path.path_id,
+                    "nbytes": a.nbytes,
+                    "chunks": chunks,
+                    "theta": a.theta,
+                },
                 cached[:n] if n <= len(cached) else tuple(
                     f"pipeline.path[{path_index}].chunk[{j}]" for j in range(n)
                 ),
                 finals,
             )
-        obs = self.obs
-        if obs is not None:
-            obs.spans.record(
-                label,
-                "path",
-                f"pipe:{plan.src}->{plan.dst}:{a.path.path_id}",
-                start,
-                end,
-                src=plan.src,
-                dst=plan.dst,
-                nbytes=a.nbytes,
-                chunks=chunks,
-                theta=a.theta,
-            )
-            obs.metrics.histogram("pipeline.chunks_per_path").observe(chunks)
+        if self.obs is not None:
+            self.obs.metrics.histogram("pipeline.chunks_per_path").observe(chunks)
         return PathExecution(
             path_id=a.path.path_id,
             nbytes=a.nbytes,

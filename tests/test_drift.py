@@ -318,7 +318,7 @@ class TestCriticalPathTheorem1:
         )
         engine, ctx, _ = env.fresh()
         engine.run(until=ctx.put(0, 1, 64 * MiB, tag="thm1"))
-        analyzer = CriticalPathAnalyzer(ctx.obs.spans, ctx.tracer)
+        analyzer = CriticalPathAnalyzer(ctx.flight)
         (t,) = analyzer.transfers()
         return analyzer, t
 
@@ -328,15 +328,26 @@ class TestCriticalPathTheorem1:
         assert t.max_relative_slack < 0.05
 
     def test_breakdown_joins_put_and_paths(self, breakdown):
-        _, t = breakdown
+        analyzer, t = breakdown
         assert t.name == "thm1"
         assert t.src == 0 and t.dst == 1
         assert t.nbytes == 64 * MiB
         assert sum(p.nbytes for p in t.paths) == t.nbytes
+        assert sum(p.theta for p in t.paths) == pytest.approx(1.0)
         assert t.bottleneck in {p.path_id for p in t.paths}
-        assert t.bottleneck_chunk.startswith("thm1/")
         assert t.pre_overhead > 0  # request + IPC + rndv handshake
         assert t.post_overhead >= 0
+        # the last chunk is a child marker of the bottleneck path's span
+        # (the path span itself when the bottleneck is a direct path)
+        (root,) = analyzer.tree.roots()
+        children = analyzer.tree.breakdown(root.trace_id).children
+        (bn,) = [
+            s for s in children[root.sid]
+            if s.attrs.get("path") == t.bottleneck
+        ]
+        chunk_kinds = {c.kind for c in children.get(bn.sid, ())}
+        assert t.bottleneck_chunk in (chunk_kinds or {bn.kind})
+        assert t.bottleneck_chunk.startswith(bn.kind)
 
     def test_summary_aggregates(self, breakdown):
         analyzer, t = breakdown

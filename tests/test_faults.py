@@ -299,6 +299,70 @@ class TestPutRecovery:
 
 
 # ----------------------------------------------------------------------
+# What a recovered put leaves in the flight recorder and metrics
+# ----------------------------------------------------------------------
+class TestChaosObservability:
+    @pytest.fixture(scope="class")
+    def linkdown(self):
+        from repro.bench.experiments.chaos import run_chaos
+
+        result = run_chaos("beluga", scenario="linkdown", nbytes=16 * MiB,
+                           keep_context=True)
+        assert result.chaotic.retries >= 1
+        return result
+
+    def test_recovery_counted_once_by_the_collector(self, linkdown):
+        snap = linkdown._context.obs.metrics.snapshot()
+        recovery = snap["cuda_ipc"]["recovery"]
+        assert recovery["retries"] == linkdown.chaotic.retries
+        assert recovery["puts_recovered"] == 1
+        assert recovery["path_failovers"] >= 1
+        assert recovery["rerouted_bytes"] == linkdown.chaotic.rerouted_bytes
+        counters = snap.get("counters", {})
+        assert "recovery.retries" not in counters
+        assert "recovery.puts_recovered" not in counters
+        assert counters["recovery.link_failures"] == recovery["path_failovers"]
+
+    def test_dumped_trace_has_one_fault_row_per_window(self, linkdown, tmp_path):
+        import json
+
+        from repro.bench.runner import dump_artifacts
+
+        written = dump_artifacts(
+            tmp_path / "chaos", linkdown._context, faults=linkdown.windows
+        )
+        trace_path = tmp_path / "chaos.trace.json"
+        assert trace_path in written
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        faults = [e for e in events if e["ph"] == "X" and e["cat"] == "fault"]
+        assert len(faults) == len(linkdown.windows) >= 1
+        for e, w in zip(faults, linkdown.windows):
+            assert e["args"] == {"kind": w.kind, "channel": w.channel}
+            assert e["ts"] == pytest.approx(w.start * 1e6)
+
+    def test_critical_path_of_a_recovered_put(self, linkdown):
+        from repro.obs import CriticalPathAnalyzer, TraceTree
+
+        tree = TraceTree(linkdown._context.flight)
+        (t,) = CriticalPathAnalyzer(tree).transfers()
+        (root,) = tree.roots()
+        bd = tree.breakdown(root.trace_id)
+        round0 = [
+            s for s in bd.children[root.sid] if s.kind.startswith("pipeline.path")
+        ]
+        faulted = {s.attrs["path"] for s in round0 if s.attrs.get("ok") is False}
+        survivors = {s.attrs["path"] for s in round0} - faulted
+        assert faulted and survivors
+        # only round 0's surviving paths: no faulted span, no retry paths
+        assert {p.path_id for p in t.paths} == survivors
+        assert sum(p.nbytes for p in t.paths) < t.nbytes
+        # the retry round runs after round 0 settles, inside post_overhead
+        (retry,) = [s for s in bd.spans if s.kind.startswith("recovery.retry")]
+        assert t.post_overhead >= retry.duration > 0
+        assert t.end == pytest.approx(root.t1)
+
+
+# ----------------------------------------------------------------------
 # Path health circuit breaker
 # ----------------------------------------------------------------------
 class TestPathHealth:

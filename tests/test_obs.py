@@ -1,4 +1,4 @@
-"""Tests for the observability layer: metrics, spans, decisions, exporters."""
+"""Tests for the observability layer: metrics, decisions, exporters."""
 
 import json
 
@@ -9,13 +9,15 @@ from repro.bench.omb import osu_bw
 from repro.bench.runner import dump_artifacts, get_setup
 from repro.obs import (
     MetricsRegistry,
+    FlightRecorder,
     Observability,
-    SpanLog,
     chrome_trace,
     dump_chrome_trace,
 )
 from repro.obs.metrics import NULL_INSTRUMENT
 from repro.core.planner import PathPlanner
+from repro.obs.tracing import TraceTree
+from repro.sim.engine import Engine
 from repro.sim.trace import Tracer
 from repro.units import MiB
 
@@ -76,44 +78,54 @@ class TestMetricsRegistry:
         assert json.loads(m.to_json())["counters"]["c"] == 1
 
 
-class TestSpanLog:
-    def test_record_and_query(self):
-        s = SpanLog()
-        s.record("a", "put", "t0", 0.0, 1.0, nbytes=10)
-        s.record("b", "path", "t1", 0.5, 2.0)
-        assert len(s) == 2
-        assert s.for_cat("put")[0].name == "a"
-        assert s.for_track("t1")[0].duration == pytest.approx(1.5)
-
-    def test_disabled_records_nothing(self):
-        s = SpanLog(enabled=False)
-        s.record("a", "put", "t", 0, 1)
-        assert len(s) == 0
-
-
 class TestChromeTrace:
     def make_sources(self):
         tracer = Tracer()
         tracer.record("nvl:0->1", "x/direct", 0.0, 2e-3, 1024)
         tracer.record("nvl:0->2", "x/gpu:2:h1:0", 0.0, 1e-3, 512)
-        spans = SpanLog()
-        spans.record("put 0->1", "put", "put:0->1", 0.0, 2e-3, nbytes=1536)
-        return tracer, spans
+        flight = FlightRecorder(Engine())
+        _trace, root = flight.begin_trace("transfer", {"nbytes": 1536})
+        flight.finish(root, t1=2e-3)
+        return tracer, flight
 
     def test_events_have_required_fields(self):
-        tracer, spans = self.make_sources()
-        trace = chrome_trace(tracer, spans)
+        tracer, flight = self.make_sources()
+        trace = chrome_trace(tracer, flight)
         events = trace["traceEvents"]
         complete = [e for e in events if e["ph"] == "X"]
         assert len(complete) == 3
         for e in complete:
             assert {"name", "cat", "pid", "tid", "ts", "dur"} <= set(e)
-        # one thread-name metadata row per distinct channel/track
+        # one thread-name metadata row per distinct channel/trace
         names = [e for e in events if e["ph"] == "M" and e["name"] == "thread_name"]
         assert {m["args"]["name"] for m in names} == {
             "nvl:0->1",
             "nvl:0->2",
-            "put:0->1",
+            "trace 0",
+        }
+
+    def test_fault_windows_get_their_own_rows(self):
+        from repro.sim.faults import FaultWindow
+
+        tracer, _ = self.make_sources()
+        windows = (
+            FaultWindow("down", "nvl:0->1", 1e-3, 3e-3),
+            FaultWindow("stall", "nvl:0->2", 5e-4, float("inf")),
+        )
+        events = chrome_trace(tracer, faults=windows)["traceEvents"]
+        faults = [e for e in events if e["ph"] == "X" and e["cat"] == "fault"]
+        assert [e["name"] for e in faults] == ["stall:nvl:0->2", "down:nvl:0->1"]
+        assert faults[1]["dur"] == pytest.approx(2e3)
+        # an unbounded window is clipped to the last exported event (2 ms)
+        assert faults[0]["ts"] + faults[0]["dur"] == pytest.approx(2e3)
+        rows = {
+            (e["pid"], e["tid"]): e["args"]["name"]
+            for e in events
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        }
+        assert {rows[(e["pid"], e["tid"])] for e in faults} == {
+            "fault:nvl:0->1",
+            "fault:nvl:0->2",
         }
 
     def test_sim_seconds_become_microseconds(self):
@@ -124,8 +136,8 @@ class TestChromeTrace:
         assert e["dur"] == pytest.approx(2e3)  # 2 ms -> 2000 us
 
     def test_dump_is_loadable_json(self, tmp_path):
-        tracer, spans = self.make_sources()
-        path = dump_chrome_trace(tmp_path / "t.json", tracer, spans)
+        tracer, flight = self.make_sources()
+        path = dump_chrome_trace(tmp_path / "t.json", tracer, flight)
         loaded = json.loads(path.read_text())
         assert isinstance(loaded["traceEvents"], list)
         assert loaded["traceEvents"]
@@ -144,7 +156,7 @@ class TestChromeTraceInvariants:
         osu_bw(env, 16 * MiB, window=2, iterations=2)
         ctx = env.last_context
         return chrome_trace(
-            ctx.tracer, ctx.obs.spans, metadata={"system": "beluga"}
+            ctx.tracer, ctx.flight, metadata={"system": "beluga"}
         )
 
     def test_complete_events_sorted_by_timestamp(self, trace):
@@ -159,8 +171,8 @@ class TestChromeTraceInvariants:
 
     def test_stable_pid_tid_mapping(self, trace):
         events = trace["traceEvents"]
-        # pid 0 = fabric, pid 1 = transport; every X event's (pid, tid)
-        # must be declared by exactly one thread_name metadata event.
+        # pid 0 = fabric, pid 2 = flight recorder; every X event's
+        # (pid, tid) must be declared by exactly one thread_name event.
         declared = {}
         for e in events:
             if e["ph"] == "M" and e["name"] == "thread_name":
@@ -173,7 +185,7 @@ class TestChromeTraceInvariants:
                 assert key in declared
                 if e["pid"] == 0:  # fabric rows are named by channel
                     assert declared[key] == e["args"]["channel"]
-        assert {pid for pid, _ in declared} == {0, 1}
+        assert {pid for pid, _ in declared} == {0, 2}
 
     def test_json_roundtrip(self, trace):
         loaded = json.loads(json.dumps(trace))
@@ -370,15 +382,23 @@ class TestInstrumentedRun:
 
     def test_spans_cover_puts_and_paths(self, run):
         ctx, _ = run
-        assert ctx.obs.spans.for_cat("put")
-        assert ctx.obs.spans.for_cat("path")
-        put = ctx.obs.spans.for_cat("put")[0]
-        assert put.duration > 0
-        assert put.args["nbytes"] > 0
+        tree = TraceTree(ctx.flight)
+        roots = tree.roots()
+        assert roots and all(r.kind == "transfer" for r in roots)
+        root = roots[0]
+        assert root.duration > 0
+        assert root.attrs["nbytes"] > 0
+        paths = [
+            s
+            for s in tree.breakdown(root.trace_id).children[root.sid]
+            if s.kind.startswith("pipeline.path")
+        ]
+        assert paths
+        assert sum(s.attrs["nbytes"] for s in paths) == root.attrs["nbytes"]
 
     def test_chrome_trace_exports_run(self, run):
         ctx, _ = run
-        events = chrome_trace(ctx.tracer, ctx.obs.spans)["traceEvents"]
+        events = chrome_trace(ctx.tracer, ctx.flight)["traceEvents"]
         complete = [e for e in events if e["ph"] == "X"]
         assert complete
         assert all(e["dur"] >= 0 and e["ts"] >= 0 for e in complete)

@@ -206,7 +206,10 @@ class TestDeadlines:
         obs = Observability()
         eng, ctx = make_ctx(config=TransportConfig(), obs=obs, tracer=Tracer())
         ctx.put(0, 1, 64 * MiB, timeout=1e-12)
-        assert obs.metrics.counter("deadline.rejected").value == 1
+        snap = obs.metrics.snapshot()
+        assert snap["transfer_manager"]["rejected"] == 1
+        assert snap["transfer_manager"]["bytes"]["rejected"] == 64 * MiB
+        assert "deadline.rejected" not in snap.get("counters", {})
         spans = [s for s in ctx.flight.iter_spans() if s.kind == "transfer"]
         assert any(s.attrs.get("outcome") == "rejected" for s in spans)
 

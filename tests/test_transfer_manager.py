@@ -326,10 +326,13 @@ class TestObservabilityWiring:
         evs = [ctx.put(0, 1, 4 * MiB, tag=f"q{i}") for i in range(2)]
         eng.run(until=eng.all_of(evs))
         assert obs.metrics.counter("transfer_manager.queued").value == 1
-        queue_spans = [s for s in obs.spans.spans if s.cat == "queue"]
+        queue_spans = [
+            s for s in ctx.flight.iter_spans() if s.kind == "admission.queue"
+        ]
         assert len(queue_spans) == 1
         (span,) = queue_spans
-        assert span.end > span.start  # real time spent waiting
+        assert span.t1 > span.t0  # real time spent waiting
+        assert ctx.flight.get(span.parent).attrs["tag"] == "q1"
         snap = obs.metrics.snapshot()
         assert "queue_depth" in snap["transfer_manager"]
 
