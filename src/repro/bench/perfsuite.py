@@ -391,7 +391,7 @@ def bench_graph_replay(*, quick: bool = False, repeats: int = 3) -> dict:
     planner, pipeline = ctx.planner, ctx.pipeline
     sizes = (8 * MiB, 64 * MiB, 2 * MiB, 16 * MiB)
     ops = 2_000 if quick else 5_000
-    cache = GraphCache(ctx.config)
+    cache = GraphCache()
     epoch = ctx.health.epoch
     # warm both caches: one plan + one compiled graph per distinct size
     for nbytes in sizes:

@@ -21,8 +21,8 @@ This module mirrors that design in the simulator:
   :class:`CompiledPath` per active assignment, stamped with the
   path-health epoch it was compiled under.
 * :class:`GraphCache` — an LRU of graphs keyed by
-  ``(src, dst, nbytes, mode, config-hash, load-bucket, health-epoch,
-  exclusions)``.  Exact ``nbytes`` is the "size bucket": chunk schedules
+  ``(src, dst, nbytes, mode, load-bucket, health-epoch, exclusions,
+  degrade-level)``.  Exact ``nbytes`` is the "size bucket": chunk schedules
   and byte shares are size-exact, and replay must be bit-identical, so
   two sizes can never share a graph.
 
@@ -58,7 +58,6 @@ from repro.util.cache import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ucx.pipeline import PipelineEngine
-    from repro.ucx.tuning import TransportConfig
 
 
 @dataclass(frozen=True)
@@ -146,40 +145,15 @@ def compile_plan(
 class GraphCache:
     """LRU of compiled transfer graphs plus its invalidation surface."""
 
-    def __init__(
-        self,
-        config: "TransportConfig",
-        *,
-        capacity: int = 256,
-    ) -> None:
+    def __init__(self, *, capacity: int = 256) -> None:
+        # One cache per context, and a context's config is fixed: every
+        # graph in it was shaped by the same knobs, so they stay out of
+        # the key.
         self.cache: LRUCache[tuple, TransferGraph] = LRUCache(capacity)
-        # The config fingerprint keys every graph: a reconfigure() swaps
-        # the cache wholesale, but a second context sharing a store must
-        # never replay a graph shaped by different planner knobs.
-        self.config_hash = self._config_fingerprint(config)
         self.compiles = 0
         self.replays = 0
         self.compile_wall_s = 0.0
         self.recovery_invalidations = 0
-
-    @staticmethod
-    def _config_fingerprint(config: "TransportConfig") -> int:
-        """Hash of the plan-shaping configuration fields.
-
-        Only knobs that change what a plan (and therefore its compiled
-        schedule) looks like participate; recorder/admission knobs do not.
-        """
-        return hash((
-            config.multipath,
-            config.include_host,
-            config.max_gpu_staged,
-            config.exclude_paths,
-            config.pipelining,
-            config.max_chunks,
-            config.sequential_initiation,
-            config.static_shares,
-            config.planner_alignment,
-        ))
 
     # ------------------------------------------------------------------
     def key_for(
@@ -201,8 +175,7 @@ class GraphCache:
         submits (and vice versa), so the level joins the key.
         """
         return (
-            src, dst, int(nbytes), mode, self.config_hash,
-            load_key, health_epoch, excluded, degrade,
+            src, dst, int(nbytes), mode, load_key, health_epoch, excluded, degrade
         )
 
     def get(self, key: tuple) -> TransferGraph | None:
@@ -240,7 +213,7 @@ class GraphCache:
     # Invalidation (same signals as the plan cache)
     # ------------------------------------------------------------------
     def invalidate_all(self) -> int:
-        """Drop every graph (full drift refit / reconfigure)."""
+        """Drop every graph (full drift refit)."""
         return self.cache.invalidate(lambda key, graph: True)
 
     def invalidate_hops(self, hops) -> int:

@@ -12,7 +12,7 @@ burning more backoff cycles.
 Budgets also make backoff *collective*: each transfer entering a backoff
 sleep registers itself, and the sleep duration is scaled by the number of
 transfers concurrently backing off.  A lone retrying transfer sleeps
-exactly the classic ``retry_backoff * 2**(k-1)`` (bit-identical to the
+exactly the classic ``RETRY_BACKOFF * 2**(k-1)`` (bit-identical to the
 pre-budget timeline); a storm of N spreads its retries over ~N times the
 window.
 

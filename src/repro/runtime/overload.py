@@ -9,10 +9,12 @@ three-state ladder::
     PRESSURED  --depth >= shedding_depth-->  SHEDDING
 
 with hysteresis on the way down: a state is exited only once depth falls
-to ``overload_exit_fraction`` of the threshold that entered it (and the
-EWMA wait is back under its threshold), so the machine does not flap at
-the boundary.
+to ``exit_fraction`` (default 0.5) of the threshold that entered it (and
+the EWMA wait is back under that fraction of its threshold), so the
+machine does not flap at the boundary.  Each observed wait enters the
+EWMA with weight ``ewma_alpha`` (default 0.2).
 
+The manager builds its governor once, from the config's three thresholds.
 The governor is *inert* unless thresholds are configured: with
 ``overload_pressured_depth``/``overload_shedding_depth``/``overload_wait_pressured``
 all ``None`` the state stays NORMAL and ``degrade_level`` stays 0, which

@@ -88,8 +88,20 @@ class TransferManager:
     def __init__(self, context: "UCXContext") -> None:
         self.context = context
         self.engine: "Engine" = context.engine
+        self.config: "TransportConfig" = context.config
+        cfg = self.config
         self.load = LoadTracker()
-        self.governor = OverloadGovernor()
+        self.governor = OverloadGovernor(
+            pressured_depth=cfg.overload_pressured_depth,
+            shedding_depth=cfg.overload_shedding_depth,
+            wait_pressured=cfg.overload_wait_pressured,
+        )
+        #: Hierarchical retry budget, metered by the recovery loop.
+        self.retry_budget = RetryBudget(
+            total=cfg.retry_budget_total,
+            per_pair=cfg.retry_budget_per_pair,
+            refill_rate=cfg.retry_budget_refill,
+        )
         self._queue: list[_QueuedRequest] = []
         self._inflight_pair: dict[tuple[int, int], int] = {}
         self._inflight_total = 0
@@ -97,8 +109,6 @@ class TransferManager:
         self._deadline_queued = 0  # queued requests carrying a deadline
         self._sweep_registered = False
         self._shed_rng = random.Random(_SHED_SEED)
-        self._budget_key: tuple | None = None
-        self._retry_budget = RetryBudget()
         # run-level counters
         self.submitted = 0
         self.dispatched_direct = 0
@@ -128,11 +138,6 @@ class TransferManager:
 
     # ------------------------------------------------------------------
     @property
-    def config(self) -> "TransportConfig":
-        """Live view of the context's config (reconfigure() is honoured)."""
-        return self.context.config
-
-    @property
     def queue_depth(self) -> int:
         return sum(1 for r in self._queue if r is not None)
 
@@ -146,22 +151,6 @@ class TransferManager:
         if not self.config.degrade_under_pressure:
             return 0
         return self.governor.degrade_level
-
-    @property
-    def retry_budget(self) -> RetryBudget:
-        """The hierarchical retry budget, rebuilt when its config changes."""
-        cfg = self.config
-        key = (
-            cfg.retry_budget_total,
-            cfg.retry_budget_per_pair,
-            cfg.retry_budget_refill,
-        )
-        if key != self._budget_key:
-            self._budget_key = key
-            self._retry_budget = RetryBudget(
-                total=key[0], per_pair=key[1], refill_rate=key[2]
-            )
-        return self._retry_budget
 
     # ------------------------------------------------------------------
     def submit(
@@ -454,14 +443,8 @@ class TransferManager:
 
     # ------------------------------------------------------------------
     def _update_governor(self) -> None:
-        """Sync governor thresholds from live config and re-evaluate."""
-        cfg = self.config
+        """Re-evaluate the overload governor against the queue depth."""
         gov = self.governor
-        gov.pressured_depth = cfg.overload_pressured_depth
-        gov.shedding_depth = cfg.overload_shedding_depth
-        gov.wait_pressured = cfg.overload_wait_pressured
-        gov.exit_fraction = cfg.overload_exit_fraction
-        gov.ewma_alpha = cfg.overload_ewma_alpha
         if not gov.enabled:
             return
         state = gov.update(self.queue_depth, self.engine.now)
@@ -730,7 +713,7 @@ class TransferManager:
                 "inflight": self._bytes_inflight,
             },
             "overload": self.governor.snapshot(),
-            "retry_budget": self._retry_budget.snapshot(),
+            "retry_budget": self.retry_budget.snapshot(),
             "load": self.load.stats_snapshot(),
             "graphs": self.context.graphs.stats(),
         }

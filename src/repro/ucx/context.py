@@ -55,19 +55,15 @@ class UCXContext:
         )
         self.store = store if store is not None else ParameterStore.ground_truth(topology)
         # The flight recorder is always constructed (a disabled one costs a
-        # single branch per span site) and on by default; it is created
-        # before the planner/pipeline so every layer can record into it.
-        self.flight = FlightRecorder(
-            engine,
-            capacity=self.config.flight_capacity,
-            enabled=self.config.flight_recorder,
-        )
+        # single branch per span site) and on by default (``flight.enabled``
+        # is its switch); it is created before the planner/pipeline so
+        # every layer can record into it.
+        self.flight = FlightRecorder(engine)
         self.planner = PathPlanner(
             topology,
             self.store,
             pipelining=self.config.pipelining,
             sequential_initiation=self.config.sequential_initiation,
-            alignment=self.config.planner_alignment,
             max_chunks=self.config.max_chunks,
             obs=obs,
             flight=self.flight,
@@ -76,17 +72,14 @@ class UCXContext:
         # Compiled transfer graphs (DESIGN.md §5g): replayed by cuda_ipc,
         # invalidated through the planner (refresh_params/invalidate_path
         # forward to it) so a graph never outlives the plan it froze.
-        self.graphs = GraphCache(
-            self.config, capacity=self.config.graph_cache_capacity
-        )
+        self.graphs = GraphCache()
         self.planner.graphs = self.graphs
         # Path circuit breakers: quarantined paths are excluded from
         # planning and their cached plans dropped (see cuda_ipc recovery).
         self.health = PathHealthRegistry(on_quarantine=self._on_quarantine)
         self.cuda_ipc = CudaIpcModule(self)
         # The transfer service: every put (direct, endpoint, MPI, bench)
-        # is admitted here; it reads self.config live, so reconfigure()
-        # changes admission/coalescing behaviour without a swap.
+        # is admitted here.
         self.transfers = TransferManager(self)
         self._endpoints: dict[tuple[int, int], Endpoint] = {}
         if obs is not None:
@@ -164,34 +157,6 @@ class UCXContext:
         return self.transfers.submit(
             src, dst, nbytes, tag=tag, deadline=deadline, timeout=timeout
         )
-
-    def reconfigure(self, config: TransportConfig) -> None:
-        """Swap the transport configuration (planner knobs follow).
-
-        The planner cache is invalidated because pipelining/alignment
-        decisions may change.
-        """
-        self.config = config
-        self.flight.enabled = config.flight_recorder
-        self.planner = PathPlanner(
-            self.topology,
-            self.store,
-            pipelining=config.pipelining,
-            sequential_initiation=config.sequential_initiation,
-            alignment=config.planner_alignment,
-            max_chunks=config.max_chunks,
-            obs=self.obs,
-            flight=self.flight,
-        )
-        # Graphs froze plans shaped by the old knobs: rebuild the cache
-        # (its config fingerprint changes with the knobs) and rewire the
-        # invalidation forwarding through the fresh planner.
-        self.graphs = GraphCache(config, capacity=config.graph_cache_capacity)
-        self.planner.graphs = self.graphs
-        if self.obs is not None and self.obs.drift is not None:
-            # The controller invalidates through whichever planner is live.
-            self.obs.drift.planner = self.planner
-            self.obs.drift.recalibrator.store = self.store
 
 
 __all__ = ["UCXContext"]

@@ -23,9 +23,13 @@ from repro.core.planner import PathAssignment, TransferPlan
 from repro.gpu.errors import PathUnavailable, TransferTimeout
 from repro.sim.engine import Event
 from repro.topology.routing import enumerate_paths
+from repro.units import us
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ucx.context import UCXContext
+
+#: First recovery backoff (DESIGN.md §5d); doubles per retry.
+RETRY_BACKOFF = 25 * us
 
 
 @dataclass(frozen=True)
@@ -261,7 +265,7 @@ class CudaIpcModule:
                 )
             retries += 1
             self.retries_total += 1
-            backoff = cfg.retry_backoff * (2 ** (retries - 1))
+            backoff = RETRY_BACKOFF * (2 ** (retries - 1))
             budget_scale = 0  # >0 once registered for collective backoff
             if budget is not None:
                 if budget.try_consume((src, dst), engine.now):

@@ -395,6 +395,14 @@ class TestRetryStorm:
         _, ctx = make_ctx()
         assert not ctx.transfers.retry_budget.enabled
 
+    def test_armed_budget_and_governor_reported_before_any_put(self):
+        cfg = TransportConfig(retry_budget_total=8, overload_pressured_depth=2)
+        _, ctx = make_ctx(config=cfg)
+        snap = ctx.transfers.stats_snapshot()
+        budget, overload = snap["retry_budget"], snap["overload"]
+        assert budget["enabled"] and budget["total_capacity"] == 8
+        assert overload["enabled"] and overload["pressured_depth"] == 2
+
     def test_single_retry_timeline_identical_with_huge_budget(self):
         """Armed-but-idle: a lone retrying transfer must see scale 1 and a
         bit-identical recovery timeline."""
@@ -473,8 +481,8 @@ class TestConfigValidation:
             {"overload_pressured_depth": 0},
             {"overload_pressured_depth": 4, "overload_shedding_depth": 2},
             {"overload_wait_pressured": 0.0},
-            {"overload_exit_fraction": 1.5},
-            {"overload_ewma_alpha": 0.0},
+            {"max_inflight_per_pair": 0},
+            {"coalesce_threshold": -1},
             {"retry_budget_total": -1},
             {"retry_budget_refill": -0.5},
         ],

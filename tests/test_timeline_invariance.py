@@ -166,11 +166,10 @@ def _ucx_workload(*, flight_recorder: bool, fault_at: float | None = None):
     ctx = UCXContext(
         eng,
         topo,
-        config=TransportConfig(
-            max_inflight_per_pair=1, flight_recorder=flight_recorder
-        ),
+        config=TransportConfig(max_inflight_per_pair=1),
         tracer=tracer,
     )
+    ctx.flight.enabled = flight_recorder
     if fault_at is not None:
         Schedule(
             LinkDown(topo.direct_hop(0, 1)[0], at=fault_at, duration=1e3)
@@ -228,11 +227,10 @@ def _graph_workload(*, fault_at: float | None = None, flight_recorder: bool = Tr
     ctx = UCXContext(
         eng,
         topo,
-        config=TransportConfig(
-            max_inflight_per_pair=1, flight_recorder=flight_recorder
-        ),
+        config=TransportConfig(max_inflight_per_pair=1),
         tracer=tracer,
     )
+    ctx.flight.enabled = flight_recorder
     if fault_at is not None:
         Schedule(
             LinkDown(topo.direct_hop(0, 1)[0], at=fault_at, duration=1e3)

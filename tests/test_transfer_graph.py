@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.transfer_graph import GraphCache, compile_plan
+from repro.core.transfer_graph import compile_plan
 from repro.obs import Observability
 from repro.sim.engine import Engine
 from repro.topology import systems
@@ -134,18 +134,8 @@ class TestInvalidation:
         # a fresh bucket means a fresh key and a fresh compile
         assert ctx.graphs.stats()["compiles"] >= 2
         keys = list(ctx.graphs.cache._data)
-        load_keys = {k[5] for k in keys}
+        load_keys = {k[4] for k in keys}
         assert len(load_keys) >= 2
-
-    def test_reconfigure_rebuilds_graph_cache(self):
-        eng, ctx = _context()
-        _run_puts(eng, ctx, [8 * MiB] * 2)
-        old = ctx.graphs
-        ctx.reconfigure(ctx.config.with_(max_chunks=8))
-        assert ctx.graphs is not old
-        assert len(ctx.graphs) == 0
-        assert ctx.planner.graphs is ctx.graphs
-        assert ctx.graphs.config_hash != old.config_hash
 
 
 class TestRecoveryInvalidation:
@@ -197,26 +187,19 @@ class TestObservability:
 
 class TestConfig:
     def test_from_env_rejects_unknown_variables(self):
-        cfg = TransportConfig.from_env({"UCX_MP_GRAPH_CACHE": "64"})
-        assert cfg.graph_cache_capacity == 64
-        # a retired knob and a typo are named, never silently ignored
-        for var in ("UCX_MP_TRANSFER_GRAPHS", "UCX_MP_MAX_RETRY"):
+        # retired knobs and a typo are named, never silently ignored
+        for var in (
+            "UCX_MP_TRANSFER_GRAPHS",
+            "UCX_MP_FLIGHT_RECORDER",
+            "UCX_MP_FLIGHT_CAPACITY",
+            "UCX_MP_GRAPH_CACHE",
+            "UCX_MP_MAX_RETRY",
+        ):
             with pytest.raises(ValueError, match=var):
                 TransportConfig.from_env({var: "0", "UCX_MP_MAX_RETRIES": "2"})
         # variables outside the UCX_MP_ namespace are not the config's
         cfg = TransportConfig.from_env({"UCX_TLS": "cuda_ipc", "HOME": "/"})
         assert cfg == TransportConfig()
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            TransportConfig(graph_cache_capacity=0)
-
-    def test_config_fingerprint_tracks_plan_shaping_knobs(self):
-        a = GraphCache(TransportConfig())
-        b = GraphCache(TransportConfig(max_chunks=8))
-        c = GraphCache(TransportConfig(flight_recorder=False))
-        assert a.config_hash != b.config_hash  # plan-shaping knob
-        assert a.config_hash == c.config_hash  # observability knob
 
 
 class TestChunkMemo:

@@ -219,14 +219,6 @@ class TestAdmissionControl:
         with pytest.raises(ValueError):
             ctx.put(0, 1, -1)
 
-    def test_reconfigure_changes_admission_live(self):
-        eng, ctx = make_ctx()
-        assert ctx.transfers._can_admit(0, 1)
-        ctx.reconfigure(TransportConfig(max_inflight_total=1))
-        ev = ctx.put(0, 1, 4 * MiB, tag="x")
-        assert not ctx.transfers._can_admit(2, 3)  # live config honoured
-        eng.run(until=ev)
-
 
 class TestCoalescing:
     def test_queued_small_messages_merge(self):

@@ -1,5 +1,7 @@
 """Tests for the UCX-like transport: config, registry, pipeline, cuda_ipc."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.params import ParameterStore
@@ -49,6 +51,47 @@ class TestTransportConfig:
     def test_from_env_bad_flag(self):
         with pytest.raises(ValueError):
             TransportConfig.from_env({"UCX_MP_ENABLE": "maybe"})
+
+    # Every variable from_env reads: a spelling of a non-default value,
+    # the field it sets and the value it parses to.
+    ENV_CASES = {
+        "UCX_MP_ENABLE": ("n", "multipath", False),
+        "UCX_MP_INCLUDE_HOST": ("no", "include_host", False),
+        "UCX_MP_MAX_GPU_STAGED": ("1", "max_gpu_staged", 1),
+        "UCX_MP_EXCLUDE": ("gpu:3, host,", "exclude_paths", ("gpu:3", "host")),
+        "UCX_MP_PIPELINE": ("off", "pipelining", False),
+        "UCX_MP_MAX_CHUNKS": ("32", "max_chunks", 32),
+        "UCX_MP_SEQ_INIT": (" FALSE ", "sequential_initiation", False),
+        "UCX_RNDV_THRESH": ("256K", "rndv_threshold", 256 * KiB),
+        "UCX_MP_MAX_RETRIES": ("0", "max_path_retries", 0),
+        "UCX_MP_DEADLINE_FACTOR": ("2.5", "deadline_factor", 2.5),
+        "UCX_MP_CONTENTION_AWARE": ("y", "contention_aware", True),
+        "UCX_MP_MAX_INFLIGHT": ("4", "max_inflight_total", 4),
+        "UCX_MP_MAX_INFLIGHT_PAIR": ("2", "max_inflight_per_pair", 2),
+        "UCX_MP_COALESCE": ("64K", "coalesce_threshold", 64 * KiB),
+        "UCX_MP_QUEUE_LIMIT": ("16", "admission_queue_limit", 16),
+        "UCX_MP_SHED_POLICY": (" tenant-fair", "shed_policy", "tenant-fair"),
+        "UCX_MP_PRESSURED_DEPTH": ("4", "overload_pressured_depth", 4),
+        "UCX_MP_SHEDDING_DEPTH": ("8", "overload_shedding_depth", 8),
+        "UCX_MP_RETRY_BUDGET": ("32", "retry_budget_total", 32),
+        "UCX_MP_RETRY_BUDGET_PAIR": ("0", "retry_budget_per_pair", 0),
+        "UCX_MP_RETRY_BUDGET_REFILL": ("2.5", "retry_budget_refill", 2.5),
+    }
+
+    @pytest.mark.parametrize("var", sorted(ENV_CASES))
+    def test_each_variable_sets_only_its_field(self, var):
+        raw, name, value = self.ENV_CASES[var]
+        cfg = TransportConfig.from_env({var: raw})
+        assert getattr(cfg, name) == value
+        default = TransportConfig()
+        assert cfg.with_(**{name: getattr(default, name)}) == default
+
+    def test_knob_table_has_one_row_per_field(self):
+        from repro.ucx.tuning import _KNOBS
+
+        assert list(_KNOBS) == [f.name for f in fields(TransportConfig)]
+        variables = {var for var, _parse, _bound in _KNOBS.values() if var}
+        assert variables == set(self.ENV_CASES)
 
     def test_static_shares_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -310,12 +353,3 @@ class TestEndpoint:
         ep = ctx.endpoint(0, 1)
         eng.run(until=ep.put(4 * MiB))
         assert ep.puts == 1 and ep.bytes_put == 4 * MiB
-
-
-class TestReconfigure:
-    def test_reconfigure_swaps_planner(self):
-        eng, ctx = make_ctx()
-        old_planner = ctx.planner
-        ctx.reconfigure(TransportConfig(pipelining=False))
-        assert ctx.planner is not old_planner
-        assert not ctx.planner.pipelining
