@@ -156,16 +156,8 @@ def optimal_fractions(
     )
 
 
-def fraction_for_path(solution: FractionSolution, index: int) -> float:
-    """Convenience accessor with bounds checking."""
-    if not 0 <= index < solution.theta.size:
-        raise IndexError(index)
-    return float(solution.theta[index])
-
-
 __all__ = [
     "FractionSolution",
     "optimal_fractions",
     "solve_equal_time",
-    "fraction_for_path",
 ]

@@ -87,8 +87,7 @@ _INDEX_RE = re.compile(r"\[\d+\]")
 _OP_SPAN = 0  # (op, sid, kind, trace, parent, t0, t1, attrs, stage_value)
 _OP_FIN = 1  # (op, sid, t1, attrs)
 _OP_PATH = 2  # (op, sid, kind, trace, parent, t0, t1, attrs, ckinds, ct0s)
-_OP_BATCH = 3  # (op, sid0, kinds, trace, parent, t0s)
-_OP_SETTLE = 4  # (op, sid, trace, root_sid, t, attrs)
+_OP_SETTLE = 3  # (op, sid, trace, root_sid, t, attrs)
 
 
 class _StageStat:
@@ -221,12 +220,6 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def new_trace(self) -> int:
-        self.traces_started += 1
-        tid = self._next_trace
-        self._next_trace += 1
-        return tid
-
     def _intern(self, kind: str) -> int:
         """Slow path: first sight of a kind string.
 
@@ -368,19 +361,6 @@ class FlightRecorder:
         ))
         return sid
 
-    def record_batch(self, kinds, trace_id: int, parent: int, t0s) -> None:
-        """Record a run of sibling markers (``t1 == t0``, no attrs) at once.
-
-        ``kinds`` and ``t0s`` are parallel sequences.
-        """
-        if not self.enabled:
-            return
-        if len(self._log) >= self.journal_limit:
-            self._drain()
-        sid = self._next_sid
-        self._next_sid = sid + len(kinds)
-        self._log.append((_OP_BATCH, sid, tuple(kinds), trace_id, parent, list(t0s)))
-
     def settle(self, trace_id: int, root_sid: int, attrs: dict | None) -> None:
         """Record the ``settle`` marker and close the root span, one call.
 
@@ -392,11 +372,6 @@ class FlightRecorder:
         sid = self._next_sid
         self._next_sid = sid + 1
         self._log.append((_OP_SETTLE, sid, trace_id, root_sid, self.engine.now, attrs))
-
-    def observe_stage(self, stage: str, value: float) -> None:
-        """Feed one latency observation to a stage aggregate directly."""
-        if self.enabled:
-            self._stage_hist[stage].observe(value)
 
     # ------------------------------------------------------------------
     # Materialisation
@@ -477,10 +452,6 @@ class FlightRecorder:
                 stage = self._kind_stage[self._kind[slot]]
                 if stage is not None:
                     self._stage_hist[stage].observe(t1 - self._t0[slot])
-            elif op == _OP_BATCH:
-                _op, sid, kinds, tid, parent, t0s = e
-                for j, t0 in enumerate(t0s):
-                    write(sid + j, kinds[j], tid, parent, t0, t0, None, None)
             else:  # _OP_SETTLE
                 _op, sid, tid, root_sid, t, attrs = e
                 write(sid, "settle", tid, root_sid, t, t, attrs, None)

@@ -284,47 +284,27 @@ class TransferManager:
     ) -> float | None:
         """Model-predicted completion time for deadline admission.
 
-        Planned at the current degrade level so admission agrees with the
-        plan the dispatch would actually use; ``None`` when the planner
-        has no usable path (admission then proceeds optimistically and the
-        failure surfaces in execution, where recovery can act on it).
+        Planned through the transport's one path-selection ladder
+        (``CudaIpcModule.plan_avoiding``) at the current degrade level, so
+        admission prices the plan the dispatch would run: the pair's
+        *surviving* capacity (a half-quarantined pair doesn't over-admit),
+        or the configured set when every path is unhealthy.  ``None`` when
+        the pair has no usable path (admission then proceeds
+        optimistically and the failure surfaces in execution, where
+        recovery can act on it).
         """
-        cfg = self.config
-        if not cfg.multipath:
+        if not self.config.multipath:
             return None
-        exclude = cfg.exclude_paths
-        # Pure read (no probe side effect): price the pair's *surviving*
-        # capacity so a half-quarantined pair doesn't over-admit.
-        unhealthy = self.context.health.unhealthy_paths(src, dst)
-        if unhealthy:
-            exclude = tuple(sorted(set(exclude) | set(unhealthy)))
+        ctx = self.context
+        # unhealthy_paths is a pure read: no probe side effect
+        avoid = (ctx.health.unhealthy_paths(src, dst),)
         try:
-            return self.context.planner.predict_time(
-                src,
-                dst,
-                nbytes,
-                include_host=cfg.include_host,
-                max_gpu_staged=cfg.max_gpu_staged,
-                exclude=exclude,
-                degrade=self.degrade_level,
+            plan = ctx.cuda_ipc.plan_avoiding(
+                src, dst, nbytes, avoid, degrade=self.degrade_level
             )
         except ValueError:
-            if exclude != cfg.exclude_paths:
-                # Everything quarantined: fall back to the configured set —
-                # execution will do the same, so predict what it will run.
-                try:
-                    return self.context.planner.predict_time(
-                        src,
-                        dst,
-                        nbytes,
-                        include_host=cfg.include_host,
-                        max_gpu_staged=cfg.max_gpu_staged,
-                        exclude=cfg.exclude_paths,
-                        degrade=self.degrade_level,
-                    )
-                except ValueError:
-                    return None
             return None
+        return plan.predicted_time
 
     def _reject(
         self,

@@ -1,9 +1,10 @@
 """Discrete-event simulation substrate.
 
 This package is the stand-in for real hardware: a deterministic
-discrete-event engine (:mod:`repro.sim.engine`), fair-share bandwidth
-channels modelling NVLink/PCIe/UPI wires and host-memory bandwidth
-(:mod:`repro.sim.link`), auxiliary resources (:mod:`repro.sim.resources`),
+discrete-event engine (:mod:`repro.sim.engine`), the max-min fair fluid
+fabric whose channels model NVLink/PCIe/UPI wires and host-memory
+bandwidth (:mod:`repro.sim.fabric`), scripted link faults
+(:mod:`repro.sim.faults`), auxiliary resources (:mod:`repro.sim.resources`),
 timeline tracing (:mod:`repro.sim.trace`) and optional deterministic noise
 (:mod:`repro.sim.noise`).
 
@@ -19,7 +20,7 @@ from repro.sim.engine import (
     SimError,
     Timeout,
 )
-from repro.sim.fabric import Fabric, FabricChannel, FabricFlow
+from repro.sim.fabric import Fabric, FabricChannel, FabricFlow, TransferResult
 from repro.sim.faults import (
     FaultSchedule,
     FaultWindow,
@@ -28,7 +29,6 @@ from repro.sim.faults import (
     LinkFailure,
     StallInjector,
 )
-from repro.sim.link import Channel, DuplexMode, LinkFlow, TransferResult
 from repro.sim.resources import Semaphore, Store
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -50,9 +50,6 @@ __all__ = [
     "FaultSchedule",
     "FaultWindow",
     "TransferResult",
-    "Channel",
-    "DuplexMode",
-    "LinkFlow",
     "Semaphore",
     "Store",
     "Tracer",

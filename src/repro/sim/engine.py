@@ -466,14 +466,6 @@ class Engine:
         """
         self._flush_hooks.append(hook)
 
-    def remove_flush_hook(self, hook) -> None:
-        """Unregister a flush hook; silently ignores an unknown hook so
-        observers can detach idempotently (e.g. a disabled recorder)."""
-        try:
-            self._flush_hooks.remove(hook)
-        except ValueError:
-            pass
-
     def _exec(self, at: float, slot: int) -> bool:
         """Execute one popped live heap entry; False for a tombstone.
 

@@ -61,12 +61,11 @@ randomized contention and fault scenarios.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from repro.sim.engine import Engine, Event
 from repro.sim.faults import LinkFailure
-from repro.sim.link import TransferResult
 from repro.sim.trace import Tracer
 
 _EPS_BYTES = 1e-6
@@ -76,6 +75,30 @@ _EPS_BYTES = 1e-6
 #: full-recompute solver on every admit/finish.  Timeline-invariance tests
 #: flip this to prove the incremental solver changes no timestamps.
 FULL_RECOMPUTE_DEFAULT = False
+
+
+@dataclass(frozen=True)
+class TransferResult:
+    """Value carried by a completed copy event."""
+
+    nbytes: int
+    start: float
+    end: float
+    tag: str
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
+
+    @property
+    def bandwidth(self) -> float:
+        """Mean bandwidth; 0.0 for zero-duration (and zero-byte) transfers.
+
+        A zero-duration result means nothing actually moved in measurable
+        time; reporting 0.0 instead of inf keeps downstream aggregation
+        (means, JSON dumps) finite.
+        """
+        return self.nbytes / self.duration if self.duration > 0 else 0.0
 
 
 @dataclass
@@ -852,15 +875,10 @@ class Fabric:
         }
 
 
-def route_latency(fabric: Fabric, channel_names: Iterable[str]) -> float:
-    """Sum of channel startup latencies along a copy's channel set."""
-    return sum(fabric.channels[n].alpha for n in channel_names)
-
-
 __all__ = [
     "Fabric",
     "FabricChannel",
     "FabricFlow",
-    "route_latency",
     "FULL_RECOMPUTE_DEFAULT",
+    "TransferResult",
 ]

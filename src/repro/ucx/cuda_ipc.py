@@ -9,17 +9,22 @@ Every GPU-to-GPU transfer lands here.  The module
   three sources matching the paper's evaluated configurations: the runtime
   model (*dynamic*), a fixed offline distribution (*static*), or the single
   direct path (*baseline*);
-* hands the configuration to the pipeline engine (Step 5).
+* hands the configuration to the pipeline engine (Step 5);
+* recovers from path faults: a :class:`RecoveryPolicy` decides each retry,
+  and replans go through the same path-selection ladder
+  (:meth:`CudaIpcModule.plan_avoiding`) as first plans and admission.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.chunking import effective_params
-from repro.core.planner import PathAssignment, TransferPlan
+from repro.core.planner import PathAssignment, PathPlanner, TransferPlan
 from repro.gpu.errors import PathUnavailable, TransferTimeout
 from repro.sim.engine import Event
 from repro.topology.routing import enumerate_paths
@@ -57,6 +62,145 @@ class PutResult:
         """Mean bandwidth; defined as 0.0 for zero-byte and zero-duration
         transfers (a 0-byte put completes in pure overhead time)."""
         return self.nbytes / self.duration if self.duration > 0 else 0.0
+
+
+class RecoveryPolicy:
+    """One put's retry decisions (DESIGN.md §5d, §5h).
+
+    The put loop runs each plan to a settled outcome; after a round with
+    path faults it makes one :meth:`after_faults` call, then
+    :meth:`replan`.  The policy holds everything those answers depend on —
+    retries taken, the paths that failed, the bytes rerouted, the retry
+    budget's one host-staging fallback and the collective-backoff
+    registration — and builds the put's typed failure in one place
+    (:meth:`failure`).
+    """
+
+    def __init__(
+        self, module: "CudaIpcModule", src: int, dst: int, nbytes: int,
+        label: str, deadline_at: float | None,
+    ) -> None:
+        self.module = module
+        self.src, self.dst, self.nbytes, self.label = src, dst, nbytes, label
+        self.deadline_at = deadline_at
+        budget = module.context.transfers.retry_budget
+        self.budget = budget if budget.enabled else None
+        self.retries = self.rerouted = 0
+        self.failed: set[str] = set()
+        self._fallback_used = self._backing_off = False
+
+    def after_faults(self, faults, remaining: int) -> float | None:
+        """Mark a faulted round's paths failed and decide the retry.
+
+        Returns the backoff to sleep before :meth:`replan`, or ``None``
+        when every byte landed despite the late error.  Raises the typed
+        failure when the put cannot retry: retries exhausted, deadline
+        gone (checked before a retry is counted or a token taken), or the
+        retry budget dry after its one fallback.
+        """
+        module = self.module
+        ctx = module.context
+        self.failed.update(f.path_id for f in faults)
+        module.path_failovers += len(faults)
+        obs = ctx.obs
+        if obs is not None:
+            m = obs.metrics
+            for f in faults:
+                if isinstance(f.error, TransferTimeout):
+                    m.counter("recovery.timeouts").inc()
+                else:
+                    m.counter("recovery.link_failures").inc()
+        if remaining <= 0:
+            return None
+        if self.retries >= ctx.config.max_path_retries:
+            raise self.failure(remaining, f"undeliverable after {self.retries} retries")
+        now = ctx.engine.now
+        left = math.inf
+        if self.deadline_at is not None:
+            # Deadline-aware backoff: never sleep past the remaining time,
+            # and fail before spending a retry or a token once it is gone.
+            left = self.deadline_at - now
+            if left <= 0:
+                if obs is not None:
+                    obs.metrics.counter("deadline.recovery_timeouts").inc()
+                raise self.failure(
+                    remaining,
+                    f"deadline t={self.deadline_at:.6g}s exhausted during recovery",
+                    timeout=True,
+                )
+        self.retries += 1
+        module.retries_total += 1
+        backoff = RETRY_BACKOFF * (2 ** (self.retries - 1))
+        budget = self.budget
+        if budget is not None:
+            if budget.try_consume((self.src, self.dst), now):
+                # Collective backoff: scale by how many transfers are
+                # concurrently in recovery (a lone retry keeps the classic
+                # schedule; a storm of N spreads over ~N windows).
+                backoff *= budget.begin_backoff()
+                self._backing_off = True
+            elif self._fallback_used:
+                # Budget dry and the fallback already ran: fail fast
+                # instead of burning more backoff on a dead pair.
+                raise self.failure(remaining, "retry budget exhausted")
+            else:
+                # One unmetered host-staging fallback replan, no backoff:
+                # the replan's ladder already prefers host staging once
+                # GPU paths have failed.
+                self._fallback_used = True
+                backoff = 0.0
+                if obs is not None:
+                    obs.metrics.counter("overload.budget_fallbacks").inc()
+        return min(backoff, left)
+
+    def replan(self, remaining: int, trace_id: int, retry_sid: int) -> TransferPlan:
+        """Plan the missing bytes over the paths still believed alive.
+
+        Avoids failed + quarantined paths, then quarantined ones only,
+        then neither; host staging is admitted even with ``include_host``
+        off (graceful degradation beats an exclusion preference), but
+        ``exclude_paths`` stay excluded.
+        Paths retried despite an earlier failure are forgiven, so a later
+        fault on them counts as fresh.  With no candidate at all the
+        retry round closes unsuccessfully and the put fails.
+        """
+        if self._backing_off:  # the backoff sleep before this replan is over
+            self.budget.end_backoff()
+            self._backing_off = False
+        module = self.module
+        ctx = module.context
+        quarantined = set(ctx.health.excluded(self.src, self.dst, now=ctx.engine.now))
+        try:
+            plan = module._make_plan(
+                self.src, self.dst, remaining, "replan", trace_id, retry_sid,
+                load=module._load_snapshot(),
+                avoid=(quarantined | self.failed, quarantined),
+            )
+        except ValueError:
+            ctx.flight.finish(retry_sid, ok=False)
+            raise self.failure(remaining, "no candidate path left") from None
+        self.failed -= {a.path.path_id for a in plan.assignments}
+        self.rerouted += remaining
+        module.rerouted_bytes += remaining
+        return plan
+
+    def failure(
+        self, remaining: int, reason: str, *, timeout: bool = False
+    ) -> Exception:
+        """The put's typed failure, counted once in ``puts_failed``:
+        :class:`TransferTimeout` when the deadline ran out, otherwise
+        :class:`PathUnavailable` naming the failed paths."""
+        self.module.puts_failed += 1
+        failed = tuple(sorted(self.failed))
+        message = (
+            f"put {self.label!r}: {reason} ({remaining} of {self.nbytes} "
+            f"bytes undelivered; failed paths: {', '.join(failed)})"
+        )
+        if timeout:
+            return TransferTimeout(
+                f"put:{self.src}->{self.dst}", self.deadline_at, message=message
+            )
+        return PathUnavailable(self.src, self.dst, message, failed=failed)
 
 
 class CudaIpcModule:
@@ -109,15 +253,8 @@ class CudaIpcModule:
         )
 
     def _put_proc(
-        self,
-        src: int,
-        dst: int,
-        nbytes: int,
-        tag: str,
-        seq: int,
-        trace_id: int = -1,
-        root_sid: int = -1,
-        deadline_at: float | None = None,
+        self, src: int, dst: int, nbytes: int, tag: str, seq: int,
+        trace_id: int, root_sid: int, deadline_at: float | None,
     ):
         ctx = self.context
         cfg = ctx.config
@@ -167,25 +304,17 @@ class CudaIpcModule:
             else:
                 mode = "dynamic"
         # Overload coupling: the manager's governor may request a cheaper
-        # plan (degrade level joins the plan/graph cache keys), and its
-        # retry budget meters the recovery loop below.  Both are inert at
-        # the defaults (degrade 0, budget disabled).
+        # plan (the degrade level joins the plan/graph cache keys; inert at
+        # the default level 0), and its retry budget meters recovery.
         manager = ctx.transfers
-        degrade = manager.degrade_level
-        budget = manager.retry_budget
-        if not budget.enabled:
-            budget = None
         plan, graph = self._acquire_plan(
-            src, dst, nbytes, mode, trace_id, root_sid, degrade=degrade
+            src, dst, nbytes, mode, trace_id, root_sid,
+            degrade=manager.degrade_level,
         )
 
-        # ------------------------------------------------------------------
-        # Execute, recovering from path failures/timeouts: each round runs
-        # the current plan to a settled outcome; failed paths' missing bytes
-        # are replanned over the surviving paths (at most max_path_retries
-        # rounds, with exponential backoff — a flapping link needs the
-        # pause to settle).
-        # ------------------------------------------------------------------
+        # Plan -> execute -> settle.  Each round runs the current plan to a
+        # settled outcome; after a faulted round the RecoveryPolicy decides
+        # whether the missing bytes are replanned over surviving paths.
         health = ctx.health
         obs = ctx.obs
         # The service's load tracker: each execution round registers its
@@ -194,12 +323,9 @@ class CudaIpcModule:
         # planning (a transfer never derates against itself), released as
         # soon as the round settles (recovery replans against current load).
         tracker = manager.load
-        budget_fallback_used = False
+        recovery = RecoveryPolicy(self, src, dst, nbytes, label, deadline_at)
         exec_start = engine.now
-        retries = 0
         delivered = 0
-        rerouted = 0
-        failed_paths: set[str] = set()
         current = plan
         attempt_label = label
         # Flight-span state: round 0's path spans parent to the trace root;
@@ -221,7 +347,7 @@ class CudaIpcModule:
             execs, faults = settled.executions, settled.faults
             delivered += sum(e.nbytes for e in execs)
             delivered += sum(f.delivered for f in faults)
-            if tracing and retry_sid >= 0:
+            if retry_sid >= 0:
                 # the retry's story (backoff + replan + re-execution)
                 # ends when its execution round settles
                 flight.finish(retry_sid, faults=len(faults))
@@ -239,136 +365,32 @@ class CudaIpcModule:
                 # recovery replans below compile one-shot, outside the cache.
                 ctx.graphs.discard(graph.key)
                 graph = None
-            failed_paths.update(f.path_id for f in faults)
-            self.path_failovers += len(faults)
-            if obs is not None:
-                m = obs.metrics
-                for f in faults:
-                    if isinstance(f.error, TransferTimeout):
-                        m.counter("recovery.timeouts").inc()
-                    else:
-                        m.counter("recovery.link_failures").inc()
             remaining = nbytes - delivered
-            if remaining <= 0:
+            backoff = recovery.after_faults(faults, remaining)
+            if backoff is None:
                 break  # every byte landed despite the late error
-            if retries >= cfg.max_path_retries:
-                self.puts_failed += 1
-                raise PathUnavailable(
-                    src,
-                    dst,
-                    failed=tuple(sorted(failed_paths)),
-                    message=(
-                        f"put {label!r}: {remaining} of {nbytes} bytes "
-                        f"undeliverable after {retries} retries "
-                        f"(failed paths: {', '.join(sorted(failed_paths))})"
-                    ),
-                )
-            retries += 1
-            self.retries_total += 1
-            backoff = RETRY_BACKOFF * (2 ** (retries - 1))
-            budget_scale = 0  # >0 once registered for collective backoff
-            if budget is not None:
-                if budget.try_consume((src, dst), engine.now):
-                    # Collective backoff: scale by how many transfers are
-                    # concurrently in recovery (a lone retry keeps the
-                    # classic schedule; a storm of N spreads over ~N windows).
-                    budget_scale = budget.begin_backoff()
-                    backoff *= budget_scale
-                else:
-                    if budget_fallback_used:
-                        # Budget dry and the fallback already ran: fail fast
-                        # instead of burning more backoff on a dead pair.
-                        self.puts_failed += 1
-                        raise PathUnavailable(
-                            src,
-                            dst,
-                            failed=tuple(sorted(failed_paths)),
-                            message=(
-                                f"put {label!r}: retry budget exhausted with "
-                                f"{remaining} of {nbytes} bytes undelivered "
-                                f"(failed paths: {', '.join(sorted(failed_paths))})"
-                            ),
-                        )
-                    # One unmetered host-staging fallback replan, no backoff:
-                    # the widened-exclusion ladder in _replan already prefers
-                    # host staging once GPU paths have failed.
-                    budget_fallback_used = True
-                    backoff = 0.0
-                    if obs is not None:
-                        obs.metrics.counter("overload.budget_fallbacks").inc()
-            if deadline_at is not None:
-                # Deadline-aware backoff: never sleep past the remaining
-                # budget, and fail immediately once it is gone.
-                remaining_t = deadline_at - engine.now
-                if remaining_t <= 0:
-                    self.puts_failed += 1
-                    if obs is not None:
-                        obs.metrics.counter("deadline.recovery_timeouts").inc()
-                    if budget_scale:
-                        budget.end_backoff()
-                    raise TransferTimeout(
-                        f"put:{src}->{dst}",
-                        deadline_at,
-                        message=(
-                            f"put {label!r}: deadline t={deadline_at:.6g}s "
-                            f"exhausted during recovery ({remaining} of "
-                            f"{nbytes} bytes undelivered)"
-                        ),
-                    )
-                backoff = min(backoff, remaining_t)
             if tracing:
-                retry_sid = flight.begin(
-                    f"recovery.retry[{retries}]",
+                retry_sid = exec_parent = flight.begin(
+                    f"recovery.retry[{recovery.retries}]",
                     trace_id,
                     parent=root_sid,
                     attrs={
-                        "failed_paths": sorted(failed_paths),
+                        "failed_paths": sorted(recovery.failed),
                         "backoff": backoff,
                         "rerouted_bytes": remaining,
                     },
                 )
-                exec_parent = retry_sid
             if backoff > 0:
                 yield engine.timeout(backoff)
-            if budget_scale:
-                budget.end_backoff()
-            if tracing:
-                wall0 = time.perf_counter()
-                flight.active_trace = trace_id
-            try:
-                current = self._replan(src, dst, remaining, failed_paths)
-            finally:
-                if tracing:
-                    flight.active_trace = -1
-            if tracing:
-                wall = time.perf_counter() - wall0
-                flight.record(
-                    "plan",
-                    trace_id,
-                    parent=retry_sid,
-                    attrs={
-                        "mode": "replan",
-                        "paths": 0 if current is None else current.num_active_paths,
-                        "wall_time_s": wall,
-                    },
-                    stage_value=wall,
-                )
-            if current is None:
-                if retry_sid >= 0:
-                    flight.finish(retry_sid, ok=False)
-                self.puts_failed += 1
-                raise PathUnavailable(
-                    src, dst, failed=tuple(sorted(failed_paths))
-                )
-            rerouted += remaining
-            self.rerouted_bytes += remaining
-            attempt_label = f"{label}:r{retries}"
+            current = recovery.replan(remaining, trace_id, retry_sid)
+            attempt_label = f"{label}:r{recovery.retries}"
 
         end = engine.now
         self.puts_completed += 1
         self.bytes_put += nbytes
         self.protocol_counts[protocol] += 1
         self.mode_counts[mode] += 1
+        retries = recovery.retries
         if retries > 0:
             self.puts_recovered += 1
         if obs is not None:
@@ -381,15 +403,9 @@ class CudaIpcModule:
             if mode == "dynamic" and protocol == "rndv" and retries == 0:
                 obs.feedback(plan, end - exec_start, now=end)
         return PutResult(
-            src=src,
-            dst=dst,
-            nbytes=nbytes,
-            protocol=protocol,
-            mode=mode,
-            start=start,
-            end=end,
-            retries=retries,
-            rerouted_bytes=rerouted,
+            src=src, dst=dst, nbytes=nbytes, protocol=protocol, mode=mode,
+            start=start, end=end, retries=retries,
+            rerouted_bytes=recovery.rerouted,
         )
 
     # ------------------------------------------------------------------
@@ -422,15 +438,44 @@ class CudaIpcModule:
             return None
         return self.context.transfers.load.snapshot()
 
+    def plan_avoiding(
+        self, src: int, dst: int, nbytes: int,
+        avoid: Iterable[Iterable[str]] = (), *,
+        include_host: bool | None = None, load=None,
+        use_cache: bool = True, degrade: int = 0,
+    ) -> TransferPlan:
+        """Algorithm 1 over the configured paths minus the first ``avoid``
+        set that still leaves a candidate — the one path-selection ladder.
+
+        Every path choice a put makes comes through here: the first
+        dynamic plan avoids the quarantined paths, a recovery replan
+        avoids failed + quarantined paths and then quarantined ones, and
+        deadline admission avoids the unhealthy ones — so admission
+        prices the plan dispatch would run.  When no ``avoid`` set leaves
+        a candidate, the configured set alone is planned (a quarantined
+        path is still a better bet than failing outright); ``ValueError``
+        only when even that set is empty.  ``include_host`` overrides the
+        configured host-staging setting.  Exclusions are part of the
+        planner's cache key, so narrowing never serves a stale plan.
+        """
+        cfg = self.context.config
+        if include_host is None:
+            include_host = cfg.include_host
+        for extra in (*avoid, ()):
+            try:
+                return self.context.planner.plan(
+                    src, dst, nbytes, include_host=include_host,
+                    max_gpu_staged=cfg.max_gpu_staged,
+                    exclude=set(cfg.exclude_paths).union(extra),
+                    use_cache=use_cache, load=load, degrade=degrade,
+                )
+            except ValueError:
+                if not extra:  # the configured set itself is empty
+                    raise
+
     def _acquire_plan(
-        self,
-        src: int,
-        dst: int,
-        nbytes: int,
-        mode: str,
-        trace_id: int = -1,
-        parent_sid: int = -1,
-        degrade: int = 0,
+        self, src: int, dst: int, nbytes: int, mode: str,
+        trace_id: int, parent_sid: int, degrade: int,
     ):
         """Resolve the transfer's plan and its compiled graph.
 
@@ -472,21 +517,10 @@ class CudaIpcModule:
             plan = graph.plan
             wall = time.perf_counter() - wall0 if (tracing or obs is not None) else 0.0
             if tracing:
-                flight.record(
-                    "plan.graph_hit",
-                    trace_id,
-                    parent_sid,
-                    attrs={
-                        "mode": mode,
-                        "paths": plan.num_active_paths,
-                        "predicted": plan.predicted_time,
-                        "wall_time_s": wall,
-                    },
-                    stage_value=wall,
+                self._record_plan(
+                    "plan.graph_hit", trace_id, parent_sid, mode, plan, wall
                 )
             if obs is not None:
-                from repro.core.planner import PathPlanner
-
                 obs.decisions.log_plan(
                     plan,
                     cache_hit=True,
@@ -504,31 +538,26 @@ class CudaIpcModule:
             return plan, graph
         plan = self._make_plan(
             src, dst, nbytes, mode, trace_id, parent_sid,
-            load=load, quarantined=quarantined, degrade=degrade,
+            load=load, avoid=(quarantined,), degrade=degrade,
         )
         graph = graphs.compile_and_store(key, plan, ctx.pipeline, health_epoch=epoch)
         return plan, graph
 
     def _make_plan(
-        self,
-        src: int,
-        dst: int,
-        nbytes: int,
-        mode: str,
-        trace_id: int,
-        parent_sid: int,
-        *,
-        load,
-        quarantined: tuple[str, ...],
-        degrade: int,
+        self, src: int, dst: int, nbytes: int, mode: str,
+        trace_id: int, parent_sid: int, *,
+        load=None, avoid: tuple = (), degrade: int = 0,
     ) -> TransferPlan:
         """Obtain the mode's plan, recording a flight ``plan`` span.
 
-        Planning is synchronous — zero simulated time — so the span is an
-        instantaneous marker whose real cost lives in ``wall_time_s`` (and
-        feeds the ``planning`` stage histogram).  ``flight.active_trace``
-        is set only across this call, which never yields, so interleaved
-        put processes cannot observe each other's trace id.
+        ``mode`` is the put's (single/static/dynamic) or ``"replan"``, a
+        recovery plan of the missing bytes: it admits host staging and
+        bypasses the plan cache (one-shot, no cache pollution).  Planning
+        is synchronous — zero simulated time — so the span is an
+        instantaneous marker whose real cost lives in ``wall_time_s``.
+        ``flight.active_trace`` is set only across this call, which never
+        yields, so interleaved put processes cannot observe each other's
+        trace id (the planner's decision log reads it).
         """
         flight = self.context.flight
         tracing = flight.enabled and trace_id >= 0
@@ -540,131 +569,41 @@ class CudaIpcModule:
                 plan = self._single_path_plan(src, dst, nbytes)
             elif mode == "static":
                 plan = self._static_plan(src, dst, nbytes)
+            elif mode == "replan":
+                plan = self.plan_avoiding(
+                    src, dst, nbytes, avoid,
+                    include_host=True, load=load, use_cache=False,
+                )
             else:
-                plan = self._dynamic_plan(
-                    src, dst, nbytes, load=load, quarantined=quarantined,
-                    degrade=degrade,
+                plan = self.plan_avoiding(
+                    src, dst, nbytes, avoid, load=load, degrade=degrade
                 )
         finally:
             if tracing:
                 flight.active_trace = -1
         if tracing:
-            wall = time.perf_counter() - wall0
-            flight.record(
+            self._record_plan(
                 "plan.cache_hit" if plan.from_cache else "plan",
-                trace_id,
-                parent_sid,
-                attrs={
-                    "mode": mode,
-                    "paths": plan.num_active_paths,
-                    "predicted": plan.predicted_time,
-                    "wall_time_s": wall,
-                },
-                stage_value=wall,
+                trace_id, parent_sid, mode, plan, time.perf_counter() - wall0,
             )
         return plan
 
-    def _dynamic_plan(
-        self,
-        src: int,
-        dst: int,
-        nbytes: int,
-        *,
-        load,
-        quarantined: tuple[str, ...],
-        degrade: int,
-    ) -> TransferPlan:
-        """Planner invocation with quarantined paths excluded.
-
-        Exclusions are part of the planner's cache key, so health-driven
-        narrowing never serves a stale cached plan.  If quarantining left
-        no candidate, fall back to the configured set — a quarantined path
-        is still a better bet than failing outright.  ``load`` and
-        ``quarantined`` are the one-shot queries of :meth:`_acquire_plan`.
-        """
-        ctx = self.context
-        cfg = ctx.config
-        exclude = cfg.exclude_paths
-        if quarantined:
-            merged = tuple(sorted(set(exclude) | set(quarantined)))
-            try:
-                return ctx.planner.plan(
-                    src,
-                    dst,
-                    nbytes,
-                    include_host=cfg.include_host,
-                    max_gpu_staged=cfg.max_gpu_staged,
-                    exclude=merged,
-                    load=load,
-                    degrade=degrade,
-                )
-            except ValueError:
-                pass  # everything quarantined: use the configured set
-        return ctx.planner.plan(
-            src,
-            dst,
-            nbytes,
-            include_host=cfg.include_host,
-            max_gpu_staged=cfg.max_gpu_staged,
-            exclude=exclude,
-            load=load,
-            degrade=degrade,
+    def _record_plan(
+        self, kind: str, trace_id: int, parent_sid: int, mode: str,
+        plan: TransferPlan, wall: float,
+    ) -> None:
+        """Record one ``plan*`` flight span; its ``wall`` cost feeds the
+        ``planning`` stage histogram."""
+        self.context.flight.record(
+            kind, trace_id, parent_sid,
+            attrs={
+                "mode": mode, "paths": plan.num_active_paths,
+                "predicted": plan.predicted_time, "wall_time_s": wall,
+            },
+            stage_value=wall,
         )
-
-    def _replan(
-        self, src: int, dst: int, remaining: int, failed_paths: set[str]
-    ) -> TransferPlan | None:
-        """Plan the missing bytes over paths that are still believed alive.
-
-        Recovery widens the candidate set to include host staging even when
-        the config disabled it (graceful degradation beats an exclusion
-        preference), but config-excluded paths stay excluded.  If failures
-        plus quarantines rule out everything, the per-put failure memory is
-        forgiven and the full set retried — a flapping link may be back up.
-        Returns ``None`` only when no candidate path exists at all.
-        """
-        ctx = self.context
-        cfg = ctx.config
-        base = set(cfg.exclude_paths)
-        base |= set(ctx.health.excluded(src, dst, now=ctx.engine.now))
-        for exclude in (base | failed_paths, base, set(cfg.exclude_paths)):
-            try:
-                paths = enumerate_paths(
-                    ctx.topology,
-                    src,
-                    dst,
-                    include_host=True,
-                    max_gpu_staged=cfg.max_gpu_staged,
-                    exclude=tuple(sorted(exclude)),
-                )
-            except ValueError:
-                continue
-            # Paths we are about to retry despite an earlier failure are
-            # forgiven, so a later fault on them counts as fresh.
-            failed_paths -= {p.path_id for p in paths}
-            return ctx.planner.plan_for_paths(
-                src, dst, remaining, paths, load=self._load_snapshot()
-            )
-        return None
 
     # ------------------------------------------------------------------
-    def _paths(self, src: int, dst: int, *, single: bool = False):
-        cfg = self.context.config
-        if single:
-            # Prefer the direct path; degenerate systems fall back to the
-            # first available (host-staged on PCIe-only nodes).
-            return enumerate_paths(
-                self.context.topology, src, dst, include_host=True
-            )
-        return enumerate_paths(
-            self.context.topology,
-            src,
-            dst,
-            include_host=cfg.include_host,
-            max_gpu_staged=cfg.max_gpu_staged,
-            exclude=cfg.exclude_paths,
-        )
-
     def _assignment(self, path, nbytes: int, theta: float, chunks: int) -> PathAssignment:
         params = self.context.planner.store.path_params(path)
         return PathAssignment(
@@ -677,8 +616,10 @@ class CudaIpcModule:
         )
 
     def _single_path_plan(self, src: int, dst: int, nbytes: int) -> TransferPlan:
-        paths = self._paths(src, dst, single=True)
-        best = paths[0]  # canonical order puts direct first when it exists
+        # Canonical order puts direct first when it exists; degenerate
+        # systems fall back to the first available (host-staged on
+        # PCIe-only nodes).
+        best = enumerate_paths(self.context.topology, src, dst)[0]
         a = self._assignment(best, nbytes, 1.0, 1)
         return TransferPlan(
             src=src,
@@ -690,30 +631,36 @@ class CudaIpcModule:
 
     def _static_plan(self, src: int, dst: int, nbytes: int) -> TransferPlan:
         cfg = self.context.config
-        paths = self._paths(src, dst)
+        paths = enumerate_paths(
+            self.context.topology,
+            src,
+            dst,
+            include_host=cfg.include_host,
+            max_gpu_staged=cfg.max_gpu_staged,
+            exclude=cfg.exclude_paths,
+        )
         # Static shares are tuned offline on one reference pair; apply them
         # to any pair by *role*: "direct" -> the direct path, "gpu:*" ->
         # the i-th GPU-staged candidate of this pair, "host" -> host.
         by_kind = {p.path_id: p for p in paths if p.via is None}
-        gpu_staged = [p for p in paths if p.via is not None]
+        gpu_staged = iter([p for p in paths if p.via is not None])
         resolved = []
-        staged_cursor = 0
         for share in cfg.static_shares:
             if share.path_id.startswith("gpu:"):
-                if staged_cursor >= len(gpu_staged):
+                path = next(gpu_staged, None)
+                if path is None:
                     raise KeyError(
                         f"static share {share.path_id!r} has no staged "
                         f"candidate left for pair ({src}, {dst})"
                     )
-                resolved.append((gpu_staged[staged_cursor], share))
-                staged_cursor += 1
             elif share.path_id in by_kind:
-                resolved.append((by_kind[share.path_id], share))
+                path = by_kind[share.path_id]
             else:
                 raise KeyError(
                     f"static share references unavailable path {share.path_id!r} "
                     f"for pair ({src}, {dst})"
                 )
+            resolved.append((path, share))
         assignments = []
         assigned = 0
         for i, (path, share) in enumerate(resolved):
@@ -732,4 +679,4 @@ class CudaIpcModule:
         )
 
 
-__all__ = ["CudaIpcModule", "PutResult"]
+__all__ = ["CudaIpcModule", "PutResult", "RecoveryPolicy"]

@@ -8,8 +8,10 @@ floats exactly, so two runs share a digest only if their timelines are
 bit-identical.
 
 ``timelines.json`` holds the digests the transport's former reference
-executions produced (cold uncompiled plans, the fail-fast executor).  They
-are the bit-identity oracle those in-process references used to be.  A
+executions produced (cold uncompiled plans, the fail-fast executor), and
+the chaos and traced recovery scenarios as the inline recovery loop ran
+them before ``RecoveryPolicy``.  They are the bit-identity oracle those
+in-process references used to be.  A
 mismatch prints the new digest, so an intended timeline change is a
 reviewed one-line edit of that file.
 """

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.path_health import PathHealth, PathHealthRegistry
+from repro.gpu.errors import DeadlineUnsatisfiable
 from repro.mpi import Communicator, collectives
 from repro.runtime.sanitizer import check_invariants
 from repro.sim import (
@@ -20,7 +21,8 @@ from repro.sim import (
     Tracer,
 )
 from repro.topology import systems
-from repro.ucx import PathUnavailable, TransportConfig, UCXContext
+from repro.topology.routing import enumerate_paths
+from repro.ucx import PathUnavailable, TransferTimeout, TransportConfig, UCXContext
 from repro.units import MiB, gbps
 from tests.golden import assert_golden, timeline_digest
 
@@ -297,6 +299,94 @@ class TestPutRecovery:
         assert_golden("fault_free_window_3x4", run(TransportConfig()))
         assert_golden("fault_free_window_3x4", run(TransportConfig(max_path_retries=0)))
 
+    def test_expired_deadline_takes_no_retry_or_token(self):
+        """A fault that lands after the put's deadline fails the put with
+        TransferTimeout before a retry is counted or a budget token is
+        taken: no replan would ever use them."""
+        cfg = TransportConfig(
+            include_host=False, max_gpu_staged=0, retry_budget_total=4
+        )
+        eng0, ctx0 = make_ctx(config=cfg)
+        t = eng0.run(until=ctx0.put(0, 1, 64 * MiB)).duration
+
+        eng, ctx = make_ctx(config=cfg)
+        # The stall freezes the only path past the deadline (2T); the
+        # outage at 3T is what finally faults it.
+        FaultSchedule(
+            StallInjector("nvl:0->1", at=0.1 * t, duration=5 * t),
+            LinkDown("nvl:0->1", at=3 * t, duration=t),
+        ).attach(ctx.runtime.fabric)
+        with pytest.raises(TransferTimeout):
+            eng.run(until=ctx.put(0, 1, 64 * MiB, timeout=2 * t))
+        assert ctx.transfers.retry_budget.consumed == 0
+        recovery = ctx.cuda_ipc.stats_snapshot()["recovery"]
+        assert recovery["retries"] == 0
+        assert recovery["puts_failed"] == 1
+        check_invariants(ctx)
+
+
+# ----------------------------------------------------------------------
+# The one path-selection ladder: first plans, replans, admission
+# ----------------------------------------------------------------------
+def quarantine(ctx, *path_ids, src=0, dst=1):
+    for path_id in path_ids:
+        for _ in range(2):  # suspect, then quarantined
+            ctx.health.record_failure(src, dst, path_id, now=0.0)
+    assert set(ctx.health.unhealthy_paths(src, dst)) == set(path_ids)
+
+
+class TestPathLadder:
+    def test_all_quarantined_plans_over_configured_set(self):
+        eng0, ctx0 = make_ctx()
+        healthy = eng0.run(until=ctx0.put(0, 1, 64 * MiB))
+
+        eng, ctx = make_ctx()
+        quarantine(ctx, *(p.path_id for p in enumerate_paths(ctx.topology, 0, 1)))
+        result = eng.run(until=ctx.put(0, 1, 64 * MiB))
+        # the configured set, planned as if healthy: same plan, same time
+        assert result.retries == 0
+        assert result.duration == healthy.duration
+
+    def test_admission_prices_surviving_paths(self):
+        n = 64 * MiB
+        _, ctx = make_ctx()
+        full = ctx.planner.predict_time(0, 1, n)
+        no_direct = ctx.planner.predict_time(0, 1, n, exclude=("direct",))
+        assert full < no_direct
+        timeout = (full + no_direct) / 2
+
+        eng, ctx = make_ctx()
+        quarantine(ctx, "direct")
+        with pytest.raises(DeadlineUnsatisfiable):
+            eng.run(until=ctx.put(0, 1, n, timeout=timeout))
+        assert ctx.transfers.rejected == 1
+
+        # every path unhealthy: admission prices the configured set, as
+        # dispatch will plan it
+        eng, ctx = make_ctx()
+        quarantine(ctx, *(p.path_id for p in enumerate_paths(ctx.topology, 0, 1)))
+        result = eng.run(until=ctx.put(0, 1, n, timeout=timeout))
+        assert result.nbytes == n and ctx.transfers.rejected == 0
+
+    def test_replan_forgives_the_only_configured_path(self):
+        """With `direct` the only configured path, recovery's ladder falls
+        through failed + quarantined to the configured set: it retries
+        `direct` once the brief outage is over."""
+        cfg = TransportConfig(exclude_paths=("host",), max_gpu_staged=0)
+        eng0, ctx0 = make_ctx(config=cfg)
+        t = eng0.run(until=ctx0.put(0, 1, 64 * MiB)).duration
+
+        eng, ctx = make_ctx(config=cfg, tracer=Tracer())
+        # down for 5 us: over before the first 25 us backoff ends
+        FaultSchedule(LinkDown("nvl:0->1", at=0.5 * t, duration=5e-6)).attach(
+            ctx.runtime.fabric
+        )
+        result = eng.run(until=ctx.put(0, 1, 64 * MiB, tag="brief"))
+        assert result.retries == 1
+        assert result.rerouted_bytes > 0
+        assert delivered_bytes(ctx.tracer, "brief") == 64 * MiB
+        assert {r.channel for r in ctx.tracer.records} == {"nvl:0->1"}
+
 
 # ----------------------------------------------------------------------
 # What a recovered put leaves in the flight recorder and metrics
@@ -322,6 +412,15 @@ class TestChaosObservability:
         assert "recovery.retries" not in counters
         assert "recovery.puts_recovered" not in counters
         assert counters["recovery.link_failures"] == recovery["path_failovers"]
+
+    def test_replan_is_a_logged_decision(self, linkdown):
+        """The replan goes through the planner like the first plan: the
+        decision log holds both, joined to the put's trace."""
+        first, replan = linkdown._context.obs.decisions.records
+        assert replan.trace_id == first.trace_id >= 0
+        assert replan.nbytes == linkdown.chaotic.rerouted_bytes
+        assert not replan.cache_hit
+        assert "direct" in first.path_ids and "direct" not in replan.path_ids
 
     def test_dumped_trace_has_one_fault_row_per_window(self, linkdown, tmp_path):
         import json
@@ -360,6 +459,32 @@ class TestChaosObservability:
         (retry,) = [s for s in bd.spans if s.kind.startswith("recovery.retry")]
         assert t.post_overhead >= retry.duration > 0
         assert t.end == pytest.approx(root.t1)
+
+
+# ----------------------------------------------------------------------
+# Recovery timelines pinned by golden digests
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("scenario", ["linkdown", "flap", "stall"])
+def test_recovery_golden_chaos(scenario):
+    """Every retry, backoff and replan of a chaos scenario, bit for bit."""
+    from repro.bench.experiments.chaos import run_chaos
+
+    r = run_chaos("beluga", scenario=scenario, keep_context=True)
+    assert r.chaotic.retries >= 1  # the fault actually bit
+    ctx = r._context
+    digest = timeline_digest(ctx.engine, ctx.tracer, (r.chaotic,), ctx.runtime.fabric)
+    assert_golden(f"chaos_{scenario}", digest)
+
+
+def test_recovery_golden_traced_scenario():
+    """Queued puts, one recovering from a LinkDown, bit for bit."""
+    from repro.bench.experiments.chaos import run_traced_scenario
+
+    s = run_traced_scenario()
+    assert any(r.retries > 0 for r in s.results)
+    ctx = s.context
+    digest = timeline_digest(ctx.engine, ctx.tracer, s.results, ctx.runtime.fabric)
+    assert_golden("traced_scenario", digest)
 
 
 # ----------------------------------------------------------------------

@@ -144,14 +144,14 @@ class TestJournal:
         def workload(rec, eager):
             tid, root = rec.begin_trace("transfer", {"src": 0, "dst": 1})
             for i in range(10):
-                sid = rec.record(
-                    f"pipeline.path[{i % 3}]", tid, root, t0=float(i),
-                    t1=float(i) + 0.5, attrs={"path": i},
-                )
+                rec.record("plan", tid, root, t0=float(i), attrs={"i": i})
                 if eager:
                     rec._drain()
-                rec.record_batch(
-                    (f"pipeline.path[{i % 3}].chunk[0]",), tid, sid, (float(i),)
+                rec.record_path(
+                    f"pipeline.path[{i % 3}]", tid, root, float(i),
+                    float(i) + 0.5, {"path": i},
+                    chunk_kinds=(f"pipeline.path[{i % 3}].chunk[0]",),
+                    chunk_events=(fake_chunk_event(float(i) + 0.5),),
                 )
                 if eager:
                     rec._drain()

@@ -431,13 +431,13 @@ class TestZeroBandwidthRegression:
     """Satellite: zero-duration/zero-byte transfers report 0.0, never inf."""
 
     def test_transfer_result_zero_duration(self):
-        from repro.sim.link import TransferResult
+        from repro.sim.fabric import TransferResult
 
         r = TransferResult(nbytes=0, start=1.0, end=1.0, tag="z")
         assert r.bandwidth == 0.0
 
     def test_transfer_result_zero_bytes_nonzero_duration(self):
-        from repro.sim.link import TransferResult
+        from repro.sim.fabric import TransferResult
 
         r = TransferResult(nbytes=0, start=0.0, end=1.0, tag="z")
         assert r.bandwidth == 0.0
