@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Engine, Fabric, Tracer
-from repro.sim.noise import SizeDependentEfficiency
 from repro.units import MiB, gbps, us
 
 
@@ -187,130 +186,6 @@ class TestDynamics:
             assert fab.channel(name).completed_bytes == pytest.approx(
                 tracer.total_bytes(name)
             )
-
-
-class TestOneChannel:
-    """Fair sharing on a one-channel fabric: every flow gets an equal
-    share of the channel's bandwidth."""
-
-    def test_skip_latency(self):
-        eng = Engine()
-        fab = Fabric(eng)
-        fab.add_channel("a", alpha=100 * us, beta=gbps(1))
-        eng.run(until=fab.copy("a", 1 * MiB, skip_latency=True))
-        assert eng.now == pytest.approx(1 * MiB / gbps(1))
-
-    def test_negative_size_rejected(self):
-        eng = Engine()
-        with pytest.raises(ValueError):
-            simple_fabric(eng, a=gbps(1)).copy("a", -1)
-
-    def test_invalid_params_rejected(self):
-        eng = Engine()
-        with pytest.raises(ValueError):
-            Fabric(eng).add_channel("x", -1.0, 1.0)
-        with pytest.raises(ValueError):
-            Fabric(eng).add_channel("x", 0.0, 0.0)
-        with pytest.raises(ValueError):
-            simple_fabric(eng, a=gbps(1)).copy("a", 1, extra_latency=-1.0)
-
-    def test_set_beta_invalid(self):
-        eng = Engine()
-        with pytest.raises(ValueError):
-            simple_fabric(eng, a=gbps(1)).set_beta("a", 0)
-
-    def test_staggered_flows_progressive_filling(self):
-        # A starts alone, then B joins; A finishes first having had a solo
-        # head start, then B runs alone again.
-        eng = Engine()
-        fab = simple_fabric(eng, a=gbps(1))
-        results = {}
-
-        def start_b():
-            yield eng.timeout(0.5)
-            results["b"] = yield fab.copy("a", int(gbps(1)))  # 1 s of bytes
-
-        def start_a():
-            results["a"] = yield fab.copy("a", int(gbps(1)))
-
-        eng.process(start_a())
-        eng.process(start_b())
-        eng.run()
-        # A: 0.5 s solo, then its remaining half at half rate -> 1.5 s.
-        assert results["a"].end == pytest.approx(1.5, rel=1e-6)
-        # B: half its work shared until 1.5 s, the rest solo -> 2.0 s.
-        assert results["b"].end == pytest.approx(2.0, rel=1e-6)
-
-    def test_conservation_of_bytes(self):
-        eng = Engine()
-        fab = simple_fabric(eng, a=gbps(10))
-        sizes = [1 * MiB, 3 * MiB, 7 * MiB, 2 * MiB]
-        eng.run(until=eng.all_of([fab.copy("a", s) for s in sizes]))
-        ch = fab.channel("a")
-        assert ch.total_bytes == pytest.approx(sum(sizes))
-        assert ch.completed_flows == len(sizes)
-
-    def test_max_concurrency_tracked(self):
-        eng = Engine()
-        fab = simple_fabric(eng, a=gbps(10))
-        for _ in range(5):
-            fab.copy("a", 10 * MiB)
-        eng.run()
-        assert fab.channel("a").max_concurrency == 5
-
-    def test_size_dependent_efficiency_inflates_knee_copy(self):
-        eng = Engine()
-        knee = 256 * 1024
-        fab = Fabric(eng)
-        fab.add_channel("a", 0.0, gbps(1), jitter=SizeDependentEfficiency(knee))
-        eng.run(until=fab.copy("a", knee))
-        # demand doubled: knee bytes * (1 + knee/knee) = 2*knee
-        assert eng.now == pytest.approx(2 * knee / gbps(1), rel=1e-6)
-
-    def test_busy_time_excludes_idle_tail(self):
-        eng = Engine()
-        fab = simple_fabric(eng, a=gbps(1))
-        done = fab.copy("a", int(gbps(1)))  # exactly 1 second busy
-
-        def idle_tail():
-            yield done
-            yield eng.timeout(1.0)
-
-        eng.run(until=eng.process(idle_tail()))
-        assert eng.now == pytest.approx(2.0, rel=1e-6)
-        assert fab.channel("a").busy_time == pytest.approx(1.0, rel=1e-6)
-
-    @given(
-        sizes=st.lists(
-            st.integers(min_value=1 * MiB, max_value=64 * MiB), min_size=1, max_size=6
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_makespan_between_ideal_and_serial(self, sizes):
-        """max(sizes)/beta <= makespan <= sum(sizes)/beta for alpha=0."""
-        eng = Engine()
-        beta = gbps(10)
-        fab = simple_fabric(eng, a=beta)
-        eng.run(until=eng.all_of([fab.copy("a", s) for s in sizes]))
-        assert max(sizes) / beta * (1 - 1e-9) <= eng.now
-        assert eng.now <= sum(sizes) / beta * (1 + 1e-9)
-
-    @given(
-        sizes=st.lists(
-            st.integers(min_value=1 * MiB, max_value=32 * MiB), min_size=2, max_size=5
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_smaller_flows_finish_no_later(self, sizes):
-        """Under equal shares, completion order follows size order."""
-        eng = Engine()
-        fab = simple_fabric(eng, a=gbps(10))
-        events = [fab.copy("a", s) for s in sizes]
-        eng.run(until=eng.all_of(events))
-        ends = [ev.value.end for ev in events]
-        order = sorted(range(len(sizes)), key=lambda i: sizes[i])
-        for earlier, later in zip(order, order[1:]):
-            assert ends[earlier] <= ends[later] + 1e-12
 
 
 class TestFabricProperties:

@@ -1,24 +1,26 @@
-"""Unit and property tests for fair-share channels."""
+"""Unit and property tests for a single fair-share link: a one-channel
+fabric, where every flow gets an equal share of the link's bandwidth."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Channel, Engine, Tracer
+from repro.sim import Engine, Fabric, Tracer
 from repro.sim.noise import SizeDependentEfficiency
 from repro.units import MiB, gbps, us
 
 
-def make_channel(eng, alpha=1 * us, beta=gbps(10), **kw):
-    return Channel(eng, "test", alpha, beta, **kw)
+def make_link(eng, alpha=1 * us, beta=gbps(10)):
+    fab = Fabric(eng)
+    fab.add_channel("test", alpha, beta)
+    return fab
 
 
 class TestSingleTransfer:
     def test_hockney_time(self):
         eng = Engine()
-        ch = make_channel(eng, alpha=2 * us, beta=gbps(10))
-        done = ch.transfer(10 * MiB)
-        result = eng.run(until=done)
+        fab = make_link(eng, alpha=2 * us, beta=gbps(10))
+        result = eng.run(until=fab.copy("test", 10 * MiB))
         expected = 2 * us + 10 * MiB / gbps(10)
         assert eng.now == pytest.approx(expected, rel=1e-9)
         assert result.nbytes == 10 * MiB
@@ -26,38 +28,38 @@ class TestSingleTransfer:
 
     def test_zero_bytes_is_latency_only(self):
         eng = Engine()
-        ch = make_channel(eng, alpha=5 * us)
-        result = eng.run(until=ch.transfer(0))
+        fab = make_link(eng, alpha=5 * us)
+        result = eng.run(until=fab.copy("test", 0))
         assert eng.now == pytest.approx(5 * us)
         assert result.nbytes == 0
 
     def test_skip_latency(self):
         eng = Engine()
-        ch = make_channel(eng, alpha=100 * us, beta=gbps(1))
-        eng.run(until=ch.transfer(1 * MiB, skip_latency=True))
+        fab = make_link(eng, alpha=100 * us, beta=gbps(1))
+        eng.run(until=fab.copy("test", 1 * MiB, skip_latency=True))
         assert eng.now == pytest.approx(1 * MiB / gbps(1))
 
     def test_negative_size_rejected(self):
         eng = Engine()
         with pytest.raises(ValueError):
-            make_channel(eng).transfer(-1)
+            make_link(eng).copy("test", -1)
 
     def test_invalid_params_rejected(self):
         eng = Engine()
         with pytest.raises(ValueError):
-            Channel(eng, "x", -1.0, 1.0)
+            make_link(eng, alpha=-1.0, beta=1.0)
         with pytest.raises(ValueError):
-            Channel(eng, "x", 0.0, 0.0)
+            make_link(eng, alpha=0.0, beta=0.0)
         with pytest.raises(ValueError):
-            make_channel(eng).transfer(1, weight=0)
+            make_link(eng).copy("test", 1, extra_latency=-1.0)
 
 
 class TestFairShare:
     def test_two_equal_flows_halve_bandwidth(self):
         eng = Engine()
-        ch = make_channel(eng, alpha=0.0, beta=gbps(10))
-        d1 = ch.transfer(10 * MiB)
-        d2 = ch.transfer(10 * MiB)
+        fab = make_link(eng, alpha=0.0, beta=gbps(10))
+        d1 = fab.copy("test", 10 * MiB)
+        d2 = fab.copy("test", 10 * MiB)
         eng.run(until=eng.all_of([d1, d2]))
         # Both flows share: each effectively gets 5 GB/s -> 2x single time.
         assert eng.now == pytest.approx(2 * 10 * MiB / gbps(10), rel=1e-6)
@@ -66,18 +68,15 @@ class TestFairShare:
         # Flow A starts alone, then B joins; A finishes first having had a
         # solo head start, then B runs alone again.
         eng = Engine()
-        beta = gbps(1)
-        ch = make_channel(eng, alpha=0.0, beta=beta)
+        fab = make_link(eng, alpha=0.0, beta=gbps(1))
         results = {}
 
         def start_b():
             yield eng.timeout(0.5)
-            r = yield ch.transfer(1 * gbps(1))  # 1 second of bytes
-            results["b"] = r
+            results["b"] = yield fab.copy("test", int(gbps(1)))  # 1 s of bytes
 
         def start_a():
-            r = yield ch.transfer(1 * gbps(1))
-            results["a"] = r
+            results["a"] = yield fab.copy("test", int(gbps(1)))
 
         eng.process(start_a())
         eng.process(start_b())
@@ -89,44 +88,34 @@ class TestFairShare:
         # at full rate -> ends at 2.0s.
         assert results["b"].end == pytest.approx(2.0, rel=1e-6)
 
-    def test_weighted_share(self):
-        eng = Engine()
-        ch = make_channel(eng, alpha=0.0, beta=gbps(10))
-        heavy = ch.transfer(10 * MiB, weight=3.0)
-        light = ch.transfer(10 * MiB, weight=1.0)
-        eng.run(until=eng.all_of([heavy, light]))
-        rh = heavy.value
-        rl = light.value
-        assert rh.end < rl.end  # heavier weight finishes first
-
     def test_conservation_of_bytes(self):
         eng = Engine()
-        ch = make_channel(eng)
+        fab = make_link(eng)
         sizes = [1 * MiB, 3 * MiB, 7 * MiB, 2 * MiB]
-        events = [ch.transfer(s) for s in sizes]
-        eng.run(until=eng.all_of(events))
+        eng.run(until=eng.all_of([fab.copy("test", s) for s in sizes]))
+        ch = fab.channel("test")
         assert ch.total_bytes == pytest.approx(sum(sizes))
-        assert ch.total_transfers == len(sizes)
+        assert ch.completed_flows == len(sizes)
 
     def test_max_concurrency_tracked(self):
         eng = Engine()
-        ch = make_channel(eng, alpha=0.0)
+        fab = make_link(eng, alpha=0.0)
         for _ in range(5):
-            ch.transfer(10 * MiB)
+            fab.copy("test", 10 * MiB)
         eng.run()
-        assert ch.max_concurrency == 5
+        assert fab.channel("test").max_concurrency == 5
 
 
 class TestDynamicBandwidth:
     def test_set_beta_mid_flight(self):
         eng = Engine()
         beta = gbps(1)
-        ch = make_channel(eng, alpha=0.0, beta=beta)
-        done = ch.transfer(int(2 * beta))  # 2 seconds at full rate
+        fab = make_link(eng, alpha=0.0, beta=beta)
+        done = fab.copy("test", int(2 * beta))  # 2 seconds at full rate
 
         def degrade():
             yield eng.timeout(1.0)
-            ch.set_beta(beta / 2)  # halve bandwidth halfway through
+            fab.set_beta("test", beta / 2)  # halve bandwidth halfway through
 
         eng.process(degrade())
         eng.run(until=done)
@@ -136,26 +125,25 @@ class TestDynamicBandwidth:
     def test_set_beta_invalid(self):
         eng = Engine()
         with pytest.raises(ValueError):
-            make_channel(eng).set_beta(0)
+            make_link(eng).set_beta("test", 0)
 
 
 class TestJitterAndTrace:
     def test_size_dependent_efficiency_slows_small_messages(self):
         eng = Engine()
         knee = 256 * 1024
-        ch = make_channel(
-            eng, alpha=0.0, beta=gbps(1), jitter=SizeDependentEfficiency(knee)
-        )
-        small = ch.transfer(knee)
-        eng.run(until=small)
+        fab = Fabric(eng)
+        fab.add_channel("test", 0.0, gbps(1), jitter=SizeDependentEfficiency(knee))
+        eng.run(until=fab.copy("test", knee))
         # demand doubled: knee bytes * (1 + knee/knee) = 2*knee
         assert eng.now == pytest.approx(2 * knee / gbps(1), rel=1e-6)
 
     def test_tracer_records(self):
         eng = Engine()
         tracer = Tracer()
-        ch = Channel(eng, "nvlink", 1 * us, gbps(10), tracer=tracer)
-        eng.run(until=ch.transfer(1 * MiB, tag="chunk0"))
+        fab = Fabric(eng, tracer=tracer)
+        fab.add_channel("nvlink", 1 * us, gbps(10))
+        eng.run(until=fab.copy("nvlink", 1 * MiB, tag="chunk0"))
         assert len(tracer.records) == 1
         rec = tracer.records[0]
         assert rec.channel == "nvlink"
@@ -165,15 +153,17 @@ class TestJitterAndTrace:
 
     def test_utilization(self):
         eng = Engine()
-        ch = make_channel(eng, alpha=0.0, beta=gbps(1))
-        done = ch.transfer(int(gbps(1)))  # exactly 1 second busy
+        fab = make_link(eng, alpha=0.0, beta=gbps(1))
+        done = fab.copy("test", int(gbps(1)))  # exactly 1 second busy
 
         def idle_tail():
             yield done
             yield eng.timeout(1.0)
 
         eng.run(until=eng.process(idle_tail()))
-        assert ch.utilization() == pytest.approx(0.5, rel=1e-6)
+        assert fab.channel("test").busy_time / eng.now == pytest.approx(
+            0.5, rel=1e-6
+        )
 
 
 class TestFairShareProperties:
@@ -187,9 +177,8 @@ class TestFairShareProperties:
         """max(sizes)/beta <= makespan <= sum(sizes)/beta for alpha=0."""
         eng = Engine()
         beta = gbps(10)
-        ch = Channel(eng, "p", 0.0, beta)
-        events = [ch.transfer(s) for s in sizes]
-        eng.run(until=eng.all_of(events))
+        fab = make_link(eng, alpha=0.0, beta=beta)
+        eng.run(until=eng.all_of([fab.copy("test", s) for s in sizes]))
         lower = max(sizes) / beta
         upper = sum(sizes) / beta
         assert lower * (1 - 1e-9) <= eng.now <= upper * (1 + 1e-9)
@@ -204,10 +193,9 @@ class TestFairShareProperties:
         """With all flows started at t=0, makespan == total work / beta."""
         eng = Engine()
         beta = gbps(10)
-        ch = Channel(eng, "p", 0.0, beta)
-        events = [ch.transfer(s) for s in sizes]
-        eng.run(until=eng.all_of(events))
-        # The channel is never idle until everything finishes.
+        fab = make_link(eng, alpha=0.0, beta=beta)
+        eng.run(until=eng.all_of([fab.copy("test", s) for s in sizes]))
+        # The link is never idle until everything finishes.
         assert eng.now == pytest.approx(sum(sizes) / beta, rel=1e-6)
 
     @given(
@@ -219,8 +207,8 @@ class TestFairShareProperties:
     def test_smaller_flows_finish_no_later(self, sizes):
         """Under equal-share, completion order follows size order."""
         eng = Engine()
-        ch = Channel(eng, "p", 0.0, gbps(10))
-        events = [ch.transfer(s) for s in sizes]
+        fab = make_link(eng, alpha=0.0, beta=gbps(10))
+        events = [fab.copy("test", s) for s in sizes]
         eng.run(until=eng.all_of(events))
         ends = [ev.value.end for ev in events]
         order = sorted(range(len(sizes)), key=lambda i: sizes[i])
