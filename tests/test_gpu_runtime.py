@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gpu import GPURuntime, IpcHandleCache, InvalidDevice, StreamError
+from repro.gpu.errors import LinkFailure
 from repro.sim import Engine, Tracer
 from repro.topology import systems
 from repro.units import MiB, gbps, us
@@ -88,6 +89,23 @@ class TestGpuEvents:
         eng.run(until=done)
         # s2's delay could only start after s1's 3s of work
         assert eng.now == pytest.approx(4.0)
+
+    def test_record_on_poisoned_stream_fails_cross_stream_waiters(self, rt):
+        eng, runtime = rt
+        runtime.fabric.fail_channel(runtime.topology.direct_hop(0, 1)[0])
+        s1 = runtime.create_stream(0)
+        s2 = runtime.create_stream(1)
+        copy = runtime.peer_copy_async(0, 1, MiB, s1)
+        ev = runtime.create_event("arrived")
+        ev.record(s1)
+        s2.wait_event(ev)
+        done = s2.delay(1.0)
+        with pytest.raises(LinkFailure) as failure:
+            eng.run(until=done)
+        # the copy's own exception reaches the other stream, unchanged
+        assert failure.value is copy._exception
+        assert ev.wait()._exception is copy._exception
+        assert ev.complete_time is None
 
     def test_wait_before_record_rejected(self, rt):
         _, runtime = rt
