@@ -77,7 +77,6 @@ class CompiledPath:
     #: Per-chunk tag/event-name suffixes, appended to the path's label.
     h1_suffixes: tuple[str, ...] = ()
     event_suffixes: tuple[str, ...] = ()
-    sync_suffixes: tuple[str, ...] = ()
     h2_suffixes: tuple[str, ...] = ()
 
 
@@ -135,7 +134,6 @@ def compile_plan(
                 epsilon=pipeline.runtime.sync_cost(via_gpu=a.path.via is not None),
                 h1_suffixes=tuple(f":h1:{c}" for c in range(n)),
                 event_suffixes=tuple(f":c{c}" for c in range(n)),
-                sync_suffixes=tuple(f":sync:{c}" for c in range(n)),
                 h2_suffixes=tuple(f":h2:{c}" for c in range(n)),
             )
         )

@@ -38,31 +38,22 @@ class GpuEvent:
     def record(self, stream: "Stream") -> "GpuEvent":
         """Enqueue this event marker on ``stream`` (re-record allowed only
         before the previous recording occurred is an error, like CUDA's
-        undefined behaviour — we reject it)."""
+        undefined behaviour — we reject it).
+
+        The marker is an instant op whose completion event is the
+        occurrence itself: the stream succeeds it once the work ahead has
+        drained.  On a poisoned stream it fails the occurrence with the
+        stream's error, so cross-stream waiters fail instead of hanging.
+        """
         if self._occurred is not None and not self._occurred.triggered:
             raise StreamError(f"event {self.name!r} re-recorded while pending")
         self._occurred = self.engine.event()
         self.record_time = self.engine.now
-        occurred = self._occurred
-
-        def marker():
-            self.complete_time = self.engine.now
-            occurred.succeed(None)
-            yield from ()  # marker op completes instantly in stream order
-
-        marker_done = stream.enqueue(marker, label=f"record:{self.name}")
-        # If the stream fails before reaching the marker (poisoned by an
-        # upstream copy failure), the marker body never runs and the event
-        # would never occur — cross-stream waiters would hang forever.
-        # Propagate the failure into the occurrence instead.
-        marker_done.add_callback(
-            lambda ev: (
-                occurred.fail(ev._exception)
-                if not ev.ok and not occurred.triggered
-                else None
-            )
-        )
+        stream.push(self._mark, self._occurred)
         return self
+
+    def _mark(self) -> None:
+        self.complete_time = self.engine.now
 
     def wait(self) -> Event:
         """Sim event that triggers when this GPU event occurs."""

@@ -5,7 +5,10 @@ live :class:`~repro.sim.fabric.Fabric` and exposes the CUDA-ish operations
 the transport layer needs:
 
 * create streams on devices;
-* enqueue async copies along a topology hop (direct peer copy, d2h, h2d);
+* enqueue async copies along a topology hop (direct peer copy, d2h, h2d):
+  a copy is a stream op record that calls ``fabric.copy`` when it reaches
+  the head of its stream and completes with the fabric's
+  :class:`~repro.sim.fabric.TransferResult` (no engine process per copy);
 * per-device sync overhead constants (the model's ε);
 * an IPC handle cache shared by the node's "processes".
 """
@@ -19,7 +22,6 @@ from repro.gpu.errors import InvalidDevice
 from repro.gpu.event import GpuEvent
 from repro.gpu.ipc import IpcHandleCache
 from repro.gpu.stream import Stream
-from repro.sim.resources import Semaphore
 from repro.sim.engine import Engine, Event
 from repro.sim.fabric import Fabric
 from repro.sim.trace import Tracer
@@ -50,12 +52,7 @@ class GPURuntime:
         tracer: Tracer | None = None,
         jitter_factory: Callable | None = None,
         ipc_open_cost: float | None = None,
-        copy_engines: int | None = None,
     ) -> None:
-        """``copy_engines`` bounds concurrent DMA copies per device (real
-        GPUs have a handful of copy engines per direction); ``None`` leaves
-        concurrency unbounded, which is accurate for the <=4 concurrent
-        paths the paper's configurations use on V100/A100 hardware."""
         self.engine = engine
         self.topology = topology
         self.tracer = tracer
@@ -72,14 +69,6 @@ class GPURuntime:
         # run-level counters (always on: one int add per enqueued copy)
         self.copies_issued = 0
         self.copy_bytes_requested = 0
-        if copy_engines is not None and copy_engines < 1:
-            raise ValueError("copy_engines must be >= 1 (or None)")
-        self._copy_engines: dict[int, Semaphore] | None = None
-        if copy_engines is not None:
-            self._copy_engines = {
-                d.device_id: Semaphore(engine, copy_engines, f"ce:{d.device_id}")
-                for d in self.devices
-            }
 
     # ------------------------------------------------------------------
     def device(self, device_id: int) -> Device:
@@ -112,30 +101,11 @@ class GPURuntime:
         *,
         tag: str = "",
     ) -> Event:
-        """Enqueue a DMA copy along a topology hop on ``stream``.
-
-        When the runtime was built with bounded ``copy_engines``, the copy
-        first claims an engine slot on the stream's device.
-        """
+        """Enqueue a DMA copy along a topology hop on ``stream``."""
         self.copies_issued += 1
         self.copy_bytes_requested += nbytes
-        sem = (
-            self._copy_engines.get(stream.device_id)
-            if self._copy_engines is not None
-            else None
-        )
-
-        def op():
-            if sem is not None:
-                yield sem.acquire()
-            try:
-                result = yield self.fabric.copy(hop, nbytes, tag=tag)
-            finally:
-                if sem is not None:
-                    sem.release()
-            return result
-
-        return stream.enqueue(op, label=tag or "copy")
+        copy = self.fabric.copy
+        return stream.push(lambda: copy(hop, nbytes, tag=tag))
 
     def peer_copy_async(
         self, src: int, dst: int, nbytes: int, stream: Stream, *, tag: str = ""

@@ -1,15 +1,33 @@
-"""In-order GPU streams (cudaStream analogue).
+"""In-order GPU streams (cudaStream analogue), driven by callbacks.
 
-A stream is a FIFO of operations.  Each operation is a generator factory;
-the stream guarantees op *i+1* starts only after op *i* finished, while
-different streams progress concurrently — exactly the ordering contract the
-multi-path pipeline engine builds on (one stream per path, chunks in order
-within a path).
+A stream is a FIFO of op records.  Op *i+1* starts only after op *i*
+finished, while different streams progress concurrently — exactly the
+ordering contract the multi-path pipeline engine builds on (one stream per
+path, chunks in order within a path).
+
+No engine process runs a stream.  Each op record holds a ``start``
+callable and the op's completion event.  The head op is started when the
+stream goes idle → busy and from the completion callback of the op ahead
+of it; ``start()`` returns the event the op chains on, or ``None`` for an
+instant op, and the queue is drained in a loop so a run of instant ops
+does not recurse.  The four op kinds:
+
+* **copy** (:meth:`~repro.gpu.runtime.GPURuntime.copy_on_hop_async`) —
+  calls ``fabric.copy`` and completes with its
+  :class:`~repro.sim.fabric.TransferResult`;
+* **delay** (:meth:`Stream.delay`) — one ``engine.timeout``;
+* **wait** (:meth:`Stream.wait_event`) — chains on ``GpuEvent.wait()``;
+* **record** (:meth:`~repro.gpu.event.GpuEvent.record`) — an instant
+  marker whose completion event is the GPU event's occurrence.
+
+Errors are sticky, loosely like CUDA's: an op that fails, or whose start
+raises, fails its event and every later op with the same exception.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator
+from collections import deque
+from collections.abc import Callable
 
 from repro.gpu.errors import StreamError
 from repro.sim.engine import Engine, Event
@@ -22,62 +40,82 @@ class Stream:
         self.engine = engine
         self.device_id = device_id
         self.name = name or f"stream(dev{device_id})"
+        # (start, done) of every op not yet completed; the head is in flight
+        # while the stream is busy.
+        self._ops: deque[tuple[Callable[[], Event | None], Event]] = deque()
+        self._busy = False
+        self._error: BaseException | None = None
         self._tail: Event | None = None
         self._destroyed = False
         self.ops_enqueued = 0
         self.ops_completed = 0
 
     # ------------------------------------------------------------------
-    def enqueue(
-        self, op_factory: Callable[[], Generator], label: str = ""
+    def push(
+        self, start: Callable[[], Event | None], done: Event | None = None
     ) -> Event:
-        """Append an operation; returns the event of *this op's* completion.
+        """Append an op; returns its completion event (``done`` if given).
 
-        ``op_factory`` is called when all previously enqueued work has
-        drained; it must return a generator (a sim process body).  Failures
-        propagate to the returned event and poison subsequent ops (matching
-        CUDA's sticky-error behaviour loosely: later ops fail too).
+        ``start()`` runs when every op ahead of it has completed.  It
+        returns the event the op completes with (its value becomes the
+        op's), or ``None`` for an op that completes at once.
         """
         if self._destroyed:
             raise StreamError(f"{self.name}: enqueue after destroy")
-        done = self.engine.event()
-        prev = self._tail
+        if done is None:
+            done = self.engine.event()
         self._tail = done
         self.ops_enqueued += 1
-
-        def runner():
-            if prev is not None:
-                yield prev  # raises if the previous op failed
-            result = yield self.engine.process(
-                op_factory(), name=f"{self.name}:{label}"
-            )
-            self.ops_completed += 1
-            return result
-
-        proc = self.engine.process(runner(), name=f"{self.name}:chain:{label}")
-        proc.add_callback(
-            lambda ev: done.succeed(ev.value) if ev.ok else done.fail(ev._exception)
-        )
+        self._ops.append((start, done))
+        if not self._busy:
+            self._busy = True
+            self._drain()
         return done
 
+    def _drain(self) -> None:
+        """Start head ops until one is in flight or the queue is empty."""
+        ops = self._ops
+        while ops:
+            start, done = ops[0]
+            inner = None
+            if self._error is None:
+                try:
+                    inner = start()
+                except Exception as exc:  # noqa: BLE001 - poisons the stream
+                    self._error = exc
+                else:
+                    if inner is not None and not inner.triggered:
+                        inner.add_callback(self._resume)
+                        return
+            ops.popleft()
+            self._complete(done, inner)
+        self._busy = False
+
+    def _resume(self, inner: Event) -> None:
+        self._complete(self._ops.popleft()[1], inner)
+        self._drain()
+
+    def _complete(self, done: Event, inner: Event | None) -> None:
+        if inner is not None and inner._exception is not None:
+            self._error = inner._exception
+        if self._error is not None:
+            done.fail(self._error)
+        else:
+            self.ops_completed += 1
+            done.succeed(None if inner is None else inner._value)
+
+    # ------------------------------------------------------------------
     def delay(self, seconds: float, label: str = "delay") -> Event:
         """Enqueue a fixed-cost operation (sync overheads, kernel stubs)."""
         if seconds < 0:
             raise ValueError("negative delay")
-
-        def op():
-            yield self.engine.timeout(seconds)
-
-        return self.enqueue(op, label=label)
+        timeout = self.engine.timeout
+        return self.push(lambda: timeout(seconds))
 
     def wait_event(self, gpu_event) -> Event:
         """Enqueue a dependency: later ops wait until ``gpu_event`` occurs."""
         target = gpu_event.wait()
-
-        def op():
-            yield target
-
-        return self.enqueue(op, label="wait_event")
+        return self.push(lambda: target)
 
     def synchronize(self) -> Event:
         """Sim event that triggers once all currently enqueued work drains."""
@@ -95,7 +133,7 @@ class Stream:
         self._destroyed = True
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Stream {self.name} queued={self.ops_enqueued - self.ops_completed}>"
+        return f"<Stream {self.name} queued={len(self._ops)}>"
 
 
 __all__ = ["Stream"]

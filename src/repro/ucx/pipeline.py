@@ -387,7 +387,7 @@ class PipelineEngine:
                 arrived.record(s1)
                 # Step 2: synchronization point on the staging device.
                 s2.wait_event(arrived)
-                s2.delay(epsilon, label=label + compiled.sync_suffixes[c])
+                s2.delay(epsilon)
                 # Step 3: staging location -> destination.
                 final = self.runtime.copy_on_hop_async(
                     hop2, chunk_bytes, s2, tag=label + compiled.h2_suffixes[c]

@@ -20,19 +20,20 @@ class TestStreamOrdering:
         eng, runtime = rt
         s = runtime.create_stream(0)
         order = []
-
-        def op(tag, dur):
-            def body():
-                yield eng.timeout(dur)
-                order.append(tag)
-            return body
-
-        s.enqueue(op("a", 3.0))
-        s.enqueue(op("b", 1.0))
-        done = s.enqueue(op("c", 1.0))
+        s.delay(3.0).add_callback(lambda ev: order.append(("a", eng.now)))
+        copy = runtime.peer_copy_async(0, 1, 46 * MiB, s)
+        copy.add_callback(lambda ev: order.append(("b", eng.now)))
+        done = s.delay(1.0)
+        done.add_callback(lambda ev: order.append(("c", eng.now)))
         eng.run(until=done)
-        assert order == ["a", "b", "c"]  # FIFO despite b being shorter
-        assert eng.now == pytest.approx(5.0)
+        hop = runtime.topology.direct_hop(0, 1)
+        one = runtime.topology.hop_alpha(hop) + 46 * MiB / gbps(46)
+        # FIFO: the copy waits for the longer delay, the last delay for it
+        assert [tag for tag, _ in order] == ["a", "b", "c"]
+        assert order[0][1] == pytest.approx(3.0)
+        assert order[1][1] == pytest.approx(3.0 + one, rel=1e-9)
+        assert eng.now == pytest.approx(4.0 + one, rel=1e-9)
+        assert copy.value.nbytes == 46 * MiB
 
     def test_streams_run_concurrently(self, rt):
         eng, runtime = rt
@@ -52,16 +53,49 @@ class TestStreamOrdering:
 
     def test_failure_poisons_stream(self, rt):
         eng, runtime = rt
+        runtime.fabric.fail_channel(runtime.topology.direct_hop(0, 1)[0])
         s = runtime.create_stream(0)
-
-        def bad():
-            yield eng.timeout(1.0)
-            raise ValueError("kernel crash")
-
-        s.enqueue(lambda: bad())
+        first = s.delay(1.0)
+        copy = runtime.peer_copy_async(0, 1, MiB, s)
         later = s.delay(1.0)
-        with pytest.raises(ValueError, match="kernel crash"):
+        after = runtime.peer_copy_async(0, 2, MiB, s)  # a healthy link
+        with pytest.raises(LinkFailure):
             eng.run(until=later)
+        assert first.ok
+        # sticky: every later op fails with the copy's own exception
+        assert later._exception is copy._exception
+        assert after._exception is copy._exception
+        assert s.idle and s.ops_completed == 1
+        with pytest.raises(LinkFailure):
+            eng.run(until=s.delay(1.0))
+
+    def test_stream_ops_spawn_no_process(self, rt, monkeypatch):
+        """One staged chunk (copy, record, wait, ε delay, copy) runs on
+        completion callbacks alone, with the timing of the processes it
+        replaced."""
+        eng, runtime = rt
+        spawned = []
+        process = eng.process
+        monkeypatch.setattr(
+            eng,
+            "process",
+            lambda gen, name="": spawned.append(name) or process(gen, name),
+        )
+        s1, s2 = runtime.create_stream(0), runtime.create_stream(1)
+        hop1 = runtime.topology.direct_hop(0, 1)
+        hop2 = runtime.topology.direct_hop(1, 2)
+        first = runtime.copy_on_hop_async(hop1, 46 * MiB, s1)
+        arrived = runtime.create_event("c0").record(s1)
+        s2.wait_event(arrived)
+        s2.delay(5 * us)
+        final = runtime.copy_on_hop_async(hop2, 46 * MiB, s2)
+        eng.run(until=final)
+        assert spawned == []
+        one = runtime.topology.hop_alpha(hop1) + 46 * MiB / gbps(46)
+        assert first.value.end == pytest.approx(one, rel=1e-12)
+        assert arrived.complete_time == first.value.end
+        assert final.value.start == first.value.end + 5 * us
+        assert eng.now == pytest.approx(2 * one + 5 * us, rel=1e-12)
 
     def test_synchronize_idle_stream(self, rt):
         eng, runtime = rt
