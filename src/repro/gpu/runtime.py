@@ -4,7 +4,7 @@
 live :class:`~repro.sim.fabric.Fabric` and exposes the CUDA-ish operations
 the transport layer needs:
 
-* create streams on devices;
+* create and destroy streams on devices;
 * enqueue async copies along a topology hop (direct peer copy, d2h, h2d):
   a copy is a stream op record that calls ``fabric.copy`` when it reaches
   the head of its stream and completes with the fabric's
@@ -86,6 +86,15 @@ class GPURuntime:
         )
         dev.streams.append(stream)
         return stream
+
+    def destroy_stream(self, stream: Stream) -> None:
+        """Destroy ``stream`` and drop it from its device.
+
+        Later enqueues on it raise; ops already queued still run (or fail)
+        to completion.
+        """
+        stream.destroy()
+        self.devices[stream.device_id].streams.remove(stream)
 
     def create_event(self, name: str = "") -> GpuEvent:
         return GpuEvent(self.engine, name)

@@ -319,16 +319,19 @@ class PipelineEngine:
 
     # ------------------------------------------------------------------
     def reset_path_streams(self, src: int, dst: int, path_id: str) -> int:
-        """Drop a path's pooled streams after a failure.
+        """Drop and destroy a path's pooled streams after a failure.
 
         Stream errors are sticky (CUDA-style: a failed op poisons every
         later op on the queue), so a retry reusing the pooled stream would
         fail instantly.  Dropping the pool entries gives the next execution
-        fresh queues.  Returns the number of streams dropped.
+        fresh queues; destroying the dropped streams takes them off their
+        devices too.  Returns the number of streams dropped.
         """
         dropped = 0
         for role in ("direct", "h1", "h2"):
-            if self._stream_pool.pop((src, dst, path_id, role), None) is not None:
+            stream = self._stream_pool.pop((src, dst, path_id, role), None)
+            if stream is not None:
+                self.runtime.destroy_stream(stream)
                 dropped += 1
         self.streams_reset += dropped
         return dropped

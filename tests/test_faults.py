@@ -261,6 +261,26 @@ class TestPutRecovery:
         assert result.nbytes == 64 * MiB and result.retries == 0
         check_invariants(ctx)
 
+    def test_fault_heal_cycles_release_reset_streams(self):
+        """Streams dropped by ``reset_path_streams`` are destroyed and
+        leave their devices: after repeated fault/heal cycles on (0,1)
+        the devices hold exactly the pooled streams."""
+        eng, ctx = make_ctx()
+        fabric = ctx.runtime.fabric
+        t0 = eng.run(until=ctx.put(0, 1, 8 * MiB)).duration
+        for _ in range(8):
+            put = ctx.put(0, 1, 8 * MiB)
+            eng.run(until=eng.now + 0.3 * t0)
+            fabric.fail_channel("nvl:0->1")
+            eng.run(until=put)
+            fabric.restore_channel("nvl:0->1")
+            eng.run(until=eng.now + 10 * t0)
+        assert ctx.pipeline.streams_reset >= 2
+        held = [s for d in ctx.runtime.devices for s in d.streams]
+        assert len(held) == len(ctx.pipeline._stream_pool)
+        assert set(map(id, held)) == set(map(id, ctx.pipeline._stream_pool.values()))
+        check_invariants(ctx)
+
     def test_stall_recovered_by_deadline_watchdog(self):
         eng0, ctx0 = make_ctx()
         t0 = eng0.run(until=ctx0.put(0, 1, 64 * MiB)).duration
