@@ -3,10 +3,11 @@
 Provides the semantics the paper's pipeline engine relies on, on top of the
 discrete-event fabric:
 
-* :class:`~repro.gpu.runtime.GPURuntime` — devices + fabric for one node;
-* :class:`~repro.gpu.stream.Stream` — FIFO in-order execution queues;
+* :class:`~repro.gpu.runtime.GPURuntime` — devices + fabric for one node,
+  and async copies mapped onto fabric channels;
+* :class:`~repro.gpu.stream.Stream` — FIFO in-order execution queues,
+  run from completion callbacks (no process per op);
 * :class:`~repro.gpu.event.GpuEvent` — record / wait cross-stream sync;
-* :mod:`repro.gpu.memcpy` — async copies mapped onto fabric channels;
 * :class:`~repro.gpu.ipc.IpcHandleCache` — CUDA-IPC handle open costs with
   caching (mirrors UCX cuda_ipc's handle-translation cache).
 """

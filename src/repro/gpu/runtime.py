@@ -113,8 +113,7 @@ class GPURuntime:
         """Enqueue a DMA copy along a topology hop on ``stream``."""
         self.copies_issued += 1
         self.copy_bytes_requested += nbytes
-        copy = self.fabric.copy
-        return stream.push(lambda: copy(hop, nbytes, tag=tag))
+        return stream.push(lambda: self.fabric.copy(hop, nbytes, tag=tag))
 
     def peer_copy_async(
         self, src: int, dst: int, nbytes: int, stream: Stream, *, tag: str = ""

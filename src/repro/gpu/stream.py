@@ -1,27 +1,15 @@
-"""In-order GPU streams (cudaStream analogue), driven by callbacks.
+"""In-order GPU streams (cudaStream analogue), run by completion callbacks.
 
-A stream is a FIFO of op records.  Op *i+1* starts only after op *i*
-finished, while different streams progress concurrently — exactly the
-ordering contract the multi-path pipeline engine builds on (one stream per
-path, chunks in order within a path).
-
-No engine process runs a stream.  Each op record holds a ``start``
-callable and the op's completion event.  The head op is started when the
-stream goes idle → busy and from the completion callback of the op ahead
-of it; ``start()`` returns the event the op chains on, or ``None`` for an
-instant op, and the queue is drained in a loop so a run of instant ops
-does not recurse.  The four op kinds:
-
-* **copy** (:meth:`~repro.gpu.runtime.GPURuntime.copy_on_hop_async`) —
-  calls ``fabric.copy`` and completes with its
-  :class:`~repro.sim.fabric.TransferResult`;
-* **delay** (:meth:`Stream.delay`) — one ``engine.timeout``;
-* **wait** (:meth:`Stream.wait_event`) — chains on ``GpuEvent.wait()``;
-* **record** (:meth:`~repro.gpu.event.GpuEvent.record`) — an instant
-  marker whose completion event is the GPU event's occurrence.
-
-Errors are sticky, loosely like CUDA's: an op that fails, or whose start
-raises, fails its event and every later op with the same exception.
+A stream is a FIFO of op records: op *i+1* starts only after op *i*
+finished, while different streams progress concurrently — the ordering
+contract the multi-path pipeline engine builds on (one stream per path,
+chunks in order within a path).  No engine process runs an op: the head
+op starts from the completion callback of the op ahead of it (see
+:meth:`Stream.push`).  The op kinds are copies
+(``GPURuntime.copy_on_hop_async``), :meth:`Stream.delay`,
+:meth:`Stream.wait_event` and ``GpuEvent.record``.  Errors are sticky,
+loosely like CUDA's: an op that fails, or whose start raises, fails its
+event and every later op with the same exception.
 """
 
 from __future__ import annotations
@@ -47,8 +35,6 @@ class Stream:
         self._error: BaseException | None = None
         self._tail: Event | None = None
         self._destroyed = False
-        self.ops_enqueued = 0
-        self.ops_completed = 0
 
     # ------------------------------------------------------------------
     def push(
@@ -56,16 +42,17 @@ class Stream:
     ) -> Event:
         """Append an op; returns its completion event (``done`` if given).
 
-        ``start()`` runs when every op ahead of it has completed.  It
-        returns the event the op completes with (its value becomes the
-        op's), or ``None`` for an op that completes at once.
+        ``start()`` runs once every op ahead of it has completed, inside
+        the last one's completion callback.  It returns the event the op
+        completes with (its value becomes the op's), or ``None`` for an op
+        that completes at once; the queue drains in a loop, so a run of
+        such ops does not recurse.
         """
         if self._destroyed:
             raise StreamError(f"{self.name}: enqueue after destroy")
         if done is None:
             done = self.engine.event()
         self._tail = done
-        self.ops_enqueued += 1
         self._ops.append((start, done))
         if not self._busy:
             self._busy = True
@@ -101,16 +88,14 @@ class Stream:
         if self._error is not None:
             done.fail(self._error)
         else:
-            self.ops_completed += 1
             done.succeed(None if inner is None else inner._value)
 
     # ------------------------------------------------------------------
-    def delay(self, seconds: float, label: str = "delay") -> Event:
+    def delay(self, seconds: float) -> Event:
         """Enqueue a fixed-cost operation (sync overheads, kernel stubs)."""
         if seconds < 0:
             raise ValueError("negative delay")
-        timeout = self.engine.timeout
-        return self.push(lambda: timeout(seconds))
+        return self.push(lambda: self.engine.timeout(seconds))
 
     def wait_event(self, gpu_event) -> Event:
         """Enqueue a dependency: later ops wait until ``gpu_event`` occurs."""

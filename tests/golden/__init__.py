@@ -8,10 +8,12 @@ floats exactly, so two runs share a digest only if their timelines are
 bit-identical.
 
 ``timelines.json`` holds the digests the transport's former reference
-executions produced (cold uncompiled plans, the fail-fast executor), and
-the chaos and traced recovery scenarios as the inline recovery loop ran
-them before ``RecoveryPolicy``.  They are the bit-identity oracle those
-in-process references used to be.  A
+executions produced (cold uncompiled plans, the fail-fast executor), the
+chaos and traced recovery scenarios as the inline recovery loop ran them
+before ``RecoveryPolicy``, and the narval, jitter, contention-aware,
+collective and budgeted-outage scenarios of ``test_golden_timelines.py``
+as process-driven streams ran them.  They are the bit-identity oracle
+those in-process references used to be.  A
 mismatch prints the new digest, so an intended timeline change is a
 reviewed one-line edit of that file.
 """
