@@ -26,18 +26,20 @@ from repro.ucx import TransportConfig, UCXContext
 from repro.units import MiB, us
 from tests.golden import assert_golden, timeline_digest
 
-#: Two NVLink-adjacent pairs on beluga and two that share a GPU.
+#: The e2e benchmark's P2P pairs: two disjoint pairs, then two that share
+#: a GPU with them, so concurrent puts meet on channels.
 PAIRS = ((0, 1), (2, 3), (1, 2), (0, 3))
 
 
-def _context(topology, config=None, *, sigma=0.01):
+def _context(topology, config=None):
+    """A traced context with lognormal jitter (σ = 0.01, seed 0)."""
     eng = Engine()
     ctx = UCXContext(
         eng,
         topology,
         config=config,
         tracer=Tracer(),
-        jitter_factory=default_jitter_factory(0, sigma),
+        jitter_factory=default_jitter_factory(0, 0.01),
     )
     return eng, ctx
 
@@ -82,7 +84,9 @@ def test_golden_contended_ring():
     results = []
     for r in range(6):
         order = ring[r:] + ring[:r]
-        events = [ctx.put(src, dst, 32 * MiB, tag=f"r{r}:{src}{dst}") for src, dst in order]
+        events = [
+            ctx.put(src, dst, 32 * MiB, tag=f"r{r}:{src}{dst}") for src, dst in order
+        ]
         results.extend(eng.run(until=eng.all_of(events)))
     # plans were priced against live load, not an idle fabric
     assert ctx.transfers.load.peak_channel_flows >= 2
