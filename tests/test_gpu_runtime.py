@@ -69,6 +69,18 @@ class TestStreamOrdering:
         with pytest.raises(LinkFailure):
             eng.run(until=s.delay(1.0))
 
+    def test_failed_start_poisons_stream(self, rt):
+        eng, runtime = rt
+        s = runtime.create_stream(0)
+        s.delay(1.0)
+        bad = runtime.copy_on_hop_async(("no-such-channel",), MiB, s)
+        later = s.delay(1.0)
+        with pytest.raises(KeyError):
+            eng.run(until=later)
+        # the copy's start raised when it reached the head, at t=1
+        assert later._exception is bad._exception
+        assert eng.now == pytest.approx(1.0)
+
     def test_stream_ops_spawn_no_process(self, rt, monkeypatch):
         """One staged chunk (copy, record, wait, ε delay, copy) runs on
         completion callbacks alone, with the timing of the processes it
