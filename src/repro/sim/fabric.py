@@ -54,7 +54,7 @@ Three layers keep the hot paths flat:
 None of this changes a single simulated timestamp: the pre-optimisation
 full-recompute path is kept behind the ``full_recompute`` debug flag (see
 :data:`FULL_RECOMPUTE_DEFAULT`) — eager per-admit solves, full membership
-scans, stale wakeups left to no-op — and regression tests assert
+scans — and regression tests assert
 bit-identical completion times and tracer records between the two across
 randomized contention and fault scenarios.
 """
@@ -663,14 +663,13 @@ class Fabric:
 
     def _invalidate_wakeup(self) -> None:
         """Invalidate any scheduled wakeup: bump the generation guard and
-        tombstone the stale slab entry in O(1) (the original code left it
-        to fire as a no-op; the full-recompute debug path still does)."""
+        tombstone the stale slab entry in O(1), so a superseded wakeup can
+        never fire and move the final clock past the last real event."""
         self._wakeup_generation += 1
         pending = self._pending_wakeup
         if pending is not None:
             self._pending_wakeup = None
-            if not self.full_recompute:
-                self.engine.cancel_handle(pending)
+            self.engine.cancel_handle(pending)
 
     def _arm_wakeup(self) -> None:
         """Schedule the next completion wakeup at the soonest flow horizon."""

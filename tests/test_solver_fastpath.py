@@ -18,6 +18,7 @@ from repro.bench.omb import osu_bw, osu_collective_latency
 from repro.bench.runner import clear_caches, get_setup
 from repro.sim import Engine
 from repro.sim.fabric import Fabric
+from repro.sim.faults import FaultSchedule, LinkDown, LinkFailure
 from repro.sim.trace import Tracer
 from repro.units import MiB, gbps
 
@@ -90,6 +91,21 @@ class TestTimelineInvariance:
             )
         clear_caches()
         assert observed[True] == observed[False]
+
+    @pytest.mark.parametrize("full_recompute", [False, True])
+    def test_killed_flow_wakeup_never_fires(self, full_recompute):
+        """A link-down kills the only flow; its completion wakeup is
+        superseded and must not fire later and move the final clock."""
+        eng = Engine()
+        fab = Fabric(eng, full_recompute=full_recompute)
+        fab.add_channel("c", alpha=0.0, beta=gbps(8))
+        done = fab.copy("c", 8 * MiB)
+        FaultSchedule(LinkDown("c", at=2e-4, duration=1e-4)).attach(fab)
+        eng.run()
+        assert isinstance(done._exception, LinkFailure)
+        # admit, link down, link up: the wakeup at 8 MiB / 8 GB/s is gone
+        assert eng.events_processed == 3
+        assert eng.now == pytest.approx(3e-4)
 
 
 class TestFastPathCounters:
