@@ -220,6 +220,8 @@ class Fabric:
         self.flows_failed = 0
         self.zero_byte_copies = 0
         self.rate_recomputes = 0
+        #: channels progressive filling covered, summed over solves
+        self.solver_channels = 0
         self.solver_fast_admits = 0
         self.solver_fast_finishes = 0
         self.channel_failures = 0
@@ -603,6 +605,7 @@ class Fabric:
                         active.append(ci)
         else:
             active = list(self._act_ch)
+        self.solver_channels += len(active)
         busy = self._busy_ci
         busy.clear()
         ch_objs = self._ch_objs
@@ -828,6 +831,7 @@ class Fabric:
         self.flows_failed = 0
         self.zero_byte_copies = 0
         self.rate_recomputes = 0
+        self.solver_channels = 0
         self.solver_fast_admits = 0
         self.solver_fast_finishes = 0
         self.channel_failures = 0
@@ -852,6 +856,7 @@ class Fabric:
             "flows_failed": self.flows_failed,
             "zero_byte_copies": self.zero_byte_copies,
             "rate_recomputes": self.rate_recomputes,
+            "solver_channels": self.solver_channels,
             "solver_fast_admits": self.solver_fast_admits,
             "solver_fast_finishes": self.solver_fast_finishes,
             "channel_failures": self.channel_failures,

@@ -12,7 +12,8 @@ executions produced (cold uncompiled plans, the fail-fast executor), the
 chaos and traced recovery scenarios as the inline recovery loop ran them
 before ``RecoveryPolicy``, and the narval, jitter, contention-aware,
 collective and budgeted-outage scenarios of ``test_golden_timelines.py``
-as process-driven streams ran them.  They are the bit-identity oracle
+as process-driven streams ran them, and its stalled narval ring as the
+fabric's global progressive filling ran it.  They are the bit-identity oracle
 those in-process references used to be.  A
 mismatch prints the new digest, so an intended timeline change is a
 reviewed one-line edit of that file.

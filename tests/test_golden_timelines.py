@@ -5,7 +5,8 @@ all run on beluga, with jitter off and at most one copy starting on a
 channel at any instant.  The scenarios here add narval, lognormal jitter
 (each channel draws from its own RNG stream in ``fabric.copy`` call
 order), same-timestamp copies on one channel, contention-aware planning,
-MPI collectives and an outage under armed queue and retry budgets.  A
+MPI collectives, an outage under armed queue and retry budgets, and a
+stall while many independent flow components share the fabric.  A
 change that reorders same-timestamp work moves these digests even where
 the older ones stay put.  Each scenario also asserts that the mechanism
 it exists for actually fired.
@@ -20,7 +21,7 @@ import numpy as np
 
 from repro.bench.env import REDUCE_BANDWIDTH, default_jitter_factory
 from repro.mpi import Communicator, collectives
-from repro.sim import Engine, FaultSchedule, LinkDown, Tracer
+from repro.sim import Engine, FaultSchedule, LinkDown, StallInjector, Tracer
 from repro.topology import systems
 from repro.ucx import TransportConfig, UCXContext
 from repro.units import MiB, us
@@ -76,14 +77,17 @@ def test_golden_narval_jittered_window():
     assert_golden("narval_jittered_window", _digest(ctx, results))
 
 
+#: Both directions of the 4-GPU ring: one put per directed neighbour pair.
+RING = [(g, (g + 1) % 4) for g in range(4)] + [((g + 1) % 4, g) for g in range(4)]
+
+
 def test_golden_contended_ring():
     """Contention-aware planning: 6 rounds of 8 concurrent 32 MiB puts on
     a bidirectional beluga ring, jittered."""
     eng, ctx = _context(systems.beluga(), TransportConfig(contention_aware=True))
-    ring = [(g, (g + 1) % 4) for g in range(4)] + [((g + 1) % 4, g) for g in range(4)]
     results = []
     for r in range(6):
-        order = ring[r:] + ring[:r]
+        order = RING[r:] + RING[:r]
         events = [
             ctx.put(src, dst, 32 * MiB, tag=f"r{r}:{src}{dst}") for src, dst in order
         ]
@@ -92,6 +96,28 @@ def test_golden_contended_ring():
     assert ctx.transfers.load.peak_channel_flows >= 2
     assert any(key[4] for key in ctx.graphs.cache._data)
     assert_golden("contended_ring", _digest(ctx, tuple(results)))
+
+
+def test_golden_narval_contended_ring_stall():
+    """3 rounds of 8 concurrent 32 MiB ring puts on narval, contention-aware
+    and jittered, while ``nvl:1->2`` stalls at 300 µs for 200 µs.  Nearly
+    every solve here sees several independent flow components, most hold
+    one spanning several channels, and some run during the stall."""
+    eng, ctx = _context(systems.narval(), TransportConfig(contention_aware=True))
+    fabric = ctx.runtime.fabric
+    FaultSchedule(StallInjector("nvl:1->2", at=300 * us, duration=200 * us)).attach(
+        fabric
+    )
+    events = []
+    for r in range(3):
+        round_events = [
+            ctx.put(src, dst, 32 * MiB, tag=f"r{r}:{src}{dst}") for src, dst in RING
+        ]
+        eng.run(until=eng.all_of(round_events))
+        events.extend(round_events)
+    assert all(ev.ok for ev in events)
+    assert fabric.channel_stalls == 1 and not fabric.is_stalled("nvl:1->2")
+    assert_golden("narval_contended_ring_stall", _digest(ctx, _outcomes(events)))
 
 
 def test_golden_collectives():

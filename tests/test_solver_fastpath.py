@@ -141,7 +141,23 @@ class TestFastPathCounters:
         snap = fab.stats_snapshot()
         assert snap["solver_fast_admits"] == 1
         assert snap["solver_fast_finishes"] == 0  # last flow out: recompute
+        assert snap["solver_channels"] == 0  # no progressive filling ran
         assert "events_cancelled" in snap
+
+    def test_solver_channels_counts_filled_channels(self):
+        eng = Engine()
+        fab = Fabric(eng)
+        fab.add_channel("a", alpha=0.0, beta=gbps(2))
+        fab.add_channel("b", alpha=0.0, beta=gbps(2))
+        fab.copy(("a", "b"), MiB)
+        fab.copy("a", MiB)
+        eng.run()
+        # one solve, at the second admit, fills both channels; the two
+        # flows then finish together and leave nothing to solve
+        assert fab.rate_recomputes == 1
+        assert fab.stats_snapshot()["solver_channels"] == 2
+        fab.reset_stats()
+        assert fab.solver_channels == 0
 
     def test_flows_on_uses_membership_index(self):
         eng = Engine()

@@ -7,6 +7,10 @@ on the incremental slab-backed solver and on the ``full_recompute=True``
 reference path.  Every tracer record, the final clock, and the flow/byte
 accounting must be bit-identical — the optimized core may only be faster,
 never different.
+
+A second generator draws independent channel groups, with some copies
+bridging two groups so that flow components merge and split again, for
+the solver's per-component work.
 """
 
 from __future__ import annotations
@@ -126,9 +130,46 @@ def run_scenario(scn: Scenario, *, full_recompute: bool):
     return eng, fab, tracer, outcomes
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_randomized_scenarios_bit_identical(seed):
-    scn = generate_scenario(seed)
+def generate_grouped_scenario(seed: int) -> Scenario:
+    """Draw 2–5 independent channel groups of 1–3 channels each and 10–40
+    copies issued at a few shared instants.  About 15 % of the copies
+    bridge two groups, joining their flow components until they finish;
+    0–2 stall or link-down windows hit random channels."""
+    rng = random.Random(seed)
+    groups = [
+        [f"k{g}.{c}" for c in range(rng.randint(1, 3))]
+        for g in range(rng.randint(2, 5))
+    ]
+    channels = tuple(
+        (name, rng.choice([0.0, 0.0, 1e-6]), gbps(rng.randint(5, 25)))
+        for group in groups
+        for name in group
+    )
+    instants = [rng.randrange(0, 20) * 1e-4 for _ in range(rng.randint(2, 6))]
+    copies = []
+    for i in range(rng.randint(10, 40)):
+        home = rng.randrange(len(groups))
+        names = rng.sample(groups[home], rng.randint(1, len(groups[home])))
+        if rng.random() < 0.15:
+            other = rng.choice([g for k, g in enumerate(groups) if k != home])
+            names.append(rng.choice(other))
+        nbytes = rng.choice([0, MiB // 4, MiB, 2 * MiB, 5 * MiB])
+        copies.append((rng.choice(instants), tuple(names), nbytes, f"m{i}"))
+    faults = tuple(
+        (
+            rng.choice(["down", "stall"]),
+            rng.choice(channels)[0],
+            rng.randrange(1, 30) * 1e-4,
+            rng.choice([2e-4, 1e-3]),
+        )
+        for _ in range(rng.randint(0, 2))
+    )
+    return Scenario(channels, tuple(copies), faults)
+
+
+def assert_runs_identical(scn: Scenario):
+    """Run ``scn`` on both solvers and compare everything observable;
+    returns the incremental and reference fabrics."""
     eng_i, fab_i, tr_i, out_i = run_scenario(scn, full_recompute=False)
     eng_f, fab_f, tr_f, out_f = run_scenario(scn, full_recompute=True)
 
@@ -147,10 +188,21 @@ def test_randomized_scenarios_bit_identical(seed):
         assert ci.total_bytes == cf.total_bytes
         assert ci.busy_time == cf.busy_time
         assert ci.completed_bytes == cf.completed_bytes
+    return fab_i, fab_f
 
+
+@pytest.mark.parametrize("seed", range(8))
+def test_randomized_scenarios_bit_identical(seed):
+    fab_i, fab_f = assert_runs_identical(generate_scenario(seed))
     # and the incremental run actually took its fast paths (the test
     # would prove nothing if it silently fell back to full solves)
     assert fab_i.rate_recomputes < fab_f.rate_recomputes
+
+
+# 24 of the 1000 seeds this generator passed with when it was written
+@pytest.mark.parametrize("seed", range(24))
+def test_grouped_scenarios_bit_identical(seed):
+    assert_runs_identical(generate_grouped_scenario(seed))
 
 
 def _ucx_workload(*, flight_recorder: bool, fault_at: float | None = None):
@@ -354,3 +406,19 @@ def test_generator_produces_contention_and_faults():
                             if len(names) > 1)
     assert shared_flows > 0
     assert len(kinds) >= 2  # at least two distinct fault types across seeds
+
+
+def test_grouped_generator_merges_groups():
+    """The grouped scenarios bridge groups, share instants and fault."""
+    bridges = same_instant = faulted = 0
+    for seed in range(24):
+        scn = generate_grouped_scenario(seed)
+        group_of = lambda name: name.split(".")[0]  # noqa: E731
+        bridges += sum(
+            1 for _t, names, _b, _tag in scn.copies
+            if len({group_of(n) for n in names}) > 1
+        )
+        instants = [t for t, _names, _b, _tag in scn.copies]
+        same_instant += len(instants) - len(set(instants))
+        faulted += bool(scn.faults)
+    assert bridges > 0 and same_instant > 0 and faulted > 0
