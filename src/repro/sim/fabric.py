@@ -20,7 +20,7 @@ precisely the prediction error the paper reports in §5.
 Solver performance
 ------------------
 
-Three layers keep the hot paths flat:
+Four layers keep the hot paths flat:
 
 * **Struct-of-arrays flow state.**  An admitted flow is a *slot* into
   parallel arrays (``rate``, ``remaining``, completion epsilon, solve mark,
@@ -50,11 +50,22 @@ Three layers keep the hot paths flat:
   invalidated — so the final rates, and therefore every timestamp, are
   unchanged.  Stale bandwidth-phase wakeups are cancelled out of the engine
   heap in O(1) by slab handle.
+* **Component-local solves.**  A solve fills only the flow components
+  (channels linked by the flows that share them) holding a *dirty*
+  channel, one whose flow set, capacity or stall state changed since the
+  last solve: a deferred admit marks its channels, a removal marks each
+  channel that keeps live flows, and ``set_beta`` and stalls mark theirs.
+  Max-min rates in one component never read another's channels, so every
+  other flow keeps its rate.  On the e2e ring_contended workload a solve
+  covers 1.2 channels where the global pass covered all ~14 active ones
+  (``solver_channels`` / ``rate_recomputes``).  Progress integration
+  (``_sync``) and wakeup arming stay global scans: integrating progress
+  lazily per flow would change float rounding.
 
 None of this changes a single simulated timestamp: the pre-optimisation
 full-recompute path is kept behind the ``full_recompute`` debug flag (see
-:data:`FULL_RECOMPUTE_DEFAULT`) — eager per-admit solves, full membership
-scans — and regression tests assert
+:data:`FULL_RECOMPUTE_DEFAULT`) — eager per-admit solves of every channel,
+full membership scans — and regression tests assert
 bit-identical completion times and tracer records between the two across
 randomized contention and fault scenarios.
 """
@@ -209,7 +220,10 @@ class Fabric:
         self._wakeup_generation = 0
         self._solve_mark = 0
         self._pending_wakeup: int | None = None
-        self._dirty = False
+        #: channel ids whose flow set, capacity or stall state changed since
+        #: the last solve, in marking order: the next solve covers exactly
+        #: the flow components holding one of them
+        self._dirty: dict[int, None] = {}
         self.full_recompute = (
             FULL_RECOMPUTE_DEFAULT if full_recompute is None else full_recompute
         )
@@ -254,6 +268,7 @@ class Fabric:
             raise ValueError("beta must remain > 0")
         self._sync()
         self.channels[name].beta = float(beta)
+        self._dirty[self._ch_index[name]] = None
         self._recompute()
 
     def channel(self, name: str) -> FabricChannel:
@@ -372,9 +387,11 @@ class Fabric:
         if name in self._stalled:
             return
         self._sync()
+        ci = self._ch_index[name]
         self._stalled.add(name)
-        self._stalled_ci.add(self._ch_index[name])
+        self._stalled_ci.add(ci)
         self.channel_stalls += 1
+        self._dirty[ci] = None
         self._recompute()
 
     def unstall_channel(self, name: str) -> None:
@@ -383,8 +400,10 @@ class Fabric:
         if name not in self._stalled:
             return
         self._sync()
+        ci = self._ch_index[name]
         self._stalled.discard(name)
-        self._stalled_ci.discard(self._ch_index[name])
+        self._stalled_ci.discard(ci)
+        self._dirty[ci] = None
         self._recompute()
 
     def fail_flows_matching(
@@ -412,8 +431,9 @@ class Fabric:
     def _remove_slot(self, flow: FabricFlow) -> bool:
         """Drop an admitted flow from the slot arrays and member index.
 
-        Returns True when the removal is provably local (no channel of the
-        flow keeps another live flow).
+        Each channel that keeps live flows is marked dirty.  Returns True
+        when the removal is provably local (no channel of the flow keeps
+        another live flow, so nothing was marked).
         """
         slot = flow.slot
         local = True
@@ -431,6 +451,7 @@ class Fabric:
             members.pop(slot, None)
             if members:
                 local = False
+                self._dirty[ci] = None
             else:
                 self._act_ch.pop(ci, None)
                 self._busy_ci.discard(ci)
@@ -543,7 +564,9 @@ class Fabric:
             # No simulated time can pass while dirty (the flush runs before
             # the clock moves), so intermediate rates are unobservable.
             self._invalidate_wakeup()
-            self._dirty = True
+            dirty = self._dirty
+            for ci in cis:
+                dirty[ci] = None
 
     def _flush(self) -> None:
         """Engine end-of-timestamp hook: run the deferred batched solve."""
@@ -580,47 +603,70 @@ class Fabric:
         self._last_sync = now
 
     def _max_min_rates(self) -> None:
-        """Progressive filling: assign each active flow its max-min rate.
+        """Progressive filling: assign max-min rates in the dirty components.
+
+        A component is a set of channels linked by the flows that share
+        them.  Max-min rates in one component never read another's
+        channels, so the solve walks ``_ch_members``/``_f_chans`` out from
+        the dirty channels and fills only what it reaches; every other
+        flow keeps its rate.  The ``full_recompute`` reference solves every
+        channel instead.  The result is the same floats either way: freeze
+        levels never fall within a solve, so every share compared is at
+        least the first level (β/flows, far above 1e-18), the tie tolerance
+        joins only exactly equal shares, and each component sees the same
+        shares, in the same ``_act_ch`` order, with the same subtractions
+        as in the global pass.
 
         One pass over flat arrays: per-channel residual capacity and
         unfrozen counts live in preallocated scratch cells indexed by
         channel id, flows are slots into the rate/mark arrays.  Each round
-        costs O(active channels + frozen flows' channels).  The shares it
-        compares are the exact same floats the full rebuild computes.
+        costs O(component channels + frozen flows' channels).
         """
-        live_slots = self._live_slots
         f_rate, f_mark, f_chans = self._f_rate, self._f_mark, self._f_chans
         ch_members = self._ch_members
         cap, live = self._ch_cap, self._ch_live
+        busy = self._busy_ci
         if self.full_recompute:
             # Reference path: rebuild the membership domain from scratch
             # (same content as the maintained index, kept for parity with
-            # the pre-optimisation solver).
+            # the pre-optimisation solver) and solve every channel.
             active = []
             seen = set()
-            for s in live_slots:
+            for s in self._live_slots:
                 for ci in f_chans[s]:
                     if ci not in seen:
                         seen.add(ci)
                         active.append(ci)
+            unfrozen = len(self._live_slots)
+            busy.clear()
         else:
-            active = list(self._act_ch)
+            comp = {ci for ci in self._dirty if ch_members[ci]}
+            stack = list(comp)
+            flows: set[int] = set()
+            while stack:
+                for s in ch_members[stack.pop()]:
+                    if s not in flows:
+                        flows.add(s)
+                        for c2 in f_chans[s]:
+                            if c2 not in comp:
+                                comp.add(c2)
+                                stack.append(c2)
+            active = [ci for ci in self._act_ch if ci in comp]
+            unfrozen = len(flows)
+            busy.difference_update(active)
         self.solver_channels += len(active)
-        busy = self._busy_ci
-        busy.clear()
         ch_objs = self._ch_objs
         for ci in active:
             cap[ci] = ch_objs[ci].beta
             live[ci] = len(ch_members[ci])
         self._solve_mark += 1
         mark = self._solve_mark
-        unfrozen = len(live_slots)
         if self._stalled_ci:
             # Flows crossing a stalled channel are pre-frozen at rate 0 and
             # release their claim on every channel they cross: a stalled
             # flow occupies the wire nominally but moves nothing, so the
             # survivors' progressive filling must not see it.
-            for ci in self._stalled_ci:
+            for ci in self._stalled_ci.intersection(active):
                 for s in ch_members[ci]:
                     if f_mark[s] == mark:
                         continue
@@ -691,13 +737,14 @@ class Fabric:
         )
 
     def _recompute(self) -> None:
-        self._dirty = False
         self._invalidate_wakeup()
         if not self._live_slots:
+            self._dirty.clear()
             self._busy_ci.clear()
             return
         self.rate_recomputes += 1
         self._max_min_rates()
+        self._dirty.clear()
         self._arm_wakeup()
 
     def _flow_done(self, flow: FabricFlow) -> bool:

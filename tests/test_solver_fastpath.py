@@ -159,6 +159,23 @@ class TestFastPathCounters:
         fab.reset_stats()
         assert fab.solver_channels == 0
 
+    def test_solve_covers_only_the_changed_component(self):
+        eng = Engine()
+        fab = Fabric(eng)
+        for hub in ("hub0", "hub1"):
+            fab.add_channel(hub, alpha=0.0, beta=gbps(4))
+            fab.copy(hub, 4 * MiB)
+            fab.copy(hub, 4 * MiB)
+        eng.run(until=1e-4)
+        # the four same-instant admits batch into one solve of both hubs
+        assert (fab.rate_recomputes, fab.solver_channels) == (1, 2)
+        fab.copy("hub0", MiB)
+        eng.run(until=2e-4)
+        # a third flow on hub0 re-solves hub0 alone
+        assert (fab.rate_recomputes, fab.solver_channels) == (2, 3)
+        assert [f.rate for f in fab.flows_on("hub0")] == [gbps(4) / 3] * 3
+        assert [f.rate for f in fab.flows_on("hub1")] == [gbps(4) / 2] * 2
+
     def test_flows_on_uses_membership_index(self):
         eng = Engine()
         fab = Fabric(eng)
