@@ -21,6 +21,8 @@ shapes, attachable to any :class:`~repro.sim.fabric.Fabric` channel:
 A :class:`FaultSchedule` groups injectors into a scenario: it arms them all
 on a fabric and exposes the merged :class:`FaultWindow` list for reports and
 Chrome-trace markers (``faults=`` of :func:`repro.obs.chrome_trace.chrome_trace`).
+Overlapping windows of one kind on one channel act as their union: the
+channel comes back only when the last of them closes.
 
 Determinism: injectors schedule plain engine callbacks; all randomness
 (flap hold times) is drawn from ``numpy`` generators seeded at construction
@@ -76,9 +78,16 @@ class FaultInjector:
     def windows(self) -> tuple[FaultWindow, ...]:
         raise NotImplementedError
 
-    def arm(self, fabric: "Fabric") -> None:
-        """Schedule this injector's windows as engine callbacks."""
+    def arm(self, fabric: "Fabric", open_windows: dict | None = None) -> None:
+        """Schedule this injector's windows as engine callbacks.
+
+        ``open_windows`` counts the open windows per ``(kind, channel)``.
+        :meth:`FaultSchedule.attach` shares one count across its injectors,
+        so a channel under overlapping windows goes down (or stalls) when
+        the first one opens and comes back when the last one closes.
+        """
         engine = fabric.engine
+        counts = {} if open_windows is None else open_windows
         for w in self.windows():
             if w.start < engine.now:
                 raise SimError(
@@ -91,13 +100,21 @@ class FaultInjector:
             else:
                 begin = fabric.stall_channel
                 finish = fabric.unstall_channel
-            engine.call_at(w.start).add_callback(
-                lambda _ev, fn=begin, ch=w.channel: fn(ch)
-            )
+            key = (w.kind, w.channel)
+
+            def opened(_ev, fn=begin, key=key):
+                counts[key] = counts.get(key, 0) + 1
+                if counts[key] == 1:
+                    fn(key[1])
+
+            def closed(_ev, fn=finish, key=key):
+                counts[key] -= 1
+                if counts[key] == 0:
+                    fn(key[1])
+
+            engine.call_at(w.start).add_callback(opened)
             if math.isfinite(w.end):
-                engine.call_at(w.end).add_callback(
-                    lambda _ev, fn=finish, ch=w.channel: fn(ch)
-                )
+                engine.call_at(w.end).add_callback(closed)
 
     def describe(self) -> str:
         return "; ".join(
@@ -197,9 +214,11 @@ class FaultSchedule:
 
     def attach(self, fabric: "Fabric") -> None:
         """Arm every injector on ``fabric`` (idempotence is the caller's
-        problem: attaching twice doubles the scenario)."""
+        problem: attaching twice doubles the scenario).  Overlapping
+        windows of one kind on one channel act as their union."""
+        open_windows: dict = {}
         for inj in self.injectors:
-            inj.arm(fabric)
+            inj.arm(fabric, open_windows)
         self.attached = True
 
     def windows(self) -> tuple[FaultWindow, ...]:

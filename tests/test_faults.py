@@ -181,6 +181,27 @@ class TestFaultSchedule:
         with pytest.raises(Exception, match="clock"):
             FaultSchedule(LinkDown("c", at=0.5, duration=1.0)).attach(fab)
 
+    @pytest.mark.parametrize(
+        "injector, is_faulted",
+        [(LinkDown, Fabric.is_down), (StallInjector, Fabric.is_stalled)],
+    )
+    def test_overlapping_windows_last_until_the_last_closes(
+        self, injector, is_faulted
+    ):
+        eng = Engine()
+        fab = Fabric(eng)
+        fab.add_channel("a", alpha=0.0, beta=gbps(1))
+        sched = FaultSchedule(
+            injector("a", at=0.0, duration=10.0),
+            injector("a", at=5.0, duration=10.0),
+        )
+        sched.attach(fab)
+        eng.run(until=12.0)
+        assert [w.start for w in sched.active_at(12.0)] == [5.0]
+        assert is_faulted(fab, "a")  # the second window is still open
+        eng.run()
+        assert eng.now == 15.0 and not is_faulted(fab, "a")
+
     def test_scripted_run_bit_identical_across_repeats(self):
         def run_once():
             eng, ctx = make_ctx(tracer=Tracer())
