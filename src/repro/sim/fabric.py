@@ -738,14 +738,13 @@ class Fabric:
 
     def _recompute(self) -> None:
         self._invalidate_wakeup()
-        if not self._live_slots:
-            self._dirty.clear()
+        if self._live_slots:
+            self.rate_recomputes += 1
+            self._max_min_rates()
+            self._arm_wakeup()
+        else:
             self._busy_ci.clear()
-            return
-        self.rate_recomputes += 1
-        self._max_min_rates()
         self._dirty.clear()
-        self._arm_wakeup()
 
     def _flow_done(self, flow: FabricFlow) -> bool:
         # Size-relative epsilon, precomputed at flow creation: accumulated
