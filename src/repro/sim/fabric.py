@@ -43,7 +43,7 @@ Four layers keep the hot paths flat:
   over its channels.
 * **Per-timestamp batched recomputation.**  Shared-channel admits arriving
   at the same simulated timestamp no longer trigger one solve each: the
-  admit marks the fabric dirty and the engine's end-of-timestamp flush hook
+  admit marks its channels dirty and the engine's end-of-timestamp flush hook
   (see :meth:`~repro.sim.engine.Engine.add_flush_hook`) runs a single solve
   once the batch has drained.  Intermediate solves were unobservable — no
   simulated time passes inside a batch and every intermediate wakeup was

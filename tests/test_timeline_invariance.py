@@ -413,10 +413,9 @@ def test_grouped_generator_merges_groups():
     bridges = same_instant = faulted = 0
     for seed in range(24):
         scn = generate_grouped_scenario(seed)
-        group_of = lambda name: name.split(".")[0]  # noqa: E731
         bridges += sum(
             1 for _t, names, _b, _tag in scn.copies
-            if len({group_of(n) for n in names}) > 1
+            if len({name.split(".")[0] for name in names}) > 1
         )
         instants = [t for t, _names, _b, _tag in scn.copies]
         same_instant += len(instants) - len(set(instants))
