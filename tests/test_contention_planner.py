@@ -178,3 +178,28 @@ class TestPlanForPathsLoad:
             0, 1, 64 * MiB, paths, load=LoadSnapshot(counts)
         )
         assert loaded.predicted_time > idle.predicted_time
+
+
+class TestContentionReportColumns:
+    def test_loaded_plans_and_load_buckets_pinned(self):
+        """The decision-derived CONTEND columns on beluga's patterns.
+
+        Puts of one pattern are submitted together, so every put after the
+        first plans against the holds of the ones before it; the blind
+        planner never prices a load.
+        """
+        from repro.bench.experiments.contention import run_contention
+
+        report = run_contention("beluga")
+        got = {
+            p.pattern: (
+                p.aware.loaded_plans, p.aware.max_load_bucket,
+                p.blind.loaded_plans, p.blind.max_load_bucket,
+            )
+            for p in report.points
+        }
+        assert got == {
+            "two_to_one": (1, 1, 0, 0),
+            "all_to_one": (2, 2, 0, 0),
+            "ring": (3, 1, 0, 0),
+        }
