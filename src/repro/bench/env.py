@@ -81,8 +81,8 @@ class BenchEnvironment:
     store: ParameterStore | None = None
     jitter_factory: Callable | None = None
     trace: bool = False
-    #: Attach an :class:`~repro.obs.Observability` bundle (metrics registry,
-    #: span log, planner decision log) to every fresh context.  Implies
+    #: Attach an :class:`~repro.obs.Observability` bundle (pull metrics
+    #: and the prediction-error tracker) to every fresh context.  Implies
     #: tracing, so the Chrome-trace export covers fabric copies too.
     observe: bool = False
     #: Enable the closed loop (drift detection + online recalibration) on

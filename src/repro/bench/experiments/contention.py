@@ -149,14 +149,20 @@ def measure_contention(
     engine.run(until=engine.all_of(events))
     errors = ctx.obs.errors
     service = ctx.transfers.stats_snapshot()
-    decisions = ctx.obs.decisions.records
+    # The decisions are the puts' plan spans; a plan priced against load
+    # carries the load bucket it was derated by.
+    buckets = [
+        s.attrs.get("load_bucket", 0)
+        for s in ctx.flight.iter_spans()
+        if s.kind.startswith("plan")
+    ]
     measurement = ContentionMeasurement(
         mean_abs_error=errors.mean_abs_error(),
         makespan=engine.now,
         samples=len(errors.records),
         peak_channel_flows=service["load"]["peak_channel_flows"],
-        loaded_plans=sum(1 for d in decisions if d.load_bucket > 0),
-        max_load_bucket=max((d.load_bucket for d in decisions), default=0),
+        loaded_plans=sum(1 for b in buckets if b > 0),
+        max_load_bucket=max(buckets, default=0),
     )
     return (measurement, ctx) if keep_context else (measurement, None)
 

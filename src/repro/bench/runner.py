@@ -177,25 +177,27 @@ def dump_artifacts(
 
     Given a context created by an ``observe=True`` environment (reachable
     via :attr:`BenchEnvironment.last_context` after a measurement loop),
-    writes up to three files next to the experiment's results and returns
+    writes up to two files next to the experiment's results and returns
     their paths:
 
     * ``<prefix>.metrics.json`` — :meth:`MetricsRegistry.snapshot`;
     * ``<prefix>.trace.json`` — Chrome-trace timeline (fabric copies,
       ``faults`` windows and flight-recorder traces), loadable in
-      ``chrome://tracing`` / Perfetto;
-    * ``<prefix>.decisions.jsonl`` — one planner decision per line.
+      ``chrome://tracing`` / Perfetto.  Every flight span's attrs ride
+      along, so the planner's decisions (``plan*`` spans and the
+      ``pipeline.path[i]`` splits beside them) are in it too.
     """
     from repro.obs import dump_chrome_trace
 
     prefix = Path(prefix)
     if prefix.parent != Path("."):
         prefix.parent.mkdir(parents=True, exist_ok=True)
-    obs = context.obs
     written: list[Path] = []
-    if obs is not None:
+    if context.obs is not None:
         metrics_path = prefix.with_name(prefix.name + ".metrics.json")
-        metrics_path.write_text(json.dumps(obs.metrics.snapshot(), indent=2))
+        metrics_path.write_text(
+            json.dumps(context.obs.metrics.snapshot(), indent=2)
+        )
         written.append(metrics_path)
     tracer = context.tracer
     if tracer is not None or len(context.flight):
@@ -208,10 +210,6 @@ def dump_artifacts(
             metadata={"topology": context.topology.name},
         )
         written.append(trace_path)
-    if obs is not None and len(obs.decisions):
-        decisions_path = prefix.with_name(prefix.name + ".decisions.jsonl")
-        decisions_path.write_text(obs.decisions.to_jsonl() + "\n")
-        written.append(decisions_path)
     return written
 
 

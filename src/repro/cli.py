@@ -666,8 +666,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--dump",
         metavar="PREFIX",
-        help="stats: also write PREFIX.metrics.json / .trace.json / "
-        ".decisions.jsonl artifacts",
+        help="stats: also write PREFIX.metrics.json / .trace.json artifacts",
     )
     parser.add_argument(
         "-o", "--output", help="output file (all: EXPERIMENTS.md; stats/trace: JSON)"

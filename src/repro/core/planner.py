@@ -17,7 +17,6 @@ bench).
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -40,7 +39,6 @@ from repro.units import MiB
 from repro.util.cache import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs import Observability
     from repro.runtime.load import LoadSnapshot
 
 #: Message-size window used to fit φ when no calibrated value exists.
@@ -153,8 +151,6 @@ class PathPlanner:
         max_chunks: int = 64,
         phi_sizes: Sequence[int] = DEFAULT_PHI_SIZES,
         phi_mode: str = "per-size",
-        obs: "Observability | None" = None,
-        flight=None,
     ) -> None:
         if phi_mode not in ("per-size", "calibrated"):
             raise ValueError("phi_mode must be 'per-size' or 'calibrated'")
@@ -172,13 +168,6 @@ class PathPlanner:
         self.phi_mode = phi_mode
         self.cache: LRUCache = LRUCache(cache_capacity)
         self._phi_cache: dict[str, float] = {}
-        #: Optional observability bundle; every guard below is one
-        #: ``is not None`` check so the uninstrumented path stays free.
-        self.obs = obs
-        #: Optional FlightRecorder: decisions made while the transport has
-        #: a trace open (``flight.active_trace``) carry that trace id, so
-        #: the decision log joins against the flight recorder's spans.
-        self.flight = flight
         #: Optional GraphCache of compiled transfer graphs.  Graphs embed
         #: resolved plans, so every plan-cache invalidation below forwards
         #: to it — a graph must never outlive the plan it froze.
@@ -213,8 +202,6 @@ class PathPlanner:
         with one chunk.  The level joins the cache key, so degraded and
         full plans coexist in the cache.
         """
-        obs = self.obs
-        t0 = time.perf_counter() if obs is not None else 0.0
         exclude = tuple(sorted(exclude))
         degrade = max(0, min(int(degrade), 2))
         if load is not None and load.is_idle:
@@ -227,7 +214,7 @@ class PathPlanner:
         if use_cache:
             cached = self.cache.get(key)
             if cached is not None:
-                plan = TransferPlan(
+                return TransferPlan(
                     src=cached.src,
                     dst=cached.dst,
                     nbytes=cached.nbytes,
@@ -235,9 +222,6 @@ class PathPlanner:
                     predicted_time=cached.predicted_time,
                     from_cache=True,
                 )
-                if obs is not None:
-                    self._observe_plan(obs, plan, time.perf_counter() - t0, load)
-                return plan
         paths = enumerate_paths(
             self.topology,
             src,
@@ -254,45 +238,7 @@ class PathPlanner:
         )
         if use_cache:
             self.cache.put(key, plan)
-        if obs is not None:
-            self._observe_plan(obs, plan, time.perf_counter() - t0, load)
         return plan
-
-    def _observe_plan(
-        self,
-        obs: "Observability",
-        plan: TransferPlan,
-        wall_time_s: float,
-        load: "LoadSnapshot | None" = None,
-    ) -> None:
-        """Record one decision (cold on the uninstrumented path)."""
-        load_bucket = self._plan_load_bucket(plan, load)
-        flight = self.flight
-        trace_id = (
-            flight.active_trace
-            if flight is not None and flight.enabled
-            else -1
-        )
-        obs.decisions.log_plan(
-            plan,
-            cache_hit=plan.from_cache,
-            wall_time_s=wall_time_s,
-            load_bucket=load_bucket,
-            trace_id=trace_id,
-        )
-        m = obs.metrics
-        m.counter("planner.plans").inc()
-        if plan.from_cache:
-            m.counter("planner.cache_hits").inc()
-        else:
-            m.counter("planner.plans_computed").inc()
-        m.timer("planner.plan_wall").observe(wall_time_s)
-        m.histogram("planner.nbytes").observe(plan.nbytes)
-        if load is not None:
-            m.counter("contention.loaded_plans").inc()
-            m.histogram("contention.load_bucket").observe(load_bucket)
-            if plan.from_cache:
-                m.counter("contention.cache_hits").inc()
 
     @staticmethod
     def _plan_load_bucket(

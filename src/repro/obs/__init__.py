@@ -1,16 +1,19 @@
-"""Observability: metrics registry, planner decisions, exporters.
-
-One :class:`Observability` bundle per instrumented run, threaded through
-:class:`~repro.ucx.context.UCXContext` into the planner, pipeline engine,
-and cuda_ipc module.  All instrumentation is optional: components take
-``obs=None`` and guard every touch point, so the uninstrumented hot path
-costs nothing (verified by ``benchmarks/test_planner_overhead.py``).
+"""Observability: pull metrics, the flight recorder and its views.
 
 Spans have one source: the context's always-on
-:class:`~repro.obs.tracing.FlightRecorder`.  The Chrome-trace export and
-the critical-path analyzer are views over its parent-linked spans, and
-metrics collectors pull component ``stats_snapshot()`` values instead of
-mirroring them as counters.
+:class:`~repro.obs.tracing.FlightRecorder`.  It is also the one decision
+record: a put's ``plan*`` span carries Algorithm 1's choice (mode, path
+count, predicted T, planning wall time, and the load bucket when the plan
+was priced against load), and the ``pipeline.path[i]`` spans beside it
+carry each path's bytes, θ and chunk count.  The Chrome-trace export and
+the critical-path analyzer are views over those parent-linked spans.
+
+Metrics are views too: a :class:`MetricsRegistry` holds collectors that
+pull component ``stats_snapshot()`` values and the recorder's stage
+aggregates at snapshot time.  Only the
+:class:`~repro.ucx.context.UCXContext` holds an :class:`Observability`
+bundle, to register those collectors and to feed the closed loop; no
+layer below it takes one.
 
 On top of the passive layer sits the closed loop (``repro.obs.drift``):
 with ``autotune=True`` the context attaches a :class:`DriftController`
@@ -34,7 +37,6 @@ from repro.obs.critical_path import (
     PathContribution,
     TransferBreakdown,
 )
-from repro.obs.decision_log import PlannerDecision, PlannerDecisionLog
 from repro.obs.drift import (
     DriftController,
     DriftEvent,
@@ -45,13 +47,7 @@ from repro.obs.drift import (
     RefitResult,
     size_bucket,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-)
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
     FlightRecorder,
     SpanView,
@@ -65,10 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class Observability:
-    """The per-run bundle: metrics + planner decisions + errors."""
+    """The per-run bundle: pull metrics + prediction errors + drift loop."""
 
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    decisions: PlannerDecisionLog = field(default_factory=PlannerDecisionLog)
     errors: PredictionErrorTracker = field(
         default_factory=PredictionErrorTracker
     )
@@ -76,10 +71,6 @@ class Observability:
     #: when a tracer is available.  Off by default — pure telemetry.
     autotune: bool = False
     drift: DriftController | None = None
-
-    @classmethod
-    def create(cls) -> "Observability":
-        return cls()
 
     def feedback(
         self, plan: "TransferPlan", observed: float, *, now: float = 0.0
@@ -99,12 +90,6 @@ class Observability:
 __all__ = [
     "Observability",
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Timer",
-    "Histogram",
-    "PlannerDecision",
-    "PlannerDecisionLog",
     "PredictionErrorTracker",
     "ErrorRecord",
     "size_bucket",

@@ -37,7 +37,6 @@ from repro.core.params import LinkEstimate
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.planner import PathPlanner, TransferPlan
-    from repro.obs.metrics import MetricsRegistry
     from repro.sim.trace import Tracer
     from repro.topology.routing import Hop
 
@@ -426,7 +425,6 @@ class DriftController:
         detector_factory=None,
         cooldown: int = 8,
         error_bound: float = 0.08,
-        metrics: "MetricsRegistry | None" = None,
     ) -> None:
         self.planner = planner
         self.tracer = tracer
@@ -441,7 +439,6 @@ class DriftController:
         )
         self.cooldown = cooldown
         self.error_bound = error_bound
-        self.metrics = metrics
         self.events: list[DriftEvent] = []
         self._detectors: dict[tuple[int, int], PageHinkley] = {}
         self._cooldown_left: dict[tuple[int, int], int] = {}
@@ -503,10 +500,6 @@ class DriftController:
         )
         self.events.append(event)
         self._cooldown_left[(plan.src, plan.dst)] = self.cooldown
-        if self.metrics is not None:
-            self.metrics.counter("drift.events").inc()
-            self.metrics.counter("drift.hops_refit").inc(len(refits))
-            self.metrics.counter("drift.plans_invalidated").inc(invalidated)
         return event
 
     # ------------------------------------------------------------------

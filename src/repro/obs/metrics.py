@@ -1,310 +1,39 @@
-"""A lightweight metrics registry: counters, gauges, timers, histograms.
+"""A pull-only metrics registry: every metric is a view.
 
-Two acquisition styles coexist:
-
-* **push** — components hold pre-resolved instruments (``registry.counter``
-  returns the same object for the same name) and call ``inc``/``observe`` on
-  hot paths.  Instruments are created once at wiring time, so steady-state
-  cost is one attribute add — no per-event allocation;
-* **pull** — components that already keep cheap local counters (the engine's
-  event count, a fabric channel's byte totals, an LRU cache's stats) expose
-  them through a *collector*: a zero-argument callable returning a dict,
-  invoked only at :meth:`MetricsRegistry.snapshot` time.
-
-A disabled registry hands out shared null instruments whose mutators are
-no-ops, so instrumented code needs no ``if enabled`` branches of its own.
+Components keep cheap local counters (the engine's event count, a fabric
+channel's byte totals, an LRU cache's stats, the flight recorder's stage
+aggregates) and expose them through a *collector*: a zero-argument
+callable returning a dict, invoked only at :meth:`MetricsRegistry.snapshot`
+time.  Nothing is pushed on a hot path, so a run without a registry and a
+run with one execute the same code.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import time
 from collections.abc import Callable
-
-from repro.util.rng import make_rng
-
-
-class Counter:
-    """A monotonically increasing value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def snapshot(self) -> float:
-        return self.value
-
-
-class Gauge:
-    """A value that can move both ways (queue depths, pool sizes)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-    def snapshot(self) -> float:
-        return self.value
-
-
-class Timer:
-    """Accumulates wall-clock durations (``perf_counter`` based).
-
-    Used for the planner-overhead accounting: the paper's <0.1 % claim is
-    about *wall-clock* planning cost against simulated transfer time.
-    """
-
-    __slots__ = ("name", "count", "total", "min", "max")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-
-    def observe(self, seconds: float) -> None:
-        self.count += 1
-        self.total += seconds
-        if seconds < self.min:
-            self.min = seconds
-        if seconds > self.max:
-            self.max = seconds
-
-    def time(self) -> "_TimerContext":
-        return _TimerContext(self)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "total_s": self.total,
-            "mean_s": self.mean,
-            "min_s": self.min if self.count else 0.0,
-            "max_s": self.max,
-        }
-
-
-class _TimerContext:
-    __slots__ = ("_timer", "_t0")
-
-    def __init__(self, timer: Timer) -> None:
-        self._timer = timer
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_TimerContext":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._timer.observe(time.perf_counter() - self._t0)
-
-
-class Histogram:
-    """Power-of-two bucketed histogram (message sizes, chunk counts).
-
-    Alongside the exact buckets a bounded reservoir (Vitter's Algorithm R,
-    driven by a generator seeded from the histogram *name* so runs are
-    reproducible) keeps a uniform sample of observed values, from which
-    :meth:`quantile` / the ``p50``/``p90``/``p99`` snapshot fields are
-    computed.
-    """
-
-    __slots__ = (
-        "name", "count", "total", "min", "max", "buckets",
-        "reservoir", "reservoir_size", "_rng",
-    )
-
-    def __init__(self, name: str, reservoir_size: int = 256) -> None:
-        if reservoir_size < 1:
-            raise ValueError("reservoir_size must be >= 1")
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-        self.buckets: dict[int, int] = {}  # exponent -> count
-        self.reservoir: list[float] = []
-        self.reservoir_size = reservoir_size
-        self._rng = make_rng(None, "obs.histogram", name)
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        exp = max(0, int(value).bit_length() - 1) if value >= 1 else 0
-        self.buckets[exp] = self.buckets.get(exp, 0) + 1
-        if len(self.reservoir) < self.reservoir_size:
-            self.reservoir.append(value)
-        else:
-            j = int(self._rng.integers(0, self.count))
-            if j < self.reservoir_size:
-                self.reservoir[j] = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Nearest-rank quantile over the reservoir sample (0 if empty)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        if not self.reservoir:
-            return 0.0
-        ordered = sorted(self.reservoir)
-        return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
-
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.min if self.count else 0.0,
-            "max": self.max,
-            "p50": self.quantile(0.50),
-            "p90": self.quantile(0.90),
-            "p99": self.quantile(0.99),
-            "buckets": {f"2^{e}": n for e, n in sorted(self.buckets.items())},
-        }
-
-
-class _NullInstrument:
-    """Shared no-op stand-in handed out by disabled registries."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def time(self) -> "_NullInstrument":
-        return self
-
-    def __enter__(self) -> "_NullInstrument":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-    def snapshot(self) -> float:
-        return 0.0
-
-
-NULL_INSTRUMENT = _NullInstrument()
 
 
 class MetricsRegistry:
-    """Named instruments plus pull-collectors, snapshottable to a dict."""
+    """Named pull-collectors, snapshottable to one dict."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._timers: dict[str, Timer] = {}
-        self._histograms: dict[str, Histogram] = {}
+    def __init__(self) -> None:
         self._collectors: dict[str, Callable[[], dict]] = {}
 
-    # ------------------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        if not self.enabled:
-            return NULL_INSTRUMENT  # type: ignore[return-value]
-        inst = self._counters.get(name)
-        if inst is None:
-            inst = self._counters[name] = Counter(name)
-        return inst
-
-    def gauge(self, name: str) -> Gauge:
-        if not self.enabled:
-            return NULL_INSTRUMENT  # type: ignore[return-value]
-        inst = self._gauges.get(name)
-        if inst is None:
-            inst = self._gauges[name] = Gauge(name)
-        return inst
-
-    def timer(self, name: str) -> Timer:
-        if not self.enabled:
-            return NULL_INSTRUMENT  # type: ignore[return-value]
-        inst = self._timers.get(name)
-        if inst is None:
-            inst = self._timers[name] = Timer(name)
-        return inst
-
-    def histogram(self, name: str) -> Histogram:
-        if not self.enabled:
-            return NULL_INSTRUMENT  # type: ignore[return-value]
-        inst = self._histograms.get(name)
-        if inst is None:
-            inst = self._histograms[name] = Histogram(name)
-        return inst
-
-    # ------------------------------------------------------------------
     def register_collector(self, name: str, fn: Callable[[], dict]) -> None:
         """Register a pull source; ``fn()`` is invoked at snapshot time.
 
         Re-registering a name replaces the previous collector (fresh
         contexts supersede stale ones within one environment).
         """
-        if self.enabled:
-            self._collectors[name] = fn
+        self._collectors[name] = fn
 
-    # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """One structured dict of everything the run measured."""
-        if not self.enabled:
-            return {}
-        out: dict = {}
-        if self._counters:
-            out["counters"] = {n: c.value for n, c in sorted(self._counters.items())}
-        if self._gauges:
-            out["gauges"] = {n: g.value for n, g in sorted(self._gauges.items())}
-        if self._timers:
-            out["timers"] = {n: t.snapshot() for n, t in sorted(self._timers.items())}
-        if self._histograms:
-            out["histograms"] = {
-                n: h.snapshot() for n, h in sorted(self._histograms.items())
-            }
-        for name, fn in sorted(self._collectors.items()):
-            out[name] = fn()
-        return out
+        return {name: fn() for name, fn in sorted(self._collectors.items())}
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Timer",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_INSTRUMENT",
-]
+__all__ = ["MetricsRegistry"]

@@ -65,7 +65,7 @@ DEFAULT_CAPACITY = 65_536
 #: Sentinel for "span still open" in the t1 array.
 _OPEN = -1.0
 
-#: The latency stages aggregated into histograms (`stage_stats`).
+#: The latency stages aggregated per recorder (`stage_stats`).
 STAGES = ("queue_wait", "planning", "execution", "recovery")
 
 #: Normalised span kind (``[...]`` indices stripped) → the latency stage
@@ -94,12 +94,12 @@ class _StageStat:
     """Lean latency aggregate: exact count/mean/min/max plus percentiles
     over a bounded window of recent observations.
 
-    :class:`~repro.obs.metrics.Histogram` (power-of-two buckets plus a
-    reservoir driven by a seeded rng) costs microseconds per observation —
-    too hot for a span-finish path that must stay under a 3 % budget.
-    Observe here is a few attribute writes and a bounded deque append;
-    percentiles come from the retained window (the most recent values),
-    which is the right bias for a flight recorder anyway.
+    The one latency aggregate in the package: queue wait, planning wall
+    time, per-path execution and recovery all land here.  Observe is a few
+    attribute writes and a bounded deque append, cheap enough for span
+    materialisation under the 3 % tracing budget; percentiles come from
+    the retained window (the most recent values), which is the right bias
+    for a flight recorder anyway.
     """
 
     __slots__ = ("count", "total", "min", "max", "values")
@@ -121,7 +121,7 @@ class _StageStat:
         self.values.append(value)
 
     def snapshot(self) -> dict:
-        """Same keys the metrics Histogram snapshot exposes for reports."""
+        """count/mean/min/max plus p50/p90/p99 over the window."""
         if not self.count:
             return {
                 "count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
@@ -211,10 +211,6 @@ class FlightRecorder:
         self.dropped = 0  # finished spans evicted by ring wrap
         self.dropped_open = 0  # spans evicted before being finished
         self.traces_started = 0
-        #: Trace id the transport is currently planning for (set by the
-        #: cuda_ipc module around its synchronous planner call so the
-        #: decision log can join decisions to traces); -1 = none.
-        self.active_trace = -1
         self._stage_hist = {s: _StageStat() for s in STAGES}
 
     # ------------------------------------------------------------------

@@ -111,6 +111,7 @@ class TransferManager:
         self._shed_rng = random.Random(_SHED_SEED)
         # run-level counters
         self.submitted = 0
+        self.queued = 0  # requests that waited in the admission queue
         self.dispatched_direct = 0
         self.dispatched_queued = 0
         self.coalesced_requests = 0
@@ -237,14 +238,10 @@ class TransferManager:
             if not self._sweep_registered:
                 self.engine.add_flush_hook(self._expiry_sweep)
                 self._sweep_registered = True
+        self.queued += 1
         depth = self.queue_depth
         if depth > self.peak_queue_depth:
             self.peak_queue_depth = depth
-        obs = self.context.obs
-        if obs is not None:
-            m = obs.metrics
-            m.counter("transfer_manager.queued").inc()
-            m.gauge("transfer_manager.queue_depth").set(depth)
         self._update_governor()
         return req.event
 
@@ -266,11 +263,6 @@ class TransferManager:
                     self._deadline_queued -= 1
                 self.cancelled += 1
                 self.bytes_cancelled += r.nbytes
-                obs = self.context.obs
-                if obs is not None:
-                    obs.metrics.gauge("transfer_manager.queue_depth").set(
-                        self.queue_depth
-                    )
                 if r.root_sid >= 0:
                     self._finish_terminal(r.trace_id, r.root_sid, "cancelled")
                 r.event.fail(TransferCancelled(r.src, r.dst))
@@ -416,21 +408,14 @@ class TransferManager:
                     ),
                 )
             )
-        obs = self.context.obs
-        if obs is not None:
-            obs.metrics.gauge("transfer_manager.queue_depth").set(self.queue_depth)
         self._update_governor()
 
     # ------------------------------------------------------------------
     def _update_governor(self) -> None:
         """Re-evaluate the overload governor against the queue depth."""
         gov = self.governor
-        if not gov.enabled:
-            return
-        state = gov.update(self.queue_depth, self.engine.now)
-        obs = self.context.obs
-        if obs is not None:
-            obs.metrics.gauge("overload.state").set(int(state))
+        if gov.enabled:
+            gov.update(self.queue_depth, self.engine.now)
 
     # ------------------------------------------------------------------
     def _can_admit(self, src: int, dst: int) -> bool:
@@ -464,9 +449,6 @@ class TransferManager:
         self._bytes_inflight += nbytes
         if self._inflight_total > self.peak_inflight:
             self.peak_inflight = self._inflight_total
-        obs = self.context.obs
-        if obs is not None:
-            obs.metrics.gauge("transfer_manager.inflight").set(self._inflight_total)
         ev = self.context.cuda_ipc.start_put(
             src,
             dst,
@@ -536,9 +518,6 @@ class TransferManager:
         else:
             self.failed += 1
             self.bytes_failed += nbytes
-        obs = self.context.obs
-        if obs is not None:
-            obs.metrics.gauge("transfer_manager.inflight").set(self._inflight_total)
         self._pump()
 
     # ------------------------------------------------------------------
@@ -567,9 +546,6 @@ class TransferManager:
             self._dispatch_queued(req, members)
         remaining.extend(r for r in self._queue if r is not None)
         self._queue = remaining
-        obs = self.context.obs
-        if obs is not None:
-            obs.metrics.gauge("transfer_manager.queue_depth").set(len(self._queue))
         self._update_governor()
 
     def _collect_coalescible(
@@ -602,7 +578,6 @@ class TransferManager:
         now = self.engine.now
         group = [req, *members]
         total = sum(r.nbytes for r in group)
-        obs = self.context.obs
         if members:
             self.coalesced_requests += len(members)
             self.coalesced_bytes += sum(m.nbytes for m in members)
@@ -614,7 +589,7 @@ class TransferManager:
             gov.observe_wait(waited)
             if r.root_sid >= 0:
                 # one-shot queue span (enqueue -> dispatch); recording it
-                # feeds the queue_wait histogram via the kind's stage
+                # feeds the queue_wait stage aggregate via the kind's stage
                 flight.record(
                     "admission.queue",
                     r.trace_id,
@@ -623,8 +598,6 @@ class TransferManager:
                     now,
                     {"nbytes": r.nbytes, "coalesced": len(group) > 1},
                 )
-            if obs is not None:
-                obs.metrics.histogram("transfer_manager.queue_time").observe(waited)
         self.dispatched_queued += len(group)
         # A merged put honours the group's tightest deadline.
         deadlines = [r.deadline_at for r in group if r.deadline_at is not None]
@@ -667,6 +640,7 @@ class TransferManager:
         """Structured run statistics, pulled by a metrics collector."""
         return {
             "submitted": self.submitted,
+            "queued": self.queued,
             "dispatched_direct": self.dispatched_direct,
             "dispatched_queued": self.dispatched_queued,
             "completed": self.completed,

@@ -1,8 +1,10 @@
 """The UCX context: ties topology, runtime, planner, and pipeline together.
 
-Fig. 2a, Step 2: at startup the context loads the calibrated model (from a
-:class:`~repro.ucx.registry.ModelRegistry` or an explicit store) and wires
-the cuda_ipc module to the planner and pipeline engine.
+Fig. 2a, Step 2: at startup the context takes the calibrated model (the
+``store``; the topology's ground truth when none is given) and wires the
+cuda_ipc module to the planner and pipeline engine.  It is the only layer
+that holds an :class:`~repro.obs.Observability` bundle: it registers the
+components' pull collectors and wires the closed loop.
 """
 
 from __future__ import annotations
@@ -65,10 +67,8 @@ class UCXContext:
             pipelining=self.config.pipelining,
             sequential_initiation=self.config.sequential_initiation,
             max_chunks=self.config.max_chunks,
-            obs=obs,
-            flight=self.flight,
         )
-        self.pipeline = PipelineEngine(self.runtime, obs=obs, flight=self.flight)
+        self.pipeline = PipelineEngine(self.runtime, flight=self.flight)
         # Compiled transfer graphs (DESIGN.md §5g): replayed by cuda_ipc,
         # invalidated through the planner (refresh_params/invalidate_path
         # forward to it) so a graph never outlives the plan it froze.
@@ -89,20 +89,13 @@ class UCXContext:
                 # invalidates the stale cached plans.  Shares the bundle's
                 # error tracker so telemetry covers every sample.
                 obs.drift = DriftController(
-                    self.planner,
-                    tracer,
-                    tracker=obs.errors,
-                    metrics=obs.metrics,
+                    self.planner, tracer, tracker=obs.errors
                 )
             self._register_collectors(obs)
 
     def _on_quarantine(self, src: int, dst: int, path_id: str) -> None:
         """Health demoted a path: purge cached plans still routing over it."""
-        dropped = self.planner.invalidate_path(src, dst, path_id)
-        if self.obs is not None:
-            m = self.obs.metrics
-            m.counter("health.quarantines").inc()
-            m.counter("health.plans_invalidated").inc(dropped)
+        self.planner.invalidate_path(src, dst, path_id)
 
     def _register_collectors(self, obs: Observability) -> None:
         """Wire every component's pull-stats into the metrics registry."""
@@ -113,11 +106,7 @@ class UCXContext:
         m.register_collector("pipeline", lambda: self.pipeline.stats_snapshot())
         m.register_collector("cuda_ipc", lambda: self.cuda_ipc.stats_snapshot())
         m.register_collector(
-            "planner",
-            lambda: {
-                "cache": self.planner.cache.stats(),
-                **obs.decisions.summary(),
-            },
+            "planner", lambda: {"cache": self.planner.cache.stats()}
         )
         m.register_collector("transfer_graph", lambda: self.graphs.stats())
         m.register_collector("model_error", obs.errors.summary)

@@ -102,14 +102,9 @@ class RecoveryPolicy:
         ctx = module.context
         self.failed.update(f.path_id for f in faults)
         module.path_failovers += len(faults)
-        obs = ctx.obs
-        if obs is not None:
-            m = obs.metrics
-            for f in faults:
-                if isinstance(f.error, TransferTimeout):
-                    m.counter("recovery.timeouts").inc()
-                else:
-                    m.counter("recovery.link_failures").inc()
+        timeouts = sum(isinstance(f.error, TransferTimeout) for f in faults)
+        module.path_timeouts += timeouts
+        module.path_link_failures += len(faults) - timeouts
         if remaining <= 0:
             return None
         if self.retries >= ctx.config.max_path_retries:
@@ -121,8 +116,7 @@ class RecoveryPolicy:
             # and fail before spending a retry or a token once it is gone.
             left = self.deadline_at - now
             if left <= 0:
-                if obs is not None:
-                    obs.metrics.counter("deadline.recovery_timeouts").inc()
+                module.deadline_timeouts += 1
                 raise self.failure(
                     remaining,
                     f"deadline t={self.deadline_at:.6g}s exhausted during recovery",
@@ -149,8 +143,7 @@ class RecoveryPolicy:
                 # GPU paths have failed.
                 self._fallback_used = True
                 backoff = 0.0
-                if obs is not None:
-                    obs.metrics.counter("overload.budget_fallbacks").inc()
+                module.budget_fallbacks += 1
         return min(backoff, left)
 
     def replan(self, remaining: int, trace_id: int, retry_sid: int) -> TransferPlan:
@@ -219,6 +212,10 @@ class CudaIpcModule:
         self.path_failovers = 0
         self.retries_total = 0
         self.rerouted_bytes = 0
+        self.path_timeouts = 0  # faulted paths killed by the watchdog
+        self.path_link_failures = 0  # faulted paths lost to a link failure
+        self.deadline_timeouts = 0  # puts whose deadline ran out in recovery
+        self.budget_fallbacks = 0  # unmetered replans on a dry retry budget
 
     # ------------------------------------------------------------------
     def start_put(
@@ -316,7 +313,6 @@ class CudaIpcModule:
         # settled outcome; after a faulted round the RecoveryPolicy decides
         # whether the missing bytes are replanned over surviving paths.
         health = ctx.health
-        obs = ctx.obs
         # The service's load tracker: each execution round registers its
         # plan's per-channel footprint so other transfers planning while
         # this one moves bytes see the fabric as loaded.  Acquired *after*
@@ -393,15 +389,17 @@ class CudaIpcModule:
         retries = recovery.retries
         if retries > 0:
             self.puts_recovered += 1
-        if obs is not None:
-            obs.metrics.histogram("cuda_ipc.put_nbytes").observe(nbytes)
-            # Closed-loop feedback: only dynamic rndv plans carry a real
-            # model prediction (single/static use placeholder times), the
-            # prediction covers the pipeline execution interval only, and
-            # fault-lengthened intervals would poison the recalibrator —
-            # recovered puts are excluded.
-            if mode == "dynamic" and protocol == "rndv" and retries == 0:
-                obs.feedback(plan, end - exec_start, now=end)
+        # Closed-loop feedback: only dynamic rndv plans carry a real model
+        # prediction (single/static use placeholder times), the prediction
+        # covers the pipeline execution interval only, and fault-lengthened
+        # intervals would poison the recalibrator — recovered puts are
+        # excluded.
+        obs = ctx.obs
+        if (
+            obs is not None
+            and mode == "dynamic" and protocol == "rndv" and retries == 0
+        ):
+            obs.feedback(plan, end - exec_start, now=end)
         return PutResult(
             src=src, dst=dst, nbytes=nbytes, protocol=protocol, mode=mode,
             start=start, end=end, retries=retries,
@@ -423,6 +421,10 @@ class CudaIpcModule:
                 "path_failovers": self.path_failovers,
                 "retries": self.retries_total,
                 "rerouted_bytes": self.rerouted_bytes,
+                "timeouts": self.path_timeouts,
+                "link_failures": self.path_link_failures,
+                "deadline_timeouts": self.deadline_timeouts,
+                "budget_fallbacks": self.budget_fallbacks,
             },
         }
 
@@ -493,10 +495,8 @@ class CudaIpcModule:
         """
         ctx = self.context
         graphs = ctx.graphs
-        flight = ctx.flight
-        tracing = flight.enabled and trace_id >= 0
-        obs = ctx.obs
-        wall0 = time.perf_counter() if (tracing or obs is not None) else 0.0
+        tracing = ctx.flight.enabled and trace_id >= 0
+        wall0 = time.perf_counter() if tracing else 0.0
         load = None
         quarantined: tuple[str, ...] = ()
         health = ctx.health
@@ -515,26 +515,11 @@ class CudaIpcModule:
         graph = graphs.get(key)
         if graph is not None:
             plan = graph.plan
-            wall = time.perf_counter() - wall0 if (tracing or obs is not None) else 0.0
             if tracing:
                 self._record_plan(
-                    "plan.graph_hit", trace_id, parent_sid, mode, plan, wall
+                    "plan.graph_hit", trace_id, parent_sid, mode, plan,
+                    time.perf_counter() - wall0, load,
                 )
-            if obs is not None:
-                obs.decisions.log_plan(
-                    plan,
-                    cache_hit=True,
-                    wall_time_s=wall,
-                    load_bucket=PathPlanner._plan_load_bucket(plan, load),
-                    trace_id=trace_id if tracing else -1,
-                    graph=True,
-                )
-                # a graph hit is a plan served from cache (the graph embeds
-                # it): keep the planner's serving counters truthful
-                m = obs.metrics
-                m.counter("planner.plans").inc()
-                m.counter("planner.cache_hits").inc()
-                m.counter("planner.graph_hits").inc()
             return plan, graph
         plan = self._make_plan(
             src, dst, nbytes, mode, trace_id, parent_sid,
@@ -555,52 +540,50 @@ class CudaIpcModule:
         bypasses the plan cache (one-shot, no cache pollution).  Planning
         is synchronous — zero simulated time — so the span is an
         instantaneous marker whose real cost lives in ``wall_time_s``.
-        ``flight.active_trace`` is set only across this call, which never
-        yields, so interleaved put processes cannot observe each other's
-        trace id (the planner's decision log reads it).
         """
-        flight = self.context.flight
-        tracing = flight.enabled and trace_id >= 0
-        if tracing:
-            wall0 = time.perf_counter()
-            flight.active_trace = trace_id
-        try:
-            if mode == "single":
-                plan = self._single_path_plan(src, dst, nbytes)
-            elif mode == "static":
-                plan = self._static_plan(src, dst, nbytes)
-            elif mode == "replan":
-                plan = self.plan_avoiding(
-                    src, dst, nbytes, avoid,
-                    include_host=True, load=load, use_cache=False,
-                )
-            else:
-                plan = self.plan_avoiding(
-                    src, dst, nbytes, avoid, load=load, degrade=degrade
-                )
-        finally:
-            if tracing:
-                flight.active_trace = -1
+        tracing = self.context.flight.enabled and trace_id >= 0
+        wall0 = time.perf_counter() if tracing else 0.0
+        if mode == "single":
+            plan = self._single_path_plan(src, dst, nbytes)
+        elif mode == "static":
+            plan = self._static_plan(src, dst, nbytes)
+        elif mode == "replan":
+            plan = self.plan_avoiding(
+                src, dst, nbytes, avoid,
+                include_host=True, load=load, use_cache=False,
+            )
+        else:
+            plan = self.plan_avoiding(
+                src, dst, nbytes, avoid, load=load, degrade=degrade
+            )
         if tracing:
             self._record_plan(
                 "plan.cache_hit" if plan.from_cache else "plan",
                 trace_id, parent_sid, mode, plan, time.perf_counter() - wall0,
+                load,
             )
         return plan
 
     def _record_plan(
         self, kind: str, trace_id: int, parent_sid: int, mode: str,
-        plan: TransferPlan, wall: float,
+        plan: TransferPlan, wall: float, load=None,
     ) -> None:
-        """Record one ``plan*`` flight span; its ``wall`` cost feeds the
-        ``planning`` stage histogram."""
+        """Record one ``plan*`` flight span, the put's decision record.
+
+        Its ``wall`` cost feeds the ``planning`` stage aggregate.  A plan
+        priced against a load snapshot also carries ``load_bucket``, the
+        worst bucketed hop load its active paths were derated by (0 when
+        the fabric was idle).  The per-path split (θ, bytes, chunks) lives
+        on the ``pipeline.path[i]`` spans under the same parent.
+        """
+        attrs = {
+            "mode": mode, "paths": plan.num_active_paths,
+            "predicted": plan.predicted_time, "wall_time_s": wall,
+        }
+        if load is not None:
+            attrs["load_bucket"] = PathPlanner._plan_load_bucket(plan, load)
         self.context.flight.record(
-            kind, trace_id, parent_sid,
-            attrs={
-                "mode": mode, "paths": plan.num_active_paths,
-                "predicted": plan.predicted_time, "wall_time_s": wall,
-            },
-            stage_value=wall,
+            kind, trace_id, parent_sid, attrs=attrs, stage_value=wall,
         )
 
     # ------------------------------------------------------------------

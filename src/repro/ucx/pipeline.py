@@ -29,7 +29,6 @@ from repro.sim.engine import Engine, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.transfer_graph import CompiledPath, TransferGraph
-    from repro.obs import Observability
 
 #: Precomputed flight-span kind strings for the common fan-outs, so the
 #: traced hot path never builds an f-string (plans rarely exceed a handful
@@ -121,13 +120,7 @@ class SettledExecution:
 class PipelineEngine:
     """Executes transfer plans over the GPU runtime."""
 
-    def __init__(
-        self,
-        runtime: GPURuntime,
-        *,
-        obs: "Observability | None" = None,
-        flight=None,
-    ) -> None:
+    def __init__(self, runtime: GPURuntime, *, flight=None) -> None:
         self.runtime = runtime
         self.engine: Engine = runtime.engine
         self.flight = flight  # FlightRecorder, wired by the context
@@ -139,7 +132,6 @@ class PipelineEngine:
         self.paths_failed = 0
         self.watchdog_timeouts = 0
         self.streams_reset = 0
-        self.obs = obs
 
     # ------------------------------------------------------------------
     def _stream(self, key: tuple, device: int) -> Stream:
@@ -408,9 +400,9 @@ class PipelineEngine:
             )
         except BaseException:
             if traced:
-                # The faulted path still gets its span (ok=False) and the
-                # markers of chunks that landed before it died, so the
-                # trace shows how far the path got.
+                # The faulted path still gets its span (ok=False) with its
+                # planned split, and the markers of chunks that landed
+                # before it died, so the trace shows how far the path got.
                 cached = (
                     _CHUNK_KINDS[path_index]
                     if path_index < _KIND_CACHE_PATHS
@@ -432,7 +424,13 @@ class PipelineEngine:
                     parent,
                     start,
                     self.engine.now,
-                    {"path": a.path.path_id, "nbytes": a.nbytes, "ok": False},
+                    {
+                        "path": a.path.path_id,
+                        "nbytes": a.nbytes,
+                        "chunks": len(compiled.chunk_sizes) or 1,
+                        "theta": a.theta,
+                        "ok": False,
+                    },
                     kinds,
                     landed,
                 )
@@ -481,8 +479,6 @@ class PipelineEngine:
                 ),
                 finals,
             )
-        if self.obs is not None:
-            self.obs.metrics.histogram("pipeline.chunks_per_path").observe(chunks)
         return PathExecution(
             path_id=a.path.path_id,
             nbytes=a.nbytes,

@@ -10,7 +10,7 @@ buckets, not just the idle one.
 import pytest
 
 from repro.core.planner import PathPlanner
-from repro.runtime import IDLE_SNAPSHOT, LoadSnapshot, load_bucket
+from repro.runtime import IDLE_SNAPSHOT, LoadSnapshot
 from repro.topology import systems
 from repro.units import MiB
 
@@ -138,30 +138,43 @@ class TestCacheKeyWithLoad:
 
 
 class TestContentionMetrics:
-    def test_loaded_plan_metrics(self, beluga):
-        from repro.obs import Observability
+    """A plan priced against load records its bucket on its plan span."""
 
-        obs = Observability()
-        planner = PathPlanner(beluga, obs=obs)
-        load = loaded_snapshot(planner)
-        planner.plan(0, 1, 64 * MiB, load=load)
-        planner.plan(0, 1, 64 * MiB, load=load)  # cache hit
-        m = obs.metrics
-        assert m.counter("contention.loaded_plans").value == 2
-        assert m.counter("contention.cache_hits").value == 1
-        # last two decisions are the loaded plans (the helper's probe plan
-        # logs an idle decision first)
-        assert [d.load_bucket for d in list(obs.decisions.records)[-2:]] == [2, 2]
+    @staticmethod
+    def _plan_spans(beluga, rounds, contention_aware=True):
+        from repro.sim.engine import Engine
+        from repro.ucx import TransportConfig, UCXContext
+
+        engine = Engine()
+        ctx = UCXContext(
+            engine, beluga,
+            config=TransportConfig(contention_aware=contention_aware),
+        )
+        for _ in range(rounds):
+            events = [ctx.put(1, 0, 64 * MiB), ctx.put(2, 0, 64 * MiB)]
+            engine.run(until=engine.all_of(events))
+        return [
+            (s.kind, s.attrs.get("load_bucket"))
+            for s in ctx.flight.iter_spans()
+            if s.kind.startswith("plan")
+        ]
+
+    def test_loaded_plan_metrics(self, beluga):
+        # the second put of a round plans against the first one's hold;
+        # the repeated round replays both graphs, loaded key included
+        assert self._plan_spans(beluga, rounds=2) == [
+            ("plan", 0),
+            ("plan", 2),
+            ("plan.graph_hit", 0),
+            ("plan.graph_hit", 2),
+        ]
 
     def test_idle_plan_logs_zero_bucket(self, beluga):
-        from repro.obs import Observability
-
-        obs = Observability()
-        planner = PathPlanner(beluga, obs=obs)
-        planner.plan(0, 1, 64 * MiB)
-        (decision,) = obs.decisions.records
-        assert decision.load_bucket == 0
-        assert obs.metrics.counter("contention.loaded_plans").value == 0
+        spans = self._plan_spans(beluga, rounds=1)
+        assert spans[0] == ("plan", 0)
+        # a contention-blind plan was never priced against load
+        blind = self._plan_spans(beluga, rounds=1, contention_aware=False)
+        assert blind == [("plan", None), ("plan", None)]
 
 
 class TestPlanForPathsLoad:

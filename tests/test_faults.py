@@ -449,19 +449,50 @@ class TestChaosObservability:
         assert recovery["puts_recovered"] == 1
         assert recovery["path_failovers"] >= 1
         assert recovery["rerouted_bytes"] == linkdown.chaotic.rerouted_bytes
-        counters = snap.get("counters", {})
-        assert "recovery.retries" not in counters
-        assert "recovery.puts_recovered" not in counters
-        assert counters["recovery.link_failures"] == recovery["path_failovers"]
+        # the fault-type split is a pull field too; nothing is pushed
+        assert recovery["link_failures"] == recovery["path_failovers"]
+        assert recovery["timeouts"] == 0
+        assert recovery["deadline_timeouts"] == recovery["budget_fallbacks"] == 0
+        assert "counters" not in snap
 
     def test_replan_is_a_logged_decision(self, linkdown):
-        """The replan goes through the planner like the first plan: the
-        decision log holds both, joined to the put's trace."""
-        first, replan = linkdown._context.obs.decisions.records
-        assert replan.trace_id == first.trace_id >= 0
-        assert replan.nbytes == linkdown.chaotic.rerouted_bytes
-        assert not replan.cache_hit
-        assert "direct" in first.path_ids and "direct" not in replan.path_ids
+        """The replan goes through the planner like the first plan: both
+        are ``plan`` spans of the put's trace, the replan's under its
+        ``recovery.retry[1]`` round beside the paths it rerouted over."""
+        from repro.obs.tracing import TraceTree
+
+        tree = TraceTree(linkdown._context.flight)
+        (root,) = tree.roots()
+        bd = tree.breakdown(root.trace_id)
+        kids = bd.children[root.sid]
+        (retry,) = [s for s in kids if s.kind == "recovery.retry[1]"]
+        (first,) = [s for s in kids if s.kind.startswith("plan")]
+        (replan,) = [
+            s for s in bd.children[retry.sid] if s.kind.startswith("plan")
+        ]
+        assert first.kind == replan.kind == "plan"  # cold, never cached
+        assert replan.attrs["mode"] == "replan"
+        assert first.attrs["mode"] == "dynamic"
+
+        def paths(parent):
+            return [
+                s for s in bd.children[parent.sid]
+                if s.kind.startswith("pipeline.path")
+            ]
+
+        rescue = paths(retry)
+        assert len(rescue) == replan.attrs["paths"]
+        rerouted = linkdown.chaotic.rerouted_bytes
+        assert retry.attrs["rerouted_bytes"] == rerouted
+        assert sum(s.attrs["nbytes"] for s in rescue) == rerouted
+        first_paths = {s.attrs["path"] for s in paths(root)}
+        assert len(first_paths) == first.attrs["paths"]
+        assert "direct" in first_paths
+        assert "direct" not in {s.attrs["path"] for s in rescue}
+        # the faulted path keeps its planned split on its span
+        (dead,) = [s for s in paths(root) if s.attrs.get("ok") is False]
+        assert dead.attrs["path"] == "direct"
+        assert dead.attrs["chunks"] == 1 and 0 < dead.attrs["theta"] < 1
 
     def test_dumped_trace_has_one_fault_row_per_window(self, linkdown, tmp_path):
         import json

@@ -1,4 +1,4 @@
-"""Tests for the observability layer: metrics, decisions, exporters."""
+"""Tests for the observability layer: pull metrics, decisions, exporters."""
 
 import json
 
@@ -10,12 +10,9 @@ from repro.bench.runner import dump_artifacts, get_setup
 from repro.obs import (
     MetricsRegistry,
     FlightRecorder,
-    Observability,
     chrome_trace,
     dump_chrome_trace,
 )
-from repro.obs.metrics import NULL_INSTRUMENT
-from repro.core.planner import PathPlanner
 from repro.obs.tracing import TraceTree
 from repro.sim.engine import Engine
 from repro.sim.trace import Tracer
@@ -23,48 +20,6 @@ from repro.units import MiB
 
 
 class TestMetricsRegistry:
-    def test_counter_gauge_roundtrip(self):
-        m = MetricsRegistry()
-        m.counter("c").inc()
-        m.counter("c").inc(2)
-        m.gauge("g").set(7)
-        snap = m.snapshot()
-        assert snap["counters"]["c"] == 3
-        assert snap["gauges"]["g"] == 7
-
-    def test_instruments_are_interned(self):
-        m = MetricsRegistry()
-        assert m.counter("x") is m.counter("x")
-        assert m.timer("t") is m.timer("t")
-
-    def test_timer_observe_and_context(self):
-        m = MetricsRegistry()
-        t = m.timer("t")
-        t.observe(0.5)
-        with t.time():
-            pass
-        snap = t.snapshot()
-        assert snap["count"] == 2
-        assert snap["max_s"] >= 0.5
-
-    def test_histogram_buckets(self):
-        m = MetricsRegistry()
-        h = m.histogram("sizes")
-        for v in (1, 2, 3, 1024):
-            h.observe(v)
-        snap = h.snapshot()
-        assert snap["count"] == 4
-        assert snap["min"] == 1 and snap["max"] == 1024
-        assert snap["buckets"]["2^10"] == 1
-
-    def test_disabled_registry_is_inert(self):
-        m = MetricsRegistry(enabled=False)
-        c = m.counter("c")
-        assert c is NULL_INSTRUMENT
-        c.inc()
-        m.register_collector("x", lambda: {"v": 1})
-        assert m.snapshot() == {}
-
     def test_collectors_pull_at_snapshot_time(self):
         m = MetricsRegistry()
         state = {"v": 1}
@@ -74,8 +29,8 @@ class TestMetricsRegistry:
 
     def test_to_json(self):
         m = MetricsRegistry()
-        m.counter("c").inc()
-        assert json.loads(m.to_json())["counters"]["c"] == 1
+        m.register_collector("comp", lambda: {"c": 1})
+        assert json.loads(m.to_json())["comp"]["c"] == 1
 
 
 class TestChromeTrace:
@@ -193,161 +148,46 @@ class TestChromeTraceInvariants:
         assert loaded["otherData"]["system"] == "beluga"
 
 
-class TestHistogramQuantiles:
-    def test_exact_below_reservoir_capacity(self):
-        h = MetricsRegistry().histogram("h")
-        for v in range(1, 101):  # 1..100, fits the reservoir
-            h.observe(v)
-        assert h.quantile(0.5) == 50
-        assert h.quantile(0.9) == 90
-        assert h.quantile(0.0) == 1
-        assert h.quantile(1.0) == 100
-        snap = h.snapshot()
-        assert snap["p50"] == 50 and snap["p90"] == 90 and snap["p99"] == 99
-
-    def test_reservoir_is_bounded_and_deterministic(self):
-        from repro.obs.metrics import Histogram
-
-        a, b = Histogram("same"), Histogram("same")
-        for v in range(10_000):
-            a.observe(v)
-            b.observe(v)
-        assert len(a.reservoir) == a.reservoir_size == 256
-        assert a.reservoir == b.reservoir  # seeded from the name
-        # The sampled p50 lands near the true median.
-        assert abs(a.quantile(0.5) - 5000) < 1500
-
-    def test_empty_and_invalid(self):
-        h = MetricsRegistry().histogram("h")
-        assert h.quantile(0.5) == 0.0
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
-
-    def test_quantiles_surface_in_stats_snapshot(self):
-        setup = get_setup("beluga")
-        env = setup.env(dynamic_config(), observe=True)
-        osu_bw(env, 16 * MiB, window=2, iterations=1)
-        snap = env.last_context.obs.metrics.snapshot()
-        put_sizes = snap["histograms"]["cuda_ipc.put_nbytes"]
-        assert put_sizes["p50"] == 16 * MiB
-        assert put_sizes["p99"] == 16 * MiB
-
-
 class TestPlannerDecisionLog:
     def test_decisions_recorded_with_cache_flags(self):
+        """A put's decision is its ``plan*`` span: the kind carries the
+        cache flag, the attrs the choice, and the path spans beside it
+        the split."""
         setup = get_setup("beluga")
-        obs = Observability()
-        planner = PathPlanner(setup.topology, setup.store, obs=obs)
-        planner.plan(0, 1, 64 * MiB)
-        planner.plan(0, 1, 64 * MiB)
-        assert len(obs.decisions) == 2
-        cold, hot = obs.decisions.records
-        assert not cold.cache_hit and hot.cache_hit
-        assert cold.nbytes == 64 * MiB
-        assert cold.path_ids == hot.path_ids
-        assert sum(cold.thetas) == pytest.approx(1.0)
-        assert obs.decisions.cache_hit_rate == pytest.approx(0.5)
-        # metrics mirror the log
-        counters = obs.metrics.snapshot()["counters"]
-        assert counters["planner.plans"] == 2
-        assert counters["planner.cache_hits"] == 1
-        assert counters["planner.plans_computed"] == 1
-
-    def test_jsonl_roundtrip(self):
-        setup = get_setup("beluga")
-        obs = Observability()
-        planner = PathPlanner(setup.topology, setup.store, obs=obs)
-        planner.plan(0, 1, 8 * MiB)
-        lines = obs.decisions.to_jsonl().splitlines()
-        rec = json.loads(lines[0])
-        assert rec["src"] == 0 and rec["dst"] == 1
-        assert rec["wall_time_s"] >= 0
-
-    def test_planner_without_obs_logs_nothing(self):
-        setup = get_setup("beluga")
-        planner = PathPlanner(setup.topology, setup.store)
-        plan = planner.plan(0, 1, 8 * MiB)
-        assert plan.num_active_paths >= 1
-        assert planner.obs is None
-
-
-class TestDecisionLogRing:
-    """The decision log is a bounded ring with exact running totals."""
-
-    def _log_and_plan(self, capacity):
-        from repro.obs.decision_log import PlannerDecisionLog
-
-        setup = get_setup("beluga")
-        planner = PathPlanner(setup.topology, setup.store)
-        plan = planner.plan(0, 1, 8 * MiB)
-        return PlannerDecisionLog(capacity=capacity), plan
-
-    def test_default_capacity(self):
-        from repro.obs.decision_log import DEFAULT_CAPACITY, PlannerDecisionLog
-
-        log = PlannerDecisionLog()
-        assert log.capacity == DEFAULT_CAPACITY == 10_000
-
-    def test_eviction_counts_dropped(self):
-        log, plan = self._log_and_plan(capacity=5)
-        for _ in range(12):
-            log.log_plan(plan, cache_hit=False, wall_time_s=1e-5)
-        assert len(log) == 5  # ring never exceeds capacity
-        assert log.dropped == 7
-        assert log.total_decisions == 12
-        # the retained window is the *most recent* decisions
-        assert [r.seq for r in log.records] == [7, 8, 9, 10, 11]
-
-    def test_totals_exact_after_eviction(self):
-        log, plan = self._log_and_plan(capacity=3)
-        for i in range(10):
-            log.log_plan(plan, cache_hit=(i % 2 == 0), wall_time_s=0.5)
-        assert log.cache_hits == 5  # hits from evicted entries still counted
-        assert log.cache_hit_rate == pytest.approx(0.5)
-        assert log.total_wall_time() == pytest.approx(5.0)
-        s = log.summary()
-        assert s["decisions"] == 10
-        assert s["retained"] == 3
-        assert s["dropped"] == 7
-        assert s["cache_hits"] == 5
-
-    def test_unbounded_when_capacity_none(self):
-        log, plan = self._log_and_plan(capacity=None)
-        for _ in range(50):
-            log.log_plan(plan, cache_hit=False, wall_time_s=0.0)
-        assert len(log) == 50
-        assert log.dropped == 0
-
-    def test_invalid_capacity_rejected(self):
-        from repro.obs.decision_log import PlannerDecisionLog
-
-        with pytest.raises(ValueError):
-            PlannerDecisionLog(capacity=0)
-
-    def test_load_bucket_field_serialized(self):
-        log, plan = self._log_and_plan(capacity=5)
-        log.log_plan(plan, cache_hit=False, wall_time_s=0.0, load_bucket=4)
-        rec = json.loads(log.to_jsonl().splitlines()[-1])
-        assert rec["load_bucket"] == 4
-
-    def test_clear_resets_everything(self):
-        log, plan = self._log_and_plan(capacity=2)
-        for _ in range(5):
-            log.log_plan(plan, cache_hit=True, wall_time_s=1.0)
-        log.clear()
-        assert len(log) == 0
-        assert log.total_decisions == log.dropped == log.cache_hits == 0
-        assert log.summary()["total_wall_time_s"] == 0.0
-
-    def test_dropped_surfaces_in_context_collector(self):
-        """The planner collector exposes the ring-buffer drop count."""
-        setup = get_setup("beluga")
-        env = setup.env(dynamic_config(), observe=True)
-        _, ctx, _ = env.fresh()
-        snap = ctx.obs.metrics.snapshot()
-        planner_stats = snap["planner"]
-        assert "dropped" in planner_stats
-        assert planner_stats["dropped"] == 0
+        env = setup.env(dynamic_config())
+        engine, ctx, _ = env.fresh()
+        engine.run(until=ctx.put(0, 1, 64 * MiB))  # cold: plan + compile
+        engine.run(until=ctx.put(0, 1, 64 * MiB))  # graph replay
+        ctx.graphs.invalidate_all()
+        engine.run(until=ctx.put(0, 1, 64 * MiB))  # plan-cache hit
+        tree = TraceTree(ctx.flight)
+        plans = [
+            s for s in ctx.flight.iter_spans() if s.kind.startswith("plan")
+        ]
+        assert [s.kind for s in plans] == [
+            "plan", "plan.graph_hit", "plan.cache_hit",
+        ]
+        assert [s.trace_id for s in plans] == [0, 1, 2]
+        cold = plans[0]
+        for span in plans:
+            assert span.attrs["mode"] == "dynamic"
+            assert span.attrs["paths"] == cold.attrs["paths"] >= 2
+            assert span.attrs["predicted"] == cold.attrs["predicted"]
+            assert span.attrs["wall_time_s"] >= 0.0
+            assert "load_bucket" not in span.attrs  # contention-blind
+            bd = tree.breakdown(span.trace_id)
+            paths = [
+                s for s in bd.children[bd.root.sid]
+                if s.kind.startswith("pipeline.path")
+            ]
+            assert len(paths) == span.attrs["paths"]
+            assert sum(s.attrs["theta"] for s in paths) == pytest.approx(1.0)
+            assert sum(s.attrs["nbytes"] for s in paths) == 64 * MiB
+            assert all(s.attrs["chunks"] >= 1 for s in paths)
+        # the pull views count the same three decisions
+        assert ctx.planner.cache.stats()["misses"] == 1
+        assert ctx.planner.cache.stats()["hits"] == 1
+        assert ctx.graphs.stats()["hits"] == 1
 
 
 class TestInstrumentedRun:
@@ -363,9 +203,9 @@ class TestInstrumentedRun:
     def test_snapshot_core_counters(self, run):
         ctx, result = run
         snap = ctx.obs.metrics.snapshot()
-        assert snap["planner"]["cache_hits"] > 0
+        assert snap["transfer_graph"]["hits"] > 0
         assert snap["fabric"]["flows_admitted"] > 0
-        assert snap["counters"]["planner.cache_hits"] > 0
+        assert "counters" not in snap and "histograms" not in snap
         assert snap["cuda_ipc"]["bytes_put"] >= result.bytes_moved
         assert snap["engine"]["events_processed"] > 0
         assert snap["mpi"]["messages_matched"] > 0
@@ -407,11 +247,7 @@ class TestInstrumentedRun:
         ctx, _ = run
         written = dump_artifacts(tmp_path / "osu_bw", ctx)
         names = {p.name for p in written}
-        assert names == {
-            "osu_bw.metrics.json",
-            "osu_bw.trace.json",
-            "osu_bw.decisions.jsonl",
-        }
+        assert names == {"osu_bw.metrics.json", "osu_bw.trace.json"}
         for p in written:
             assert p.exists() and p.stat().st_size > 0
         metrics = json.loads((tmp_path / "osu_bw.metrics.json").read_text())
@@ -423,7 +259,6 @@ class TestInstrumentedRun:
         osu_bw(env, 4 * MiB, window=1, iterations=1)
         ctx = env.last_context
         assert ctx.obs is None
-        assert ctx.planner.obs is None
 
 
 class TestCliSubcommands:
@@ -433,7 +268,8 @@ class TestCliSubcommands:
         main(["stats", "--system", "beluga", "--quick", "--size", "16M"])
         out = capsys.readouterr().out
         snap = json.loads(out)
-        assert snap["planner"]["cache_hits"] > 0
+        assert snap["transfer_graph"]["hits"] > 0
+        assert snap["planner"] == {"cache": snap["planner"]["cache"]}
         assert snap["run"]["system"] == "beluga"
 
     def test_trace_command_writes_valid_trace(self, tmp_path, capsys):

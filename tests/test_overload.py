@@ -12,11 +12,7 @@ import math
 import pytest
 
 from repro.bench.experiments.overload import run_overload
-from repro.gpu.errors import (
-    DeadlineUnsatisfiable,
-    TransferCancelled,
-    TransferShed,
-)
+from repro.gpu.errors import DeadlineUnsatisfiable, TransferShed
 from repro.runtime import (
     InvariantViolation,
     OverloadGovernor,
@@ -209,7 +205,7 @@ class TestDeadlines:
         snap = obs.metrics.snapshot()
         assert snap["transfer_manager"]["rejected"] == 1
         assert snap["transfer_manager"]["bytes"]["rejected"] == 64 * MiB
-        assert "deadline.rejected" not in snap.get("counters", {})
+        assert "counters" not in snap
         spans = [s for s in ctx.flight.iter_spans() if s.kind == "transfer"]
         assert any(s.attrs.get("outcome") == "rejected" for s in spans)
 

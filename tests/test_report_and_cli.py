@@ -113,4 +113,4 @@ class TestCli:
         ) == 0
         assert (tmp_path / "run.metrics.json").exists()
         assert (tmp_path / "run.trace.json").exists()
-        assert (tmp_path / "run.decisions.jsonl").exists()
+        assert not (tmp_path / "run.decisions.jsonl").exists()

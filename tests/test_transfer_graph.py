@@ -158,15 +158,23 @@ class TestRecoveryInvalidation:
 
 class TestObservability:
     def test_decision_log_marks_graph_hits(self):
+        """A replay's decision is its ``plan.graph_hit`` span: the same
+        choice as the cold plan it froze, served without the planner."""
         obs = Observability()
         eng, ctx = _context(obs=obs)
         _run_puts(eng, ctx, [8 * MiB] * 3)
-        graph_records = [r for r in obs.decisions.records if r.graph]
-        assert len(graph_records) == 2
-        assert all(r.cache_hit for r in graph_records)
-        assert obs.decisions.graph_hits == 2
-        assert obs.decisions.summary()["graph_hits"] == 2
-        assert obs.metrics.counter("planner.graph_hits").value == 2
+        plans = [
+            s for s in ctx.flight.iter_spans() if s.kind.startswith("plan")
+        ]
+        cold, *hits = plans
+        assert cold.kind == "plan"
+        assert [s.kind for s in hits] == ["plan.graph_hit"] * 2
+        for s in hits:
+            for key in ("mode", "paths", "predicted"):
+                assert s.attrs[key] == cold.attrs[key]
+        snap = obs.metrics.snapshot()
+        assert snap["transfer_graph"]["hits"] == 2
+        assert snap["planner"]["cache"]["hits"] == 0
 
     def test_flight_records_graph_hit_spans(self):
         eng, ctx = _context()

@@ -317,7 +317,8 @@ class TestObservabilityWiring:
         eng, ctx = make_ctx(config=cfg, tracer=Tracer(), obs=obs)
         evs = [ctx.put(0, 1, 4 * MiB, tag=f"q{i}") for i in range(2)]
         eng.run(until=eng.all_of(evs))
-        assert obs.metrics.counter("transfer_manager.queued").value == 1
+        snap = obs.metrics.snapshot()
+        assert snap["transfer_manager"]["queued"] == 1
         queue_spans = [
             s for s in ctx.flight.iter_spans() if s.kind == "admission.queue"
         ]
@@ -325,8 +326,10 @@ class TestObservabilityWiring:
         (span,) = queue_spans
         assert span.t1 > span.t0  # real time spent waiting
         assert ctx.flight.get(span.parent).attrs["tag"] == "q1"
-        snap = obs.metrics.snapshot()
-        assert "queue_depth" in snap["transfer_manager"]
+        assert snap["transfer_manager"]["queue_depth"] == 0
+        # the wait itself is the flight recorder's queue_wait stage
+        wait = snap["tracing"]["stages"]["queue_wait"]
+        assert wait["count"] == 1 and wait["max"] == span.t1 - span.t0
 
     def test_zero_byte_put_via_manager(self):
         eng, ctx = make_ctx()
