@@ -560,7 +560,7 @@ class TraceBreakdown:
     root: SpanView
     spans: tuple[SpanView, ...]  # every resident span of the trace, by sid
     children: dict  # sid -> tuple of child SpanViews, in sid order
-    stages: dict  # stage name -> accumulated seconds
+    stages: dict  # stage name -> seconds (see TraceTree.breakdown)
 
     @property
     def duration(self) -> float:
@@ -618,6 +618,14 @@ class TraceTree:
     def breakdown(self, trace_id: int) -> TraceBreakdown:
         """Reconstruct one trace's parent-linked stage breakdown.
 
+        ``queue`` and ``recovery`` sum their spans' simulated durations and
+        ``plan`` the planners' wall time.  ``execute`` is the interval
+        from the first start to the last end of the root's direct
+        ``pipeline.path[i]`` spans, faulted or not: concurrent paths count
+        once, and retry rounds (whose paths hang under their
+        ``recovery.retry[k]`` span) count only in ``recovery``.  So
+        queue + execute + recovery never exceeds the root's duration.
+
         Raises :class:`KeyError` when the trace has no resident root
         (never recorded, or evicted from the ring).
         """
@@ -635,6 +643,7 @@ class TraceTree:
         stages = dict.fromkeys(
             [stage for _prefix, stage in _BREAKDOWN_STAGE], 0.0
         )
+        first_round: list[SpanView] = []
         for span in spans:
             for prefix, stage in _BREAKDOWN_STAGE:
                 if span.kind.startswith(prefix):
@@ -642,11 +651,18 @@ class TraceTree:
                         # planning is instantaneous in simulated time; its
                         # cost lives in the wall_time_s attribute
                         stages[stage] += span.attrs.get("wall_time_s", 0.0)
-                    elif stage == "execute" and span.kind.find(".chunk") >= 0:
-                        pass  # chunks nest inside their path span
+                    elif stage == "execute":
+                        # chunk markers parent to their path span, retry
+                        # rounds' paths to their recovery.retry[k] span
+                        if span.parent == root.sid:
+                            first_round.append(span)
                     else:
                         stages[stage] += span.duration
                     break
+        if first_round:
+            stages["execute"] = max(s.t1 for s in first_round) - min(
+                s.t0 for s in first_round
+            )
         return TraceBreakdown(
             trace_id=trace_id,
             root=root,

@@ -351,6 +351,21 @@ class TestRecoveryParenting:
         assert faulted, "the killed path must still close its span"
         assert all(not s.open for s in faulted)
 
+    def test_stages_fit_inside_the_transfer(self, scenario):
+        """Queue, first-round execution and recovery are disjoint parts of
+        a transfer: concurrent paths count once, and a retry round's paths
+        count only under recovery."""
+        tree = TraceTree(scenario.context.flight)
+        roots = tree.roots()
+        assert len(roots) == 3
+        for root in roots:
+            stages = tree.breakdown(root.trace_id).stages
+            assert stages["execute"] > 0
+            assert (
+                stages["queue"] + stages["execute"] + stages["recovery"]
+                <= root.duration
+            ), (root.trace_id, stages, root.duration)
+
     def test_recovery_stage_observed(self, scenario):
         stats = scenario.context.flight.stage_stats()
         assert stats["recovery"]["count"] >= 1
