@@ -431,6 +431,7 @@ class TestSanitizer:
         assert report.ok and not report.violations
         assert "hold" in report.describe()
 
+    @pytest.mark.no_sanitizer  # leaks a load hold on purpose
     def test_detects_leaked_load_hold(self):
         eng, ctx = make_ctx()
         eng.run(until=ctx.put(0, 1, 8 * MiB))
