@@ -589,7 +589,7 @@ class TransferManager:
             gov.observe_wait(waited)
             if r.root_sid >= 0:
                 # one-shot queue span (enqueue -> dispatch); recording it
-                # feeds the queue_wait stage aggregate via the kind's stage
+                # feeds the queue_wait stage aggregate
                 flight.record(
                     "admission.queue",
                     r.trace_id,
