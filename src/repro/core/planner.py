@@ -241,12 +241,8 @@ class PathPlanner:
         return plan
 
     @staticmethod
-    def _plan_load_bucket(
-        plan: TransferPlan, load: "LoadSnapshot | None"
-    ) -> int:
+    def _plan_load_bucket(plan: TransferPlan, load: "LoadSnapshot") -> int:
         """Worst bucketed hop load the plan was derated against (0 = idle)."""
-        if load is None:
-            return 0
         return max(
             (
                 load.hop_load(hop)

@@ -566,7 +566,7 @@ class CudaIpcModule:
 
     def _record_plan(
         self, kind: str, trace_id: int, parent_sid: int, mode: str,
-        plan: TransferPlan, wall: float, load=None,
+        plan: TransferPlan, wall: float, load,
     ) -> None:
         """Record one ``plan*`` flight span, the put's decision record.
 
