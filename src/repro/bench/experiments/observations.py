@@ -134,8 +134,8 @@ def obs4_small_message_overestimation(fig5: Table) -> ObservationResult:
 def obs5_bibw_host_contention(fig6: Table) -> ObservationResult:
     """Obs 5: in BIBW, enabling the host path hurts vs GPU-only paths."""
     ratios = []
-    for system in {r["system"] for r in fig6}:
-        for window in {r["window"] for r in fig6}:
+    for system in sorted({r["system"] for r in fig6}):
+        for window in sorted({r["window"] for r in fig6}):
             host = fig6.where(system=system, window=window, paths="3_GPUs_w_host")
             nohost = fig6.where(system=system, window=window, paths="3_GPUs")
             by_size_h = {r["size_mib"]: r["dynamic_gbps"] for r in host}

@@ -17,6 +17,11 @@ fabric's global progressive filling ran it.  They are the bit-identity oracle
 those in-process references used to be.  A
 mismatch prints the new digest, so an intended timeline change is a
 reviewed one-line edit of that file.
+
+The ``paper_*`` entries digest (:func:`table_digest`) the reduced paper
+tables ``tests/test_experiments.py`` computes: fig4–fig7, the prediction
+error table, the headline speedups and the five observations.  They pin
+the paper's numbers exactly, not only within their bands.
 """
 
 from __future__ import annotations
@@ -36,6 +41,12 @@ def timeline_digest(engine, tracer, results, fabric) -> str:
         for name, ch in sorted(fabric.channels.items())
     ]
     payload = repr((records, engine.now, tuple(results), channels))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def table_digest(rows) -> str:
+    """sha256 of a result table's rows, in order (``repr`` per row)."""
+    payload = repr(tuple(rows))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -2,7 +2,8 @@
 
 These run the same code paths as the full harness with shrunken sweeps, and
 assert the paper's qualitative results (who wins, error bands, the five
-observations) rather than absolute numbers.
+observations).  ``TestPaperDigests`` also pins the reduced tables exactly,
+against committed ``tests/golden`` digests.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.bench.experiments import (
 from repro.bench.experiments.error_analysis import overall_mean_error
 from repro.bench.runner import clear_caches, get_setup
 from repro.units import MiB
+from tests.golden import assert_golden, table_digest
 
 QUICK = dict(iterations=2, warmup=1, grid_steps=4, chunk_menu=(1, 8))
 SIZES = [2 * MiB, 16 * MiB, 128 * MiB, 512 * MiB]
@@ -32,6 +34,11 @@ def fig5_table():
 @pytest.fixture(scope="module")
 def fig6_table():
     return run_fig6(("beluga", "narval"), sizes=SIZES, windows=(1, 16), **QUICK)
+
+
+@pytest.fixture(scope="module")
+def fig7_table():
+    return run_fig7(("beluga", "narval"), sizes=[8 * MiB, 32 * MiB], **QUICK)
 
 
 class TestFig4:
@@ -108,14 +115,6 @@ class TestObservations:
 
 
 class TestFig7:
-    @pytest.fixture(scope="class")
-    def fig7_table(self):
-        return run_fig7(
-            ("beluga", "narval"),
-            sizes=[8 * MiB, 32 * MiB],
-            **QUICK,
-        )
-
     def test_multipath_speedups_above_one(self, fig7_table):
         for r in fig7_table:
             if r["size_mib"] >= 32:
@@ -138,6 +137,44 @@ class TestFig7:
                 for r in fig7_table.where(system=system, collective="allreduce")
             )
             assert a2a >= ar * 0.95
+
+
+class TestPaperDigests:
+    """The reduced tables above, bit for bit (``repr`` round-trips floats).
+
+    A change that moves one of these names the table and the rows that
+    moved; the bands above say whether the paper's claims still hold.
+    """
+
+    def test_paper_digest_fig4(self):
+        table = run_fig4("beluga", sizes=[2 * MiB, 4 * MiB, 64 * MiB, 512 * MiB])
+        assert len(table) == 36
+        assert_golden("paper_fig4", table_digest(table.rows))
+
+    def test_paper_digest_fig5(self, fig5_table):
+        assert len(fig5_table) == 48
+        assert_golden("paper_fig5", table_digest(fig5_table.rows))
+
+    def test_paper_digest_fig6(self, fig6_table):
+        assert len(fig6_table) == 48
+        assert_golden("paper_fig6", table_digest(fig6_table.rows))
+
+    def test_paper_digest_fig7(self, fig7_table):
+        assert len(fig7_table) == 16
+        assert_golden("paper_fig7", table_digest(fig7_table.rows))
+
+    def test_paper_digest_errors(self, fig5_table):
+        err = prediction_error_table(fig5_table)
+        assert len(err) == 24
+        assert_golden("paper_errors", table_digest(err.rows))
+
+    def test_paper_digest_speedups(self, fig5_table, fig7_table):
+        speedups = headline_speedups(fig5_table, fig7_table)
+        assert_golden("paper_speedups", table_digest(speedups.rows))
+
+    def test_paper_digest_observations(self, fig5_table, fig6_table):
+        results = check_observations(fig5_table, fig6_table)
+        assert_golden("paper_observations", table_digest(results))
 
 
 class TestSetupCache:
