@@ -13,6 +13,13 @@ paper notes that "any path, except the direct one, may be excluded as a
 result of the optimization"; :func:`optimal_fractions` implements that by
 iteratively dropping the path with the most negative fraction and
 re-solving (a water-filling active-set step that terminates in ≤ p rounds).
+
+The solve runs on Python floats: a node has at most a handful of paths,
+and arrays that small never repay their set-up (DESIGN.md §5c).  Every
+step keeps the operation and operand order of the array form it replaced,
+so the floats are the same bit for bit: sums run in ``ndarray.sum``'s
+order (:func:`_sum`; built-in ``sum()`` compensates on Python ≥ 3.12), and
+which negative path is dropped first cannot change the final active set.
 """
 
 from __future__ import annotations
@@ -55,6 +62,40 @@ class FractionSolution:
         )
 
 
+def _sum(values: Sequence[float]) -> float:
+    """Σ values in ``ndarray.sum``'s order (numpy's pairwise summation).
+
+    Below eight terms that is one loop, left to right from 0.0; from eight
+    on, eight strided partial sums combined pairwise, then the remainder.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    part = list(values[:8])
+    whole = n - n % 8
+    for i in range(8, whole, 8):
+        for j in range(8):
+            part[j] += values[i + j]
+    total = ((part[0] + part[1]) + (part[2] + part[3])) + (
+        (part[4] + part[5]) + (part[6] + part[7])
+    )
+    for v in values[whole:]:
+        total += v
+    return total
+
+
+def _equal_time(
+    omegas: Sequence[float], deltas: Sequence[float], n: float
+) -> tuple[list[float], float]:
+    """Eq. (11)/(24) over floats: ``(theta, T*)``, fractions unclamped."""
+    inv = [1.0 / o for o in omegas]
+    t_star = (n + _sum([d * v for d, v in zip(deltas, inv)])) / _sum(inv)
+    return [(t_star - d) * v / n for d, v in zip(deltas, inv)], t_star
+
+
 def solve_equal_time(
     omegas: np.ndarray, deltas: np.ndarray, nbytes: float
 ) -> tuple[np.ndarray, float]:
@@ -65,12 +106,12 @@ def solve_equal_time(
     """
     if nbytes <= 0:
         raise ValueError("message size must be > 0")
-    inv = 1.0 / omegas
-    inv_sum = inv.sum()
-    delta_sum = (deltas * inv).sum()
-    t_star = (nbytes + delta_sum) / inv_sum
-    theta = (t_star - deltas) * inv / nbytes
-    return theta, float(t_star)
+    theta, t_star = _equal_time(
+        np.asarray(omegas, dtype=float).tolist(),
+        np.asarray(deltas, dtype=float).tolist(),
+        float(nbytes),
+    )
+    return np.array(theta), t_star
 
 
 def optimal_fractions(
@@ -96,63 +137,57 @@ def optimal_fractions(
     n = float(nbytes)
     if n <= 0:
         raise ValueError("message size must be > 0")
-    om = np.array(
-        [p.Omega for p in paths] if omegas is None else list(omegas), dtype=float
-    )
-    de = np.array(
-        [p.Delta for p in paths] if deltas is None else list(deltas), dtype=float
-    )
-    if om.size != len(paths) or de.size != len(paths):
+    count = len(paths)
+    om = [p.Omega for p in paths] if omegas is None else [float(o) for o in omegas]
+    de = [p.Delta for p in paths] if deltas is None else [float(d) for d in deltas]
+    if len(om) != count or len(de) != count:
         raise ValueError("omegas/deltas must align with paths")
-    if np.any(om <= 0) or np.any(de < 0):
+    if any(o <= 0 for o in om) or any(d < 0 for d in de):
         raise ValueError("Omega must be > 0 and Delta >= 0")
-    if keep is not None and not 0 <= keep < len(paths):
+    if keep is not None and not 0 <= keep < count:
         raise ValueError(f"keep index {keep} out of range")
 
-    active = np.ones(len(paths), dtype=bool)
-    theta_full = np.zeros(len(paths))
-    t_star = float("inf")
-    for _ in range(len(paths)):
-        idx = np.flatnonzero(active)
-        theta_act, t_star = solve_equal_time(om[idx], de[idx], n)
-        if np.all(theta_act >= -1e-12):
-            theta_full[:] = 0.0
-            theta_full[idx] = np.clip(theta_act, 0.0, 1.0)
+    idx = list(range(count))  # the active paths, in path order
+    for _ in range(count):
+        theta, t_star = _equal_time([om[i] for i in idx], [de[i] for i in idx], n)
+        if all(t >= -1e-12 for t in theta):
+            theta = [min(max(t, 0.0), 1.0) for t in theta]
             break
-        # Drop the most negative path (excluding the protected one).
-        order = np.argsort(theta_act)
-        dropped = False
-        for j in order:
-            if theta_act[j] >= 0:
-                break
-            if keep is not None and idx[j] == keep:
-                continue
-            active[idx[j]] = False
-            dropped = True
-            break
-        if not dropped:
+        # Drop the most negative path (excluding the protected one); ties
+        # go to the lower index.  Any order drops the same set: a fraction
+        # is negative exactly when its Δ exceeds T*, and a drop only
+        # lowers T*.
+        drop = min(
+            (j for j, t in enumerate(theta) if t < 0 and idx[j] != keep),
+            key=theta.__getitem__,
+            default=None,
+        )
+        if drop is None:
             # Only the protected path is negative — give it everything else's
             # leftover by falling back to the protected path alone.
-            theta_full[:] = 0.0
-            theta_full[keep] = 1.0
-            only = np.array([keep])
-            _, t_star = solve_equal_time(om[only], de[only], n)
-            active[:] = False
-            active[keep] = True
+            idx, theta = [keep], [1.0]
+            _, t_star = _equal_time([om[keep]], [de[keep]], n)
             break
-    else:  # pragma: no cover - loop always breaks
+        del idx[drop]
+    else:  # keep=None, and rounding left even the last path negative
         raise RuntimeError("active-set iteration failed to converge")
 
+    theta_full = [0.0] * count
+    for i, t in zip(idx, theta):
+        theta_full[i] = t
     # Normalise away rounding noise.
-    s = theta_full.sum()
+    s = _sum(theta_full)
     if s > 0:
-        theta_full = theta_full / s
+        theta_full = [t / s for t in theta_full]
+    active = [False] * count
+    for i in idx:
+        active[i] = True
     return FractionSolution(
-        theta=theta_full,
-        active=tuple(bool(a) for a in active),
+        theta=np.array(theta_full),
+        active=tuple(active),
         predicted_time=t_star,
-        omegas=om,
-        deltas=de,
+        omegas=np.array(om),
+        deltas=np.array(de),
     )
 
 

@@ -351,12 +351,13 @@ class PathPlanner:
         )
 
         # Lines 27-29: byte shares, aligned, leftover to the direct path.
+        thetas = solution.theta.tolist()
         shares = [
             int(theta * nbytes) // self.alignment * self.alignment
-            for theta in solution.theta
+            for theta in thetas
         ]
         leftover = nbytes - sum(shares)
-        sink = keep if keep is not None else int(np.argmax(solution.theta))
+        sink = keep if keep is not None else thetas.index(max(thetas))
         shares[sink] += leftover
 
         assignments = []
