@@ -22,7 +22,7 @@ for tests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,10 +70,6 @@ class PathParams:
         if self.is_staged:
             out += 1.0 / self.beta2
         return out
-
-    def with_initiation(self, initiation: float) -> "PathParams":
-        """Copy with the accumulated initiation latency of earlier paths."""
-        return replace(self, initiation=initiation)
 
     @property
     def bottleneck_first(self) -> bool:
@@ -160,7 +156,11 @@ class ParameterStore:
     def path_params(
         self, path: "PathDescriptor", *, initiation: float = 0.0
     ) -> PathParams:
-        """Assemble :class:`PathParams` for a candidate path."""
+        """Assemble :class:`PathParams` for a candidate path.
+
+        ``initiation`` is the sequential-initiation latency of the paths
+        launched before this one (Algorithm 1, Line 18).
+        """
         first = self.link(path.hops[0])
         if len(path.hops) == 1:
             return PathParams(

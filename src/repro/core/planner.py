@@ -168,6 +168,7 @@ class PathPlanner:
         self.phi_mode = phi_mode
         self.cache: LRUCache = LRUCache(cache_capacity)
         self._phi_cache: dict[str, float] = {}
+        self._candidates: dict[tuple, tuple[PathDescriptor, ...]] = {}
         #: Optional GraphCache of compiled transfer graphs.  Graphs embed
         #: resolved plans, so every plan-cache invalidation below forwards
         #: to it — a graph must never outlive the plan it froze.
@@ -222,13 +223,9 @@ class PathPlanner:
                     predicted_time=cached.predicted_time,
                     from_cache=True,
                 )
-        paths = enumerate_paths(
-            self.topology,
-            src,
-            dst,
-            include_host=include_host,
-            max_gpu_staged=max_gpu_staged,
-            exclude=exclude,
+        paths = self.candidates(
+            src, dst, include_host=include_host,
+            max_gpu_staged=max_gpu_staged, exclude=exclude,
         )
         if degrade:
             paths = self._degrade_paths(paths, degrade)
@@ -239,6 +236,36 @@ class PathPlanner:
         if use_cache:
             self.cache.put(key, plan)
         return plan
+
+    def candidates(
+        self,
+        src: int,
+        dst: int,
+        *,
+        include_host: bool = True,
+        max_gpu_staged: int | None = None,
+        exclude: Iterable[str] = (),
+    ) -> tuple[PathDescriptor, ...]:
+        """The pair's candidate paths in canonical order, enumerated once.
+
+        Enumeration reads only the topology, which is fixed at
+        construction, so the memo never needs invalidating; it hands out
+        tuples, so no caller can mutate a shared list.  It holds at most
+        pairs × (``include_host``, ``max_gpu_staged``, exclusion set)
+        entries.  :func:`~repro.topology.routing.enumerate_paths`'s
+        ``ValueError`` (src == dst, an unknown GPU, no candidate left)
+        propagates and is not memoised.
+        """
+        key = (src, dst, include_host, max_gpu_staged, tuple(sorted(exclude)))
+        paths = self._candidates.get(key)
+        if paths is None:
+            paths = self._candidates[key] = tuple(
+                enumerate_paths(
+                    self.topology, src, dst, include_host=include_host,
+                    max_gpu_staged=max_gpu_staged, exclude=key[-1],
+                )
+            )
+        return paths
 
     @staticmethod
     def _plan_load_bucket(plan: TransferPlan, load: "LoadSnapshot") -> int:
@@ -461,11 +488,9 @@ class PathPlanner:
         initiation: float,
         load: "LoadSnapshot | None" = None,
     ) -> PathParams:
-        params = self.store.path_params(path)
+        params = self.store.path_params(path, initiation=initiation)
         if load is not None:
             params = self._derate_for_load(params, path, load)
-        if self.sequential_initiation and initiation > 0:
-            params = params.with_initiation(initiation)
         return params
 
     @staticmethod

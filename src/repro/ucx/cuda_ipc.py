@@ -27,7 +27,6 @@ from repro.core.chunking import effective_params
 from repro.core.planner import PathAssignment, PathPlanner, TransferPlan
 from repro.gpu.errors import PathUnavailable, TransferTimeout
 from repro.sim.engine import Event
-from repro.topology.routing import enumerate_paths
 from repro.units import us
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -602,7 +601,7 @@ class CudaIpcModule:
         # Canonical order puts direct first when it exists; degenerate
         # systems fall back to the first available (host-staged on
         # PCIe-only nodes).
-        best = enumerate_paths(self.context.topology, src, dst)[0]
+        best = self.context.planner.candidates(src, dst)[0]
         a = self._assignment(best, nbytes, 1.0, 1)
         return TransferPlan(
             src=src,
@@ -614,13 +613,9 @@ class CudaIpcModule:
 
     def _static_plan(self, src: int, dst: int, nbytes: int) -> TransferPlan:
         cfg = self.context.config
-        paths = enumerate_paths(
-            self.context.topology,
-            src,
-            dst,
-            include_host=cfg.include_host,
-            max_gpu_staged=cfg.max_gpu_staged,
-            exclude=cfg.exclude_paths,
+        paths = self.context.planner.candidates(
+            src, dst, include_host=cfg.include_host,
+            max_gpu_staged=cfg.max_gpu_staged, exclude=cfg.exclude_paths,
         )
         # Static shares are tuned offline on one reference pair; apply them
         # to any pair by *role*: "direct" -> the direct path, "gpu:*" ->

@@ -42,7 +42,7 @@ class TestPathParams:
         assert p.is_staged
 
     def test_initiation_adds_to_delta(self):
-        p = staged_params().with_initiation(5 * us)
+        p = staged_params(initiation=5 * us)
         assert p.Delta == pytest.approx(12 * us)
 
     def test_bottleneck_detection(self):

@@ -122,6 +122,41 @@ class TestPlannerCache:
         assert not p.from_cache
 
 
+class TestCandidates:
+    def test_enumerated_once_per_argument_set(self, beluga):
+        planner = PathPlanner(beluga)
+        paths = planner.candidates(0, 1, exclude=["host", "gpu:2"])
+        assert type(paths) is tuple
+        assert paths == tuple(enumerate_paths(beluga, 0, 1, exclude={"gpu:2", "host"}))
+        # exclusions key as a set: order and container do not matter
+        assert planner.candidates(0, 1, exclude=("gpu:2", "host")) is paths
+        assert planner.candidates(0, 1) is not paths
+        assert planner.candidates(0, 1, include_host=False, max_gpu_staged=1) == tuple(
+            enumerate_paths(beluga, 0, 1, include_host=False, max_gpu_staged=1)
+        )
+
+    def test_plans_share_the_memo(self, beluga):
+        planner = PathPlanner(beluga)
+        first = planner.plan(0, 1, 64 * MiB)
+        second = planner.plan(0, 1, 32 * MiB)
+        assert [a.path for a in first.assignments] == list(planner.candidates(0, 1))
+        assert all(
+            a.path is b.path for a, b in zip(first.assignments, second.assignments)
+        )
+
+    def test_enumeration_errors_propagate(self, beluga):
+        planner = PathPlanner(beluga)
+        for _ in range(2):  # errors are never memoised
+            with pytest.raises(ValueError, match="differ"):
+                planner.candidates(1, 1)
+            with pytest.raises(ValueError, match="out of range"):
+                planner.candidates(0, 9)
+            with pytest.raises(ValueError, match="no paths"):
+                planner.candidates(
+                    0, 1, exclude=["direct", "gpu:2", "gpu:3", "host"]
+                )
+
+
 class TestSequentialInitiation:
     def test_later_paths_pay_initiation(self, beluga):
         planner = PathPlanner(beluga, sequential_initiation=True)
