@@ -31,6 +31,8 @@ import numpy as np
 
 from repro.core.params import PathParams
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class FractionSolution:
@@ -142,8 +144,10 @@ def optimal_fractions(
     de = [p.Delta for p in paths] if deltas is None else [float(d) for d in deltas]
     if len(om) != count or len(de) != count:
         raise ValueError("omegas/deltas must align with paths")
-    if any(o <= 0 for o in om) or any(d < 0 for d in de):
-        raise ValueError("Omega must be > 0 and Delta >= 0")
+    for o, d in zip(om, de):
+        # chained comparisons are False for NaN, so NaN fails here too
+        if not (0.0 < o < _INF and 0.0 <= d < _INF):
+            raise ValueError("Omega must be > 0 and Delta >= 0, both finite")
     if keep is not None and not 0 <= keep < count:
         raise ValueError(f"keep index {keep} out of range")
 

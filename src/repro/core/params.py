@@ -22,12 +22,18 @@ for tests.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.topology.node import NodeTopology
     from repro.topology.routing import PathDescriptor
+
+# The checks below are chained comparisons with ``_INF``.  Any comparison
+# with NaN is False, so each one rejects NaN and ±inf as well as values out
+# of range (Python's json module reads ``NaN`` and ``Infinity``).
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -43,14 +49,16 @@ class PathParams:
     initiation: float = 0.0  # extra latency from sequentially scheduled paths
 
     def __post_init__(self) -> None:
-        if self.alpha1 < 0 or self.beta1 <= 0:
+        if not (0 <= self.alpha1 < _INF and 0 < self.beta1 < _INF):
             raise ValueError(f"{self.path_id}: invalid first-link parameters")
         if (self.alpha2 is None) != (self.beta2 is None):
             raise ValueError(f"{self.path_id}: staged paths need both alpha2 and beta2")
-        if self.alpha2 is not None and (self.alpha2 < 0 or self.beta2 <= 0):
+        if self.alpha2 is not None and not (
+            0 <= self.alpha2 < _INF and 0 < self.beta2 < _INF
+        ):
             raise ValueError(f"{self.path_id}: invalid second-link parameters")
-        if self.epsilon < 0 or self.initiation < 0:
-            raise ValueError(f"{self.path_id}: negative overhead")
+        if not (0 <= self.epsilon < _INF and 0 <= self.initiation < _INF):
+            raise ValueError(f"{self.path_id}: negative or non-finite overhead")
 
     # ------------------------------------------------------------------
     @property
@@ -101,7 +109,7 @@ class LinkEstimate:
     samples: int = 0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta <= 0:
+        if not (0 <= self.alpha < _INF and 0 < self.beta < _INF):
             raise ValueError("invalid link estimate")
 
 
@@ -139,14 +147,16 @@ class ParameterStore:
     def set_epsilon(self, staging_kind: str, value: float) -> None:
         if staging_kind not in ("gpu", "host"):
             raise ValueError("staging_kind must be 'gpu' or 'host'")
+        if not 0 <= value < _INF:
+            raise ValueError("epsilon must be finite and >= 0")
         self._epsilon[staging_kind] = float(value)
 
     def epsilon(self, staging_kind: str) -> float:
         return self._epsilon.get(staging_kind, 0.0)
 
     def set_phi(self, path_id: str, value: float) -> None:
-        if value <= 0:
-            raise ValueError("phi must be > 0")
+        if not 0 < value < _INF:
+            raise ValueError("phi must be finite and > 0")
         self._phi[path_id] = float(value)
 
     def phi(self, path_id: str) -> float:
@@ -210,6 +220,8 @@ class ParameterStore:
         store = cls(system=payload.get("system", ""))
         store.default_phi = payload.get("default_phi", 0.1)
         store.launch_overhead = payload.get("launch_overhead", 0.0)
+        if not 0 <= store.launch_overhead < _INF:
+            raise ValueError("launch_overhead must be finite and >= 0")
         for entry in payload.get("links", []):
             store.set_link(
                 tuple(entry["hop"]),

@@ -217,6 +217,12 @@ class TestOptimalFractions:
             optimal_fractions(BELUGA_LIKE, 100, omegas=[1.0])
         with pytest.raises(ValueError):
             optimal_fractions(BELUGA_LIKE, 100, keep=10)
+        n = len(BELUGA_LIKE)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                optimal_fractions(BELUGA_LIKE, 100, omegas=[bad] * n)
+            with pytest.raises(ValueError, match="finite"):
+                optimal_fractions(BELUGA_LIKE, 100, deltas=[bad] * n)
 
     def test_describe(self):
         sol = optimal_fractions(BELUGA_LIKE, 64 * MiB)

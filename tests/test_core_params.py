@@ -1,5 +1,8 @@
 """Tests for PathParams, LinkEstimate, and the ParameterStore."""
 
+import json
+import math
+
 import pytest
 
 from repro.core.params import LinkEstimate, ParameterStore, PathParams
@@ -59,6 +62,14 @@ class TestPathParams:
         with pytest.raises(ValueError):
             staged_params(epsilon=-1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field", ["alpha1", "beta1", "epsilon", "alpha2", "beta2", "initiation"]
+    )
+    def test_rejects_non_finite(self, field, bad):
+        with pytest.raises(ValueError):
+            staged_params(**{field: bad})
+
     def test_describe(self):
         assert "b2=" in staged_params().describe()
         assert "b2=" not in direct_params().describe()
@@ -74,6 +85,11 @@ class TestLinkEstimate:
             LinkEstimate(alpha=-1, beta=1)
         with pytest.raises(ValueError):
             LinkEstimate(alpha=1, beta=0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                LinkEstimate(alpha=bad, beta=1)
+            with pytest.raises(ValueError):
+                LinkEstimate(alpha=1, beta=bad)
 
 
 class TestParameterStore:
@@ -100,6 +116,13 @@ class TestParameterStore:
         assert s.phi("other") == s.default_phi
         with pytest.raises(ValueError):
             s.set_phi("x", 0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                s.set_epsilon("gpu", bad)
+            with pytest.raises(ValueError):
+                s.set_phi("x", bad)
+        with pytest.raises(ValueError):
+            s.set_epsilon("gpu", -1 * us)
 
     def test_ground_truth_covers_all_paths(self):
         topo = systems.beluga()
@@ -137,3 +160,50 @@ class TestParameterStore:
         assert restored.launch_overhead == 1 * us
         hop = topo.direct_hop(0, 1)
         assert restored.link(hop).beta == s.link(hop).beta
+
+
+def _beluga_payload() -> dict:
+    return json.loads(ParameterStore.ground_truth(systems.beluga()).to_json())
+
+
+def _link_entry(payload: dict, hop: tuple) -> dict:
+    return next(e for e in payload["links"] if tuple(e["hop"]) == hop)
+
+
+class TestNonFiniteParametersRejectedAtLoad:
+    """Python's json reads ``NaN`` and ``Infinity``; a parameter file
+    holding one used to load silently and change plans (a NaN ε dropped
+    both GPU-staged paths; a NaN host α made 1→0, 2→0, 3→0 direct-only;
+    an infinite β failed only once a plan ran)."""
+
+    def _load(self, payload: dict) -> ParameterStore:
+        return ParameterStore.from_json(json.dumps(payload))
+
+    def test_round_trip_still_loads(self):
+        store = self._load(_beluga_payload())
+        assert store.epsilon("gpu") == systems.beluga().sync.gpu
+
+    def test_nan_epsilon(self):
+        payload = _beluga_payload()
+        payload["epsilon"]["gpu"] = math.nan
+        with pytest.raises(ValueError, match="epsilon"):
+            self._load(payload)
+
+    def test_nan_alpha(self):
+        payload = _beluga_payload()
+        _link_entry(payload, ("dram:0", "pcie:0:h2d"))["alpha"] = math.nan
+        with pytest.raises(ValueError, match="link estimate"):
+            self._load(payload)
+
+    def test_infinite_beta(self):
+        payload = _beluga_payload()
+        _link_entry(payload, ("nvl:0->1",))["beta"] = math.inf
+        with pytest.raises(ValueError, match="link estimate"):
+            self._load(payload)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-6])
+    def test_bad_launch_overhead(self, bad):
+        payload = _beluga_payload()
+        payload["launch_overhead"] = bad
+        with pytest.raises(ValueError, match="launch_overhead"):
+            self._load(payload)
