@@ -50,14 +50,6 @@ def _path_kind(path_index: int) -> str:
     return f"pipeline.path[{path_index}]"
 
 
-#: Memoised chunk schedules, keyed ``(nbytes, k)``.  The split is pure and
-#: recomputed per path per transfer on the hot path; repeated traffic hits
-#: a handful of shapes.  Bounded so adversarial size streams cannot grow it;
-#: on overflow new shapes are computed without being cached.
-_CHUNK_MEMO: dict[tuple[int, int], list[int]] = {}
-_CHUNK_MEMO_CAP = 4096
-
-
 @dataclass(frozen=True)
 class PathExecution:
     """Per-path accounting returned by the engine."""
@@ -504,23 +496,19 @@ class PipelineEngine:
     # ------------------------------------------------------------------
     @staticmethod
     def _chunk_sizes(nbytes: int, k: int) -> list[int]:
-        """Split ``nbytes`` into ``k`` near-equal positive chunks (memoised).
+        """Split ``nbytes`` into ``k`` near-equal positive chunks.
 
+        Only :func:`~repro.core.transfer_graph.compile_plan` calls this: a
+        compiled graph freezes the schedule, so a replay never splits again.
         Zero-byte requests never reach path execution (the planner's
         ``active_assignments`` filters empty shares), so an empty or
         zero-byte chunk list has no meaning here and is rejected.
         """
         if nbytes <= 0:
             raise ValueError(f"cannot chunk a {nbytes}-byte transfer")
-        key = (nbytes, k)
-        sizes = _CHUNK_MEMO.get(key)
-        if sizes is None:
-            k = max(1, min(k, nbytes))
-            base, rem = divmod(nbytes, k)
-            sizes = [base + (1 if i < rem else 0) for i in range(k)]
-            if len(_CHUNK_MEMO) < _CHUNK_MEMO_CAP:
-                _CHUNK_MEMO[key] = sizes
-        return sizes
+        k = max(1, min(k, nbytes))
+        base, rem = divmod(nbytes, k)
+        return [base + (1 if i < rem else 0) for i in range(k)]
 
 
 __all__ = [

@@ -218,11 +218,6 @@ class TestChunkMemo:
         with pytest.raises(ValueError):
             PipelineEngine._chunk_sizes(0, 4)
 
-    def test_chunk_sizes_memoized(self):
-        first = PipelineEngine._chunk_sizes(123457, 11)
-        again = PipelineEngine._chunk_sizes(123457, 11)
-        assert again is first  # served from the memo
-
 
 class TestCompilePlan:
     def test_compiled_schedule_matches_cold_derivation(self):
