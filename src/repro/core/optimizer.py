@@ -183,12 +183,9 @@ def optimal_fractions(
     s = _sum(theta_full)
     if s > 0:
         theta_full = [t / s for t in theta_full]
-    active = [False] * count
-    for i in idx:
-        active[i] = True
     return FractionSolution(
         theta=np.array(theta_full),
-        active=tuple(active),
+        active=tuple(i in idx for i in range(count)),
         predicted_time=t_star,
         omegas=np.array(om),
         deltas=np.array(de),

@@ -10,6 +10,8 @@ moves some last bit and fails here.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,7 +181,9 @@ def test_eight_paths_sum_in_numpy_order():
 # Real planner inputs
 # ----------------------------------------------------------------------
 #: 4 KiB .. 512 MiB: every power of two, plus three unaligned sizes.
-SIZES = sorted({2**k for k in range(12, 30)} | {3 * 2**k + 256 for k in (12, 18, 24)})
+SIZES = sorted(
+    {2**k for k in range(12, 30)} | {3 * 2**k + 256 for k in (12, 18, 24)}
+)
 
 
 def _loads(topology):
@@ -191,51 +195,44 @@ def _loads(topology):
     yield LoadSnapshot({name: i % 5 for i, name in enumerate(names)})
 
 
+@pytest.fixture
+def solved(monkeypatch):
+    """Path counts of the solves planners run, each checked on the way."""
+    seen = []
+
+    def checked(paths, nbytes, **kwargs):
+        seen.append(len(paths))
+        return assert_matches_reference(paths, nbytes, **kwargs)
+
+    monkeypatch.setattr(planner_module, "optimal_fractions", checked)
+    return seen
+
+
 @pytest.mark.parametrize("system", ["beluga", "narval"])
 @pytest.mark.parametrize("sequential_initiation", [True, False])
-def test_planner_inputs_match_reference(system, sequential_initiation, monkeypatch):
-    seen = []
-
-    def checked(paths, nbytes, **kwargs):
-        seen.append(len(paths))
-        return assert_matches_reference(paths, nbytes, **kwargs)
-
-    monkeypatch.setattr(planner_module, "optimal_fractions", checked)
+def test_planner_inputs_match_reference(system, sequential_initiation, solved):
     setup = get_setup(system)
     topo = setup.topology
+    gpus = range(topo.num_gpus)
+    pairs = [(s, d) for s in gpus for d in gpus if s != d]
     for store in (setup.store, None):  # calibrated, then ground truth
-        planner = PathPlanner(
-            topo, store, sequential_initiation=sequential_initiation
-        )
-        for src in range(topo.num_gpus):
-            for dst in range(topo.num_gpus):
-                if src == dst:
-                    continue
-                for include_host in (True, False):
-                    for max_gpu_staged in (None, 1):
-                        for load in _loads(topo):
-                            for nbytes in SIZES:
-                                planner.plan(
-                                    src, dst, nbytes, include_host=include_host,
-                                    max_gpu_staged=max_gpu_staged, load=load,
-                                    use_cache=False,
-                                )
-    assert len(seen) == 2 * 12 * 4 * 5 * len(SIZES)
-    assert set(seen) >= {2, 3, 4}
+        planner = PathPlanner(topo, store, sequential_initiation=sequential_initiation)
+        for (src, dst), include_host, max_gpu_staged, load, nbytes in product(
+            pairs, (True, False), (None, 1), list(_loads(topo)), SIZES
+        ):
+            planner.plan(
+                src, dst, nbytes, include_host=include_host,
+                max_gpu_staged=max_gpu_staged, load=load, use_cache=False,
+            )
+    assert len(solved) == 2 * 12 * 4 * 5 * len(SIZES)
+    assert set(solved) >= {2, 3, 4}
 
 
-def test_dgx_planner_inputs_match_reference(monkeypatch):
+def test_dgx_planner_inputs_match_reference(solved):
     """Eight candidate paths: the pairwise branch of the sum."""
-    seen = []
-
-    def checked(paths, nbytes, **kwargs):
-        seen.append(len(paths))
-        return assert_matches_reference(paths, nbytes, **kwargs)
-
-    monkeypatch.setattr(planner_module, "optimal_fractions", checked)
     topo = systems.dgx_nvswitch()
     planner = PathPlanner(topo)
     for dst in range(1, topo.num_gpus):
         for nbytes in SIZES:
             planner.plan(0, dst, nbytes, use_cache=False)
-    assert max(seen) == 8
+    assert max(solved) == 8
