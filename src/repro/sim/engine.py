@@ -25,8 +25,9 @@ This keeps two hot paths cheap:
 * :meth:`Engine.schedule_fn` schedules a bare ``fn(arg)`` call with *no*
   :class:`Event` allocation, no callback list and no closure — the fluid
   fabric uses it for every admission timer and bandwidth wakeup.  It
-  returns an integer handle; :meth:`Engine.cancel_handle` tombstones the
-  slab slot in O(1) without touching the heap.
+  returns a ``(slot, seq)`` handle; :meth:`Engine.cancel_handle`
+  tombstones the slab slot in O(1) without touching the heap, and the
+  ``seq`` half tells a live entry from a later owner of a recycled slot.
 * :meth:`Engine.run` drains the heap **one timestamp at a time**: all
   entries sharing the front timestamp execute back-to-back, then the
   engine's *flush hooks* run once before the clock moves.  Subscribers
@@ -39,7 +40,8 @@ This keeps two hot paths cheap:
 Cancellation is lazy: a cancelled entry's slab slot is cleared immediately
 (O(1), references dropped) and the stale heap key is skipped — without
 advancing the clock — when popped; once tombstones dominate the heap it is
-compacted in one pass.
+compacted in place, in one pass, so a running :meth:`Engine.run` keeps
+popping the same list.
 """
 
 from __future__ import annotations
@@ -304,6 +306,9 @@ class Engine:
         self._slot_arg: list = []
         self._slot_ev: list = []
         self._slot_val: list = []
+        #: seq of each slot's current owner: tells a fired handle's slot
+        #: from its next owner's
+        self._slot_seq: list[int] = []
         self._free_slots: list[int] = []
         self._running = False
         self._tombstones = 0
@@ -335,7 +340,7 @@ class Engine:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _alloc_slot(self, fn, arg, ev, val) -> int:
+    def _alloc_slot(self, fn, arg, ev, val, seq: int) -> int:
         free = self._free_slots
         if free:
             slot = free.pop()
@@ -343,12 +348,14 @@ class Engine:
             self._slot_arg[slot] = arg
             self._slot_ev[slot] = ev
             self._slot_val[slot] = val
+            self._slot_seq[slot] = seq
         else:
             slot = len(self._slot_fn)
             self._slot_fn.append(fn)
             self._slot_arg.append(arg)
             self._slot_ev.append(ev)
             self._slot_val.append(val)
+            self._slot_seq.append(seq)
         return slot
 
     def _free_slot(self, slot: int) -> None:
@@ -362,29 +369,30 @@ class Engine:
         if at < self.now:
             raise SimError(f"cannot schedule in the past ({at} < {self.now})")
         self._seq += 1
-        slot = self._alloc_slot(None, None, event, value)
+        slot = self._alloc_slot(None, None, event, value, self._seq)
         event._slot = slot
         heappush(self._heap, (at, self._seq, slot))
         self._live += 1
         if self._live > self.peak_queued:
             self.peak_queued = self._live
 
-    def schedule_fn(self, at: float, fn, arg: Any = None) -> int:
+    def schedule_fn(self, at: float, fn, arg: Any = None) -> tuple[int, int]:
         """Schedule a bare ``fn(arg)`` call at time ``at`` (>= now).
 
         The fast scheduling path: no :class:`Event` is allocated and no
-        callback list is built.  Returns an integer handle accepted by
-        :meth:`cancel_handle`.
+        callback list is built.  Returns a ``(slot, seq)`` handle accepted
+        by :meth:`cancel_handle`.
         """
         if at < self.now:
             raise SimError(f"cannot schedule in the past ({at} < {self.now})")
         self._seq += 1
-        slot = self._alloc_slot(fn, arg, None, None)
-        heappush(self._heap, (at, self._seq, slot))
+        seq = self._seq
+        slot = self._alloc_slot(fn, arg, None, None, seq)
+        heappush(self._heap, (at, seq, slot))
         self._live += 1
         if self._live > self.peak_queued:
             self.peak_queued = self._live
-        return slot
+        return slot, seq
 
     def call_at(self, at: float) -> Event:
         """An event succeeding at absolute time ``at`` (>= now)."""
@@ -414,16 +422,18 @@ class Engine:
         self.events_cancelled += 1
         return True
 
-    def cancel_handle(self, handle: int) -> bool:
+    def cancel_handle(self, handle: tuple[int, int]) -> bool:
         """Cancel a pending :meth:`schedule_fn` entry by its handle.
 
         O(1): clears the slab slot; the heap key dies lazily.  Returns
-        False if the entry already fired or was already cancelled.
+        False if the entry already fired or was already cancelled, also
+        when its slot has since been reused by another entry.
         """
-        if self._slot_fn[handle] is None:
+        slot, seq = handle
+        if self._slot_seq[slot] != seq or self._slot_fn[slot] is None:
             return False
-        self._slot_fn[handle] = None
-        self._slot_arg[handle] = None
+        self._slot_fn[slot] = None
+        self._slot_arg[slot] = None
         self._tombstone()
         self.events_cancelled += 1
         return True
@@ -436,15 +446,17 @@ class Engine:
             and 2 * self._tombstones >= len(self._heap)
         ):
             fns, evs = self._slot_fn, self._slot_ev
+            heap = self._heap
             keep, drop = [], []
-            for item in self._heap:
+            for item in heap:
                 slot = item[2]
                 if fns[slot] is None and evs[slot] is None:
                     drop.append(slot)
                 else:
                     keep.append(item)
-            self._heap = keep
-            heapify(keep)
+            # In place: run() holds this list and keeps popping it.
+            heap[:] = keep
+            heapify(heap)
             for slot in drop:
                 self._free_slot(slot)
             self._tombstones = 0

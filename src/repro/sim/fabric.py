@@ -219,7 +219,7 @@ class Fabric:
         self._last_sync = 0.0
         self._wakeup_generation = 0
         self._solve_mark = 0
-        self._pending_wakeup: int | None = None
+        self._pending_wakeup: tuple[int, int] | None = None
         #: channel ids whose flow set, capacity or stall state changed since
         #: the last solve, in marking order: the next solve covers exactly
         #: the flow components holding one of them

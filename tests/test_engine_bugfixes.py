@@ -136,3 +136,40 @@ class TestPeakQueuedCountsLiveOnly:
         assert eng.peak_queued == 3
         eng.run()
         assert first.triggered and third.triggered
+
+
+class TestCompactionInsideRun:
+    def test_compaction_from_a_callback_keeps_the_timeline(self):
+        # A callback cancels most of the heap, which compacts it while
+        # run() is draining; the loop must keep popping the live heap.
+        eng = Engine()
+        late = [eng.call_at(10.0 + i) for i in range(100)]
+        fired: list[tuple[str, float]] = []
+        for ev in late:
+            ev.add_callback(lambda _e: fired.append(("late", eng.now)))
+
+        def cancel_most(_arg):
+            for ev in late[:80]:
+                eng.cancel(ev)
+            assert eng.heap_compactions == 1
+            eng.schedule_fn(5.0, lambda _a: fired.append(("f", eng.now)))
+
+        eng.schedule_fn(1.0, cancel_most)
+        eng.run()
+        assert fired[0] == ("f", 5.0)
+        assert fired[1:] == [("late", 90.0 + i) for i in range(20)]
+        assert eng.queued == 0
+        assert eng.now == 109.0
+
+
+class TestCancelFiredHandle:
+    def test_cancelling_a_fired_handle_is_a_no_op(self):
+        eng = Engine()
+        ran = []
+        h = eng.schedule_fn(1.0, lambda _a: ran.append("f"))
+        eng.run()
+        eng.schedule_fn(2.0, lambda _a: ran.append("g"))
+        assert eng.cancel_handle(h) is False
+        eng.run()
+        assert ran == ["f", "g"]
+        assert eng.events_cancelled == 0
