@@ -91,11 +91,8 @@ def _measure_staged_k1(
     hop1, hop2 = path.hops
 
     start = engine.now
-    runtime.copy_on_hop_async(hop1, nbytes, s1, tag="cal:h1")
-    arrived = runtime.create_event("cal")
-    arrived.record(s1)
-    s2.wait_event(arrived)
-    s2.delay(epsilon)
+    hop1_done = runtime.copy_on_hop_async(hop1, nbytes, s1, tag="cal:h1")
+    s2.delay_after(hop1_done, epsilon)  # the pipeline's staging sync
     done = runtime.copy_on_hop_async(hop2, nbytes, s2, tag="cal:h2")
     engine.run(until=done)
     return engine.now - start

@@ -13,8 +13,8 @@ This module mirrors that design in the simulator:
 * :class:`CompiledPath` — one path's frozen execution schedule: the
   resolved :class:`~repro.core.planner.PathAssignment`, the pooled-stream
   keys, the chunk byte schedule, the precomputed ε sync cost, and the
-  per-chunk tag/event-name suffixes (labels are ``tag``-dependent, so
-  only their invariant parts can be frozen; execution concatenates
+  per-chunk tag suffixes (labels are ``tag``-dependent, so only their
+  invariant parts can be frozen; execution concatenates
   ``label + suffix``).
 * :class:`TransferGraph` — a whole plan compiled: the immutable
   :class:`~repro.core.planner.TransferPlan` plus one
@@ -74,9 +74,8 @@ class CompiledPath:
     chunk_sizes: tuple[int, ...]
     #: Precomputed staging sync cost (0.0 for direct paths).
     epsilon: float = 0.0
-    #: Per-chunk tag/event-name suffixes, appended to the path's label.
+    #: Per-chunk copy-tag suffixes, appended to the path's label.
     h1_suffixes: tuple[str, ...] = ()
-    event_suffixes: tuple[str, ...] = ()
     h2_suffixes: tuple[str, ...] = ()
 
 
@@ -105,7 +104,7 @@ def compile_plan(
     Everything the pipeline's ``_run_path`` needs that does not depend on
     the transfer's tag is resolved here once: stream-pool keys, chunk byte
     splits, the ε sync cost, and the invariant suffix of every per-chunk
-    tag/event name.
+    copy tag.
     """
     compiled = []
     for a in plan.active_assignments:
@@ -133,7 +132,6 @@ def compile_plan(
                 chunk_sizes=tuple(chunks),
                 epsilon=pipeline.runtime.sync_cost(via_gpu=a.path.via is not None),
                 h1_suffixes=tuple(f":h1:{c}" for c in range(n)),
-                event_suffixes=tuple(f":c{c}" for c in range(n)),
                 h2_suffixes=tuple(f":h2:{c}" for c in range(n)),
             )
         )

@@ -7,9 +7,11 @@ chunks in order within a path).  No engine process runs an op: the head
 op starts from the completion callback of the op ahead of it (see
 :meth:`Stream.push`).  The op kinds are copies
 (``GPURuntime.copy_on_hop_async``), :meth:`Stream.delay`,
-:meth:`Stream.wait_event` and ``GpuEvent.record``.  Errors are sticky,
-loosely like CUDA's: an op that fails, or whose start raises, fails its
-event and every later op with the same exception.
+:meth:`Stream.delay_after`, :meth:`Stream.wait_event` and
+``GpuEvent.record``.  A delay is a bare engine timer whose callback
+completes the op: no :class:`~repro.sim.engine.Timeout` is built.  Errors
+are sticky, loosely like CUDA's: an op that fails, or whose start raises,
+fails its event and every later op with the same exception.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ from collections.abc import Callable
 
 from repro.gpu.errors import StreamError
 from repro.sim.engine import Engine, Event
+
+#: Returned by an op's ``start()`` when the op completes itself by calling
+#: :meth:`Stream._resume` (a delay's timer callback does).
+_RESUMES = object()
 
 
 class Stream:
@@ -44,9 +50,10 @@ class Stream:
 
         ``start()`` runs once every op ahead of it has completed, inside
         the last one's completion callback.  It returns the event the op
-        completes with (its value becomes the op's), or ``None`` for an op
-        that completes at once; the queue drains in a loop, so a run of
-        such ops does not recurse.
+        completes with (its value becomes the op's), ``None`` for an op
+        that completes at once, or ``_RESUMES`` for an op that calls
+        :meth:`_resume` itself; the queue drains in a loop, so a run of
+        instant ops does not recurse.
         """
         if self._destroyed:
             raise StreamError(f"{self.name}: enqueue after destroy")
@@ -71,6 +78,8 @@ class Stream:
                 except Exception as exc:  # noqa: BLE001 - poisons the stream
                     self._error = exc
                 else:
+                    if inner is _RESUMES:
+                        return
                     if inner is not None and not inner.triggered:
                         inner.add_callback(self._resume)
                         return
@@ -78,7 +87,8 @@ class Stream:
             self._complete(done, inner)
         self._busy = False
 
-    def _resume(self, inner: Event) -> None:
+    def _resume(self, inner: Event | None) -> None:
+        """Complete the in-flight head op with ``inner`` (None: no value)."""
         self._complete(self._ops.popleft()[1], inner)
         self._drain()
 
@@ -91,11 +101,46 @@ class Stream:
             done.succeed(None if inner is None else inner._value)
 
     # ------------------------------------------------------------------
+    def _timer(self, seconds: float) -> object:
+        """Start the head op's fixed cost: a timer that resumes the stream."""
+        engine = self.engine
+        engine.schedule_fn(engine.now + seconds, self._resume, None)
+        return _RESUMES
+
     def delay(self, seconds: float) -> Event:
         """Enqueue a fixed-cost operation (sync overheads, kernel stubs)."""
         if seconds < 0:
             raise ValueError("negative delay")
-        return self.push(lambda: self.engine.timeout(seconds))
+        return self.push(lambda: self._timer(seconds))
+
+    def delay_after(self, event: Event, seconds: float) -> Event:
+        """Enqueue one op that waits for ``event``, then delays ``seconds``.
+
+        The staged pipeline's sync step: ``event`` is the chunk's hop-1
+        copy on another stream, and the timer starts from that copy's
+        completion callback (at once if it already succeeded), the point
+        where a recorded marker, a wait on it and a delay would start it.
+        If ``event`` fails, this stream is poisoned with that exception.
+        """
+        if seconds < 0:
+            raise ValueError("negative delay")
+
+        def start() -> object:
+            if event.triggered:
+                if event._exception is not None:
+                    return event  # fails this op with the same exception
+                return self._timer(seconds)
+
+            def after(ev: Event) -> None:
+                if ev._exception is not None:
+                    self._resume(ev)
+                else:
+                    self._timer(seconds)
+
+            event.add_callback(after)
+            return _RESUMES
+
+        return self.push(start)
 
     def wait_event(self, gpu_event) -> Event:
         """Enqueue a dependency: later ops wait until ``gpu_event`` occurs."""

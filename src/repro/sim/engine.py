@@ -17,17 +17,18 @@ runs of the same program produce identical timelines.
 Event core layout
 -----------------
 
-The heap holds compact ``(time, seq, slot)`` keys; everything else about a
-scheduled occurrence lives in a **free-listed slab** of parallel arrays
-indexed by ``slot`` (callback, callback argument, facade event, value).
-This keeps two hot paths cheap:
+A heap entry is the scheduled record itself: a list ``[time, seq, fn,
+arg]`` ordered by ``(time, seq)``.  ``seq`` is unique, so a comparison
+never reaches ``fn``.  There is one entry kind:
 
 * :meth:`Engine.schedule_fn` schedules a bare ``fn(arg)`` call with *no*
   :class:`Event` allocation, no callback list and no closure — the fluid
-  fabric uses it for every admission timer and bandwidth wakeup.  It
-  returns a ``(slot, seq)`` handle; :meth:`Engine.cancel_handle`
-  tombstones the slab slot in O(1) without touching the heap, and the
-  ``seq`` half tells a live entry from a later owner of a recycled slot.
+  fabric uses it for every admission timer and bandwidth wakeup, and a
+  stream uses it for every fixed-cost delay.  It returns the entry as
+  its handle; :meth:`Engine.cancel_handle` tombstones it in O(1) by
+  clearing its ``fn`` without touching the heap.
+* A scheduled :class:`Event` (:class:`Timeout`, :meth:`Engine.call_at`)
+  is the same entry holding the event's fire method and value.
 * :meth:`Engine.run` drains the heap **one timestamp at a time**: all
   entries sharing the front timestamp execute back-to-back, then the
   engine's *flush hooks* run once before the clock moves.  Subscribers
@@ -37,11 +38,11 @@ This keeps two hot paths cheap:
   event, leaving the rest of its timestamp batch queued, so the
   single-step semantics callers rely on are unchanged.
 
-Cancellation is lazy: a cancelled entry's slab slot is cleared immediately
-(O(1), references dropped) and the stale heap key is skipped — without
-advancing the clock — when popped; once tombstones dominate the heap it is
-compacted in place, in one pass, so a running :meth:`Engine.run` keeps
-popping the same list.
+An entry's ``fn`` is cleared when it fires or is cancelled, so cancelling
+a fired handle is a no-op.  Cancellation is lazy: the stale entry is
+skipped — without advancing the clock — when popped; once tombstones
+dominate the heap it is compacted in place, in one pass, so a running
+:meth:`Engine.run` keeps popping the same list.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class Event:
         "_exception",
         "triggered",
         "cancelled",
-        "_slot",
+        "_entry",
     )
 
     def __init__(self, engine: "Engine") -> None:
@@ -83,7 +84,7 @@ class Event:
         self._exception: BaseException | None = None
         self.triggered = False
         self.cancelled = False
-        self._slot = -1  # slab slot while scheduled on the heap
+        self._entry: list | None = None  # heap entry once scheduled
 
     # ------------------------------------------------------------------
     @property
@@ -116,6 +117,11 @@ class Event:
         self._exception = exception
         self._dispatch()
         return self
+
+    def _fire(self, value: Any) -> None:
+        """Heap-entry callback of a scheduled event (see ``Engine._schedule``)."""
+        if not self.triggered:
+            self.succeed(value)
 
     def _dispatch(self) -> None:
         callbacks, self.callbacks = self.callbacks, []
@@ -285,7 +291,7 @@ class Process(Event):
 
 
 class Engine:
-    """The simulation clock and the slab-backed event heap."""
+    """The simulation clock and the event heap."""
 
     #: Tombstone compaction policy: rebuild the heap once cancelled entries
     #: are numerous in absolute terms *and* make up at least half of it.
@@ -293,25 +299,13 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        # Binary heap of (time, seq, slot) keys; seq breaks same-time ties
-        # in scheduling order, slot indexes the slab below.
-        self._heap: list[tuple[float, int, int]] = []
+        #: Binary heap of ``[time, seq, fn, arg]`` entries; seq breaks
+        #: same-time ties in scheduling order, and ``fn`` is None once the
+        #: entry fired or was cancelled (a tombstone while still queued).
+        self._heap: list[list] = []
         self._seq = 0
-        # Free-listed slab: parallel arrays, one slot per pending entry.
-        # A slot holds either a bare callback (fn is not None) or a facade
-        # Event (ev is not None); both None marks a tombstone.  Slots are
-        # recycled only when their heap key is popped or compacted away, so
-        # a stale key can never alias a reused slot.
-        self._slot_fn: list = []
-        self._slot_arg: list = []
-        self._slot_ev: list = []
-        self._slot_val: list = []
-        #: seq of each slot's current owner: tells a fired handle's slot
-        #: from its next owner's
-        self._slot_seq: list[int] = []
-        self._free_slots: list[int] = []
         self._running = False
-        self._tombstones = 0
+        self._tombstones = 0  # cancelled entries still on the heap
         self._live = 0  # non-tombstoned heap entries
         self._flush_hooks: list = []
         self.events_processed = 0
@@ -340,59 +334,34 @@ class Engine:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _alloc_slot(self, fn, arg, ev, val, seq: int) -> int:
-        free = self._free_slots
-        if free:
-            slot = free.pop()
-            self._slot_fn[slot] = fn
-            self._slot_arg[slot] = arg
-            self._slot_ev[slot] = ev
-            self._slot_val[slot] = val
-            self._slot_seq[slot] = seq
-        else:
-            slot = len(self._slot_fn)
-            self._slot_fn.append(fn)
-            self._slot_arg.append(arg)
-            self._slot_ev.append(ev)
-            self._slot_val.append(val)
-            self._slot_seq.append(seq)
-        return slot
-
-    def _free_slot(self, slot: int) -> None:
-        self._slot_fn[slot] = None
-        self._slot_arg[slot] = None
-        self._slot_ev[slot] = None
-        self._slot_val[slot] = None
-        self._free_slots.append(slot)
-
     def _schedule(self, at: float, event: Event, value: Any) -> None:
+        """Schedule ``event`` to succeed with ``value`` at time ``at``."""
         if at < self.now:
             raise SimError(f"cannot schedule in the past ({at} < {self.now})")
         self._seq += 1
-        slot = self._alloc_slot(None, None, event, value, self._seq)
-        event._slot = slot
-        heappush(self._heap, (at, self._seq, slot))
+        entry = [at, self._seq, event._fire, value]
+        event._entry = entry
+        heappush(self._heap, entry)
         self._live += 1
         if self._live > self.peak_queued:
             self.peak_queued = self._live
 
-    def schedule_fn(self, at: float, fn, arg: Any = None) -> tuple[int, int]:
+    def schedule_fn(self, at: float, fn, arg: Any = None) -> list:
         """Schedule a bare ``fn(arg)`` call at time ``at`` (>= now).
 
         The fast scheduling path: no :class:`Event` is allocated and no
-        callback list is built.  Returns a ``(slot, seq)`` handle accepted
-        by :meth:`cancel_handle`.
+        callback list is built.  Returns the heap entry, the handle
+        :meth:`cancel_handle` accepts.
         """
         if at < self.now:
             raise SimError(f"cannot schedule in the past ({at} < {self.now})")
         self._seq += 1
-        seq = self._seq
-        slot = self._alloc_slot(fn, arg, None, None, seq)
-        heappush(self._heap, (at, seq, slot))
+        entry = [at, self._seq, fn, arg]
+        heappush(self._heap, entry)
         self._live += 1
         if self._live > self.peak_queued:
             self.peak_queued = self._live
-        return slot, seq
+        return entry
 
     def call_at(self, at: float) -> Event:
         """An event succeeding at absolute time ``at`` (>= now)."""
@@ -406,34 +375,30 @@ class Engine:
     def cancel(self, event: Event) -> bool:
         """Lazily cancel a pending scheduled event (tombstone it).
 
-        The slab slot is cleared immediately; the stale heap key is skipped
-        — without advancing the clock — when popped.  Once tombstones
-        dominate the heap it is compacted in one pass.  Returns False (a
-        no-op) for events already triggered or cancelled.
+        The heap entry is cleared immediately; it is skipped — without
+        advancing the clock — when popped.  Once tombstones dominate the
+        heap it is compacted in one pass.  Returns False (a no-op) for
+        events already triggered or cancelled.
         """
         if event.triggered or event.cancelled:
             return False
         event.cancelled = True
-        slot = event._slot
-        if slot >= 0 and self._slot_ev[slot] is event:
-            self._slot_ev[slot] = None
-            self._slot_val[slot] = None
+        entry = event._entry
+        if entry is not None and entry[2] is not None:
+            entry[2] = entry[3] = None
             self._tombstone()
         self.events_cancelled += 1
         return True
 
-    def cancel_handle(self, handle: tuple[int, int]) -> bool:
+    def cancel_handle(self, handle: list) -> bool:
         """Cancel a pending :meth:`schedule_fn` entry by its handle.
 
-        O(1): clears the slab slot; the heap key dies lazily.  Returns
-        False if the entry already fired or was already cancelled, also
-        when its slot has since been reused by another entry.
+        O(1): clears the entry; the heap drops it lazily.  Returns False
+        if the entry already fired or was already cancelled.
         """
-        slot, seq = handle
-        if self._slot_seq[slot] != seq or self._slot_fn[slot] is None:
+        if handle[2] is None:
             return False
-        self._slot_fn[slot] = None
-        self._slot_arg[slot] = None
+        handle[2] = handle[3] = None
         self._tombstone()
         self.events_cancelled += 1
         return True
@@ -441,24 +406,14 @@ class Engine:
     def _tombstone(self) -> None:
         self._live -= 1
         self._tombstones += 1
+        heap = self._heap
         if (
             self._tombstones >= self._COMPACT_MIN_TOMBSTONES
-            and 2 * self._tombstones >= len(self._heap)
+            and 2 * self._tombstones >= len(heap)
         ):
-            fns, evs = self._slot_fn, self._slot_ev
-            heap = self._heap
-            keep, drop = [], []
-            for item in heap:
-                slot = item[2]
-                if fns[slot] is None and evs[slot] is None:
-                    drop.append(slot)
-                else:
-                    keep.append(item)
             # In place: run() holds this list and keeps popping it.
-            heap[:] = keep
+            heap[:] = [entry for entry in heap if entry[2] is not None]
             heapify(heap)
-            for slot in drop:
-                self._free_slot(slot)
             self._tombstones = 0
             self.heap_compactions += 1
 
@@ -478,44 +433,29 @@ class Engine:
         """
         self._flush_hooks.append(hook)
 
-    def _exec(self, at: float, slot: int) -> bool:
-        """Execute one popped live heap entry; False for a tombstone.
+    def _exec(self, entry: list) -> bool:
+        """Execute one popped heap entry; False for a tombstone.
 
         The clock only advances for live entries: a tombstone's timestamp
         was cancelled and must never become ``now`` (previously the final
         clock could reflect a cancelled wakeup that never fired).
         """
-        fn = self._slot_fn[slot]
-        if fn is not None:
-            arg = self._slot_arg[slot]
-            self._free_slot(slot)
-            self.now = at
-            self._live -= 1
-            self.events_processed += 1
-            fn(arg)
-            return True
-        ev = self._slot_ev[slot]
-        if ev is None:  # tombstone
-            self._free_slot(slot)
-            if self._tombstones > 0:
-                self._tombstones -= 1
+        fn = entry[2]
+        if fn is None:
+            self._tombstones -= 1
             return False
-        value = self._slot_val[slot]
-        ev._slot = -1
-        self._free_slot(slot)
-        self.now = at
+        entry[2] = None
+        self.now = entry[0]
         self._live -= 1
         self.events_processed += 1
-        if not ev.triggered:
-            ev.succeed(value)
+        fn(entry[3])
         return True
 
     def step(self) -> None:
         """Pop and execute a single heap entry (tombstones are skipped
         without advancing the clock).  Prefer :meth:`run`, which batches
         same-timestamp entries and runs the flush hooks."""
-        at, _, slot = heappop(self._heap)
-        self._exec(at, slot)
+        self._exec(heappop(self._heap))
         for hook in self._flush_hooks:
             hook()
 
@@ -554,15 +494,15 @@ class Engine:
                     # entry that triggers `until`: the rest of its batch
                     # stays queued, preserving single-step semantics for
                     # callers that interleave run() with direct state reads.
-                    at, _, slot = heappop(heap)
-                    ran = self._exec(at, slot)
+                    entry = heappop(heap)
+                    at = entry[0]
+                    ran = self._exec(entry)
                     while (
                         not until.triggered
                         and heap
                         and heap[0][0] == at
                     ):
-                        _, _, slot = heappop(heap)
-                        ran = self._exec(at, slot) or ran
+                        ran = self._exec(heappop(heap)) or ran
                     if ran and hooks:
                         self._flush()
                 if until._exception is not None:
@@ -570,21 +510,21 @@ class Engine:
                 return until.value
             if until is None:
                 while heap:
-                    at, _, slot = heappop(heap)
-                    ran = self._exec(at, slot)
+                    entry = heappop(heap)
+                    at = entry[0]
+                    ran = self._exec(entry)
                     while heap and heap[0][0] == at:
-                        _, _, slot = heappop(heap)
-                        ran = self._exec(at, slot) or ran
+                        ran = self._exec(heappop(heap)) or ran
                     if ran and hooks:
                         self._flush()
                 return None
             deadline = float(until)
             while heap and heap[0][0] <= deadline:
-                at, _, slot = heappop(heap)
-                ran = self._exec(at, slot)
+                entry = heappop(heap)
+                at = entry[0]
+                ran = self._exec(entry)
                 while heap and heap[0][0] == at:
-                    _, _, slot = heappop(heap)
-                    ran = self._exec(at, slot) or ran
+                    ran = self._exec(heappop(heap)) or ran
                 if ran and hooks:
                     self._flush()
             self.now = max(self.now, deadline)
@@ -600,7 +540,9 @@ class Engine:
         """Cheap always-on counters, pulled by a metrics collector.
 
         ``peak_queued`` counts *live* entries only: tombstoned (cancelled)
-        keys awaiting lazy removal are queue residue, not backlog.
+        entries awaiting lazy removal are queue residue, not backlog, and
+        ``tombstones`` counts them, so ``queued - tombstones`` entries are
+        live.
         """
         return {
             "now": self.now,
@@ -608,6 +550,7 @@ class Engine:
             "events_cancelled": self.events_cancelled,
             "heap_compactions": self.heap_compactions,
             "queued": len(self._heap),
+            "tombstones": self._tombstones,
             "peak_queued": self.peak_queued,
         }
 

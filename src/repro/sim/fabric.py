@@ -73,7 +73,8 @@ randomized contention and fault scenarios.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.sim.engine import Engine, Event
 from repro.sim.faults import LinkFailure
@@ -88,9 +89,8 @@ _EPS_BYTES = 1e-6
 FULL_RECOMPUTE_DEFAULT = False
 
 
-@dataclass(frozen=True)
-class TransferResult:
-    """Value carried by a completed copy event."""
+class TransferResult(NamedTuple):
+    """Value carried by a completed copy event (immutable)."""
 
     nbytes: int
     start: float
@@ -114,7 +114,12 @@ class TransferResult:
 
 @dataclass
 class FabricChannel:
-    """A physical resource: a wire direction or a shared memory channel."""
+    """A physical resource: a wire direction or a shared memory channel.
+
+    ``alpha`` and ``jitter`` are fixed once the channel is added (the
+    fabric resolves each hop's Σα and jitter callables once); ``beta``
+    changes only through :meth:`Fabric.set_beta`.
+    """
 
     name: str
     alpha: float  # startup latency contribution in seconds
@@ -140,7 +145,6 @@ class FabricChannel:
             raise ValueError(f"channel {self.name}: beta must be > 0")
 
 
-@dataclass
 class FabricFlow:
     """API facade over one copy's solver state.
 
@@ -149,20 +153,52 @@ class FabricFlow:
     flow is exposed through :meth:`Fabric.flows_on`.
     """
 
-    flow_id: int
-    channels: tuple[str, ...]
-    remaining: float
-    total_demand: float
-    nbytes: int
-    event: Event
-    tag: str
-    start_time: float
-    rate: float = 0.0
-    admitted: bool = field(default=False)
-    # Completion threshold, precomputed once (see Fabric._flow_done).
-    done_eps: float = _EPS_BYTES
-    # Slot into the fabric's struct-of-arrays while admitted; -1 otherwise.
-    slot: int = field(default=-1, repr=False, compare=False)
+    __slots__ = (
+        "flow_id",
+        "channels",
+        "cis",
+        "remaining",
+        "total_demand",
+        "nbytes",
+        "event",
+        "tag",
+        "start_time",
+        "rate",
+        "admitted",
+        "done_eps",
+        "slot",
+    )
+
+    def __init__(
+        self,
+        flow_id: int,
+        channels: tuple[str, ...],
+        cis: tuple[int, ...],
+        demand: float,
+        nbytes: int,
+        event: Event,
+        tag: str,
+        start_time: float,
+    ) -> None:
+        self.flow_id = flow_id
+        self.channels = channels
+        #: channel ids, parallel to ``channels``
+        self.cis = cis
+        self.remaining = demand
+        self.total_demand = demand
+        self.nbytes = nbytes
+        self.event = event
+        self.tag = tag
+        self.start_time = start_time
+        self.rate = 0.0
+        self.admitted = False
+        # Completion threshold, precomputed once (see Fabric._flow_done).
+        self.done_eps = max(_EPS_BYTES, 1e-9 * demand)
+        # Slot into the fabric's struct-of-arrays while admitted; -1 otherwise.
+        self.slot = -1
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<FabricFlow {self.flow_id} {self.tag!r} on {self.channels}>"
 
 
 class Fabric:
@@ -178,6 +214,10 @@ class Fabric:
         self.engine = engine
         self.tracer = tracer
         self.channels: dict[str, FabricChannel] = {}
+        #: hop -> (names, channel ids, Σα, jitter callables), resolved on
+        #: a hop's first copy; never invalidated, because channels are only
+        #: added and their α and jitter are fixed (see FabricChannel)
+        self._hops: dict = {}
         # ----- channel struct-of-arrays (indexed by integer channel id)
         self._ch_index: dict[str, int] = {}
         self._ch_objs: list[FabricChannel] = []
@@ -219,7 +259,7 @@ class Fabric:
         self._last_sync = 0.0
         self._wakeup_generation = 0
         self._solve_mark = 0
-        self._pending_wakeup: tuple[int, int] | None = None
+        self._pending_wakeup: list | None = None
         #: channel ids whose flow set, capacity or stall state changed since
         #: the last solve, in marking order: the next solve covers exactly
         #: the flow components holding one of them
@@ -274,6 +314,21 @@ class Fabric:
     def channel(self, name: str) -> FabricChannel:
         return self.channels[name]
 
+    def _resolve_hop(self, channel_names: Sequence[str] | str) -> tuple:
+        """A hop's names, channel ids, Σα and jitter callables, in hop order."""
+        if isinstance(channel_names, str):
+            channel_names = (channel_names,)
+        names = tuple(channel_names)
+        if not names:
+            raise ValueError("copy requires at least one channel")
+        chans = [self.channels[n] for n in names]  # KeyError on unknown
+        return (
+            names,
+            tuple(self._ch_index[n] for n in names),
+            sum(c.alpha for c in chans),
+            tuple(c.jitter for c in chans if c.jitter is not None),
+        )
+
     # ------------------------------------------------------------------
     # Transfers
     # ------------------------------------------------------------------
@@ -293,51 +348,44 @@ class Fabric:
         its rate is the max-min fair allocation across its channels.  The
         returned event succeeds with a :class:`TransferResult`.
         """
-        if isinstance(channel_names, str):
-            channel_names = (channel_names,)
-        names = tuple(channel_names)
-        if not names:
-            raise ValueError("copy requires at least one channel")
-        chans = [self.channels[n] for n in names]  # KeyError on unknown
+        hops = self._hops
+        try:
+            spec = hops.get(channel_names)
+        except TypeError:  # an unhashable sequence is resolved per copy
+            spec = self._resolve_hop(channel_names)
+        if spec is None:
+            spec = hops[channel_names] = self._resolve_hop(channel_names)
+        names, cis, alpha, jitters = spec
         if nbytes < 0:
             raise ValueError(f"negative copy size {nbytes}")
         if extra_latency < 0:
             raise ValueError("extra_latency must be >= 0")
 
-        done = self.engine.event()
-        start = self.engine.now
-        latency = extra_latency + (0.0 if skip_latency else sum(c.alpha for c in chans))
+        engine = self.engine
+        done = Event(engine)
+        start = engine.now
+        latency = extra_latency + (0.0 if skip_latency else alpha)
         # Per-channel jitter multipliers compose *additively* in their
         # overhead part: each channel contributes (jitter-1)·n extra service
         # demand.  Multiplicative composition would square small-message
         # overheads for multi-channel hops (k1·k2/n blow-up for tiny n).
         demand = float(nbytes)
-        if nbytes > 0:
+        if nbytes > 0 and jitters:
             extra = 0.0
-            for c in chans:
-                if c.jitter is not None:
-                    extra += (float(c.jitter(nbytes)) - 1.0) * nbytes
+            for jitter in jitters:
+                extra += (float(jitter(nbytes)) - 1.0) * nbytes
             if demand + extra < 0:
                 raise ValueError("jitter produced negative demand")
             demand += extra
-        flow = FabricFlow(
-            flow_id=self._next_flow_id,
-            channels=names,
-            remaining=demand,
-            total_demand=demand,
-            nbytes=nbytes,
-            event=done,
-            tag=tag,
-            start_time=start,
-            done_eps=max(_EPS_BYTES, 1e-9 * demand),
-        )
-        self._next_flow_id += 1
-        self._issued[flow.flow_id] = flow
+        flow_id = self._next_flow_id
+        self._next_flow_id = flow_id + 1
+        flow = FabricFlow(flow_id, names, cis, demand, nbytes, done, tag, start)
+        self._issued[flow_id] = flow
         if nbytes == 0:
             self.zero_byte_copies += 1
-            self.engine.schedule_fn(start + latency, self._finish, flow)
+            engine.schedule_fn(start + latency, self._finish, flow)
             return done
-        self.engine.schedule_fn(start + latency, self._admit, flow)
+        engine.schedule_fn(start + latency, self._admit, flow)
         return done
 
     # ------------------------------------------------------------------
@@ -521,7 +569,7 @@ class Fabric:
             self._f_mark.append(-1)
             self._f_chans.append(None)
             self._f_obj.append(None)
-        cis = tuple(self._ch_index[n] for n in flow.channels)
+        cis = flow.cis
         self._f_chans[slot] = cis
         self._f_obj[slot] = flow
         flow.slot = slot
@@ -640,7 +688,32 @@ class Fabric:
             unfrozen = len(self._live_slots)
             busy.clear()
         else:
-            comp = {ci for ci in self._dirty if ch_members[ci]}
+            dirty = self._dirty
+            if len(dirty) == 1:
+                # One dirty channel whose members cross no other channel:
+                # progressive filling's only round gives every member
+                # cap/live = β/n (0 if the channel is stalled), so that is
+                # the rate, without the fill's scratch and marks.
+                for ci in dirty:
+                    members = ch_members[ci]
+                if members:
+                    for s in members:
+                        if len(f_chans[s]) != 1:
+                            break
+                    else:
+                        self.solver_channels += 1
+                        if ci in self._stalled_ci:
+                            rate = 0.0
+                        else:
+                            rate = self._ch_objs[ci].beta / len(members)
+                        for s in members:
+                            f_rate[s] = rate
+                        if rate > 0.0:
+                            busy.add(ci)
+                        else:
+                            busy.discard(ci)
+                        return
+            comp = {ci for ci in dirty if ch_members[ci]}
             stack = list(comp)
             flows: set[int] = set()
             while stack:
@@ -801,17 +874,15 @@ class Fabric:
             return  # zero-byte copy aborted during its latency window
         now = self.engine.now
         self.flows_completed += 1
-        if flow.channels:
-            ch = self.channels[flow.channels[0]]
-            ch.completed_bytes += flow.nbytes
-            ch.completed_flows += 1
+        ch = self._ch_objs[flow.cis[0]]
+        ch.completed_bytes += flow.nbytes
+        ch.completed_flows += 1
         if self.tracer is not None:
-            primary = flow.channels[0] if flow.channels else ""
-            self.tracer.record(primary, flow.tag, flow.start_time, now, flow.nbytes)
-        flow.event.succeed(
-            TransferResult(
-                nbytes=flow.nbytes, start=flow.start_time, end=now, tag=flow.tag
+            self.tracer.record(
+                flow.channels[0], flow.tag, flow.start_time, now, flow.nbytes
             )
+        flow.event.succeed(
+            TransferResult(flow.nbytes, flow.start_time, now, flow.tag)
         )
 
     def _update_concurrency_stats(self) -> None:

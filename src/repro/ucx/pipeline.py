@@ -5,8 +5,9 @@ runtime.  Per path:
 
 * **direct** — one peer copy on the path's source-side stream;
 * **staged** — the three-step chunk loop of §3.4: copy chunk to the staging
-  device on stream A, synchronize (ε, modelled as a fixed-cost stream op),
-  forward on stream B.  Stream A immediately proceeds to the next chunk's
+  device on stream A, synchronize (ε, modelled as one stream-B op that
+  waits for the chunk's arrival, then takes a fixed cost), forward on
+  stream B.  Stream A immediately proceeds to the next chunk's
   first hop, so the two hops of consecutive chunks overlap — the pipelining
   the model's Eq. (13) describes.
 
@@ -367,14 +368,12 @@ class PipelineEngine:
             chunks = compiled.chunk_sizes
             for c, chunk_bytes in enumerate(chunks):
                 # Step 1: source -> staging location.
-                self.runtime.copy_on_hop_async(
+                hop1_done = self.runtime.copy_on_hop_async(
                     hop1, chunk_bytes, s1, tag=label + compiled.h1_suffixes[c]
                 )
-                arrived = self.runtime.create_event(label + compiled.event_suffixes[c])
-                arrived.record(s1)
-                # Step 2: synchronization point on the staging device.
-                s2.wait_event(arrived)
-                s2.delay(epsilon)
+                # Step 2: synchronization point on the staging device, once
+                # the chunk has arrived there.
+                s2.delay_after(hop1_done, epsilon)
                 # Step 3: staging location -> destination.
                 final = self.runtime.copy_on_hop_async(
                     hop2, chunk_bytes, s2, tag=label + compiled.h2_suffixes[c]

@@ -236,6 +236,6 @@ class TestCompilePlan:
             assert cp.epsilon == ctx.pipeline.runtime.sync_cost(
                 via_gpu=a.path.via is not None
             )
-            # label + suffix forms each executed tag / event name
+            # label + suffix forms each executed copy tag
             assert cp.h1_suffixes[0] == ":h1:0"
-            assert cp.event_suffixes[-1] == f":c{len(cp.chunk_sizes) - 1}"
+            assert cp.h2_suffixes[-1] == f":h2:{len(cp.chunk_sizes) - 1}"
