@@ -17,6 +17,9 @@ the books balance:
 * **No leaked stream-pool entries** — every pooled pipeline stream is
   alive and idle (destroyed or fault-poisoned streams must have been
   dropped by ``reset_path_streams``).
+* **A drained engine heap** — once the engine holds no live entries,
+  every entry left on its heap is a counted tombstone (a cancelled entry
+  not yet popped); anything else is an entry the engine lost track of.
 
 The check is opt-in — call :func:`check_invariants` from tests or pass
 ``--sanitize`` to the overload CLI.  It reads counters only (no engine
@@ -118,6 +121,19 @@ def check_invariants(
         if leaked:
             detail = ", ".join(f"{key}: {why}" for key, why in leaked)
             violations.append(f"leaked stream-pool entries: {detail}")
+
+    engine = getattr(context, "engine", None)
+    if engine is not None:
+        snap = engine.stats_snapshot()
+        queued, tombstones = snap["queued"], snap["tombstones"]
+        checked["engine_heap"] = {
+            "queued": queued, "live": snap["live"], "tombstones": tombstones
+        }
+        if snap["live"] == 0 and queued != tombstones:
+            violations.append(
+                f"engine heap not drained: {queued} entries queued at "
+                f"quiescence, {tombstones} of them counted tombstones"
+            )
 
     report = SanitizerReport(ok=not violations, violations=violations, checked=checked)
     if violations and raise_on_violation:

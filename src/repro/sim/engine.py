@@ -540,9 +540,9 @@ class Engine:
         """Cheap always-on counters, pulled by a metrics collector.
 
         ``peak_queued`` counts *live* entries only: tombstoned (cancelled)
-        entries awaiting lazy removal are queue residue, not backlog, and
-        ``tombstones`` counts them, so ``queued - tombstones`` entries are
-        live.
+        entries awaiting lazy removal are queue residue, not backlog.
+        ``queued`` is the heap's length, which the books ``live`` and
+        ``tombstones`` should sum to.
         """
         return {
             "now": self.now,
@@ -550,6 +550,7 @@ class Engine:
             "events_cancelled": self.events_cancelled,
             "heap_compactions": self.heap_compactions,
             "queued": len(self._heap),
+            "live": self._live,
             "tombstones": self._tombstones,
             "peak_queued": self.peak_queued,
         }

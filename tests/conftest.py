@@ -4,7 +4,8 @@ Every :class:`~repro.ucx.context.UCXContext` a test builds is recorded.
 After the test, each one whose engine holds no live entries (its run
 reached quiescence) goes through
 :func:`~repro.runtime.sanitizer.check_invariants`: byte conservation, no
-orphaned fabric flows, no leaked load holds or stream-pool entries.  A
+orphaned fabric flows, no leaked load holds or stream-pool entries, and
+an engine heap holding nothing but counted tombstones.  A
 context left mid-run is skipped, since its books legitimately hold work in
 flight.  A test that leaks on purpose opts out with
 ``@pytest.mark.no_sanitizer``.

@@ -443,6 +443,28 @@ class TestSanitizer:
         with pytest.raises(InvariantViolation):
             check_invariants(ctx)
 
+    def test_counted_tombstones_pass_at_quiescence(self):
+        eng, ctx = make_ctx()
+        eng.run(until=ctx.put(0, 1, 8 * MiB))
+        eng.cancel(eng.call_at(eng.now + 1.0))  # queued until popped
+        report = check_invariants(ctx)
+        assert report.checked["engine_heap"] == {
+            "queued": 1, "live": 0, "tombstones": 1
+        }
+
+    @pytest.mark.no_sanitizer  # corrupts the engine's books on purpose
+    def test_detects_uncounted_heap_entry(self):
+        eng, ctx = make_ctx()
+        eng.run(until=ctx.put(0, 1, 8 * MiB))
+        # An entry the engine's counters do not know about, as a heap
+        # rebound under a running loop used to leave behind.
+        eng._heap.append([eng.now + 1.0, eng._seq + 1, None, None])
+        report = check_invariants(ctx, raise_on_violation=False)
+        assert [v for v in report.violations if "engine heap" in v] == [
+            "engine heap not drained: 1 entries queued at quiescence, "
+            "0 of them counted tombstones"
+        ]
+
     def test_byte_conservation_across_mixed_outcomes(self):
         cfg = TransportConfig(
             max_inflight_per_pair=1, admission_queue_limit=1
