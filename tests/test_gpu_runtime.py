@@ -1,12 +1,18 @@
 """Tests for the simulated GPU runtime (streams, events, copies, IPC)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu import GPURuntime, IpcHandleCache, InvalidDevice, StreamError
 from repro.gpu.errors import LinkFailure
-from repro.sim import Engine, Tracer
+from repro.gpu.event import GpuEvent
+from repro.gpu.stream import Stream
+from repro.sim import Engine, Fabric, Tracer
+from repro.sim.faults import FaultSchedule, LinkDown
 from repro.topology import systems
-from repro.units import MiB, gbps, us
+from repro.ucx.context import UCXContext
+from repro.units import KiB, MiB, gbps, us
 
 
 @pytest.fixture()
@@ -185,6 +191,114 @@ class TestGpuEvents:
         e2 = runtime.create_event()
         with pytest.raises(StreamError):
             e2.elapsed_since(e1)
+
+
+def _staged_chunks(chunks, beta1, beta2, eps, *, one_op, fail_at=None):
+    """The pipeline's staged chunk loop on two raw streams.
+
+    Step 2 is either the one-op sync (``delay_after``) or its GpuEvent
+    oracle: record on s1, wait on s2, then delay.
+    """
+    eng = Engine()
+    tracer = Tracer()
+    fab = Fabric(eng, tracer=tracer)
+    fab.add_channel("h1", alpha=1 * us, beta=beta1)
+    fab.add_channel("h2", alpha=2 * us, beta=beta2)
+    s1, s2 = Stream(eng, 0), Stream(eng, 1)
+    firsts, finals = [], []
+    for c, n in enumerate(chunks):
+        hop1_done = s1.push(lambda n=n, c=c: fab.copy("h1", n, tag=f"h1:{c}"))
+        firsts.append(hop1_done)
+        if one_op:
+            s2.delay_after(hop1_done, eps)
+        else:
+            arrived = GpuEvent(eng, f"c{c}").record(s1)
+            s2.wait_event(arrived)
+            s2.delay(eps)
+        finals.append(s2.push(lambda n=n, c=c: fab.copy("h2", n, tag=f"h2:{c}")))
+    if fail_at is not None:
+        FaultSchedule(LinkDown("h1", at=fail_at)).attach(fab)
+    eng.run()
+    return eng, tracer, firsts, finals, (s1, s2)
+
+
+def _outcome(ev):
+    return ev.value.end.hex() if ev.ok else type(ev._exception).__name__
+
+
+_chunk_schedules = st.fixed_dictionaries({
+    "chunks": st.lists(st.integers(4 * KiB, 4 * MiB), min_size=1, max_size=8),
+    # hop 2 both slower and faster than hop 1: s2 sometimes waits for the
+    # chunk, sometimes finds its copy already done
+    "beta1": st.floats(gbps(2), gbps(64)),
+    "beta2": st.floats(gbps(2), gbps(64)),
+    "eps": st.sampled_from([0.0, 1 * us, 5 * us, 40 * us]),
+})
+
+
+class TestStagingSync:
+    """``Stream.delay_after`` equals the record + wait + delay it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_chunk_schedules)
+    def test_one_op_sync_matches_gpu_event_oracle(self, sched):
+        runs = [_staged_chunks(**sched, one_op=flag) for flag in (True, False)]
+        (eng, tracer, _, finals, _), (eng_o, tracer_o, _, finals_o, _) = runs
+        assert tracer.records == tracer_o.records
+        assert [_outcome(f) for f in finals] == [_outcome(f) for f in finals_o]
+        assert all(f.ok for f in finals)
+        # the timer consumes its seq where the oracle's Timeout did
+        assert (eng.now, eng.events_processed, eng._seq) == (
+            eng_o.now, eng_o.events_processed, eng_o._seq
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(_chunk_schedules, st.floats(0.05, 0.95))
+    def test_hop1_failure_poisons_like_the_oracle(self, sched, frac):
+        # the link dies while hop 1 still has chunks to move
+        fail_at = frac * sum(sched["chunks"]) / sched["beta1"]
+        runs = [
+            _staged_chunks(**sched, one_op=flag, fail_at=fail_at)
+            for flag in (True, False)
+        ]
+        for eng, _, firsts, finals, streams in runs:
+            failed = [ev for ev in firsts if not ev.ok]
+            assert failed, "hop 1 never failed"
+            exc = failed[0]._exception
+            assert isinstance(exc, LinkFailure)
+            # every op after the failed chunk fails with that very exception
+            k = firsts.index(failed[0])
+            assert all(ev._exception is exc for ev in firsts[k:])
+            assert all(ev._exception is exc for ev in finals[k:])
+            assert all(ev.ok for ev in finals[:k])
+            # both streams end poisoned with it
+            assert all(s._error is exc for s in streams)
+            assert eng.queued == 0
+        (eng, tracer, _, finals, _), (eng_o, tracer_o, _, finals_o, _) = runs
+        assert tracer.records == tracer_o.records
+        assert [_outcome(f) for f in finals] == [_outcome(f) for f in finals_o]
+        assert (eng.now, eng.events_processed) == (
+            eng_o.now, eng_o.events_processed
+        )
+
+    def test_every_copy_goes_through_a_wrapped_fabric_copy(self):
+        # A layer tracer wraps fabric.copy on the built context's instance;
+        # the runtime must look it up per copy, not cache the bound method.
+        eng = Engine()
+        ctx = UCXContext(eng, systems.beluga())
+        fabric = ctx.runtime.fabric
+        copy, calls = fabric.copy, []
+
+        def wrapped(*args, **kwargs):
+            calls.append(args[0])
+            return copy(*args, **kwargs)
+
+        fabric.copy = wrapped
+        plan = ctx.planner.plan(0, 1, 64 * MiB)
+        assert len(plan.active_assignments) == 4
+        eng.run(until=ctx.put(0, 1, 64 * MiB))
+        assert len(calls) == ctx.runtime.copies_issued > 4
+        assert len(calls) == fabric.flows_completed
 
 
 class TestCopies:

@@ -10,6 +10,8 @@ reference implementation.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.sim.fabric as fabric_mod
 from repro.bench.baselines import dynamic_config
@@ -20,7 +22,7 @@ from repro.sim import Engine
 from repro.sim.fabric import Fabric
 from repro.sim.faults import FaultSchedule, LinkDown, LinkFailure
 from repro.sim.trace import Tracer
-from repro.units import MiB, gbps
+from repro.units import KiB, MiB, gbps
 
 
 def _mixed_workload(full_recompute: bool):
@@ -106,6 +108,98 @@ class TestTimelineInvariance:
         # admit, link down, link up: the wakeup at 8 MiB / 8 GB/s is gone
         assert eng.events_processed == 3
         assert eng.now == pytest.approx(3e-4)
+
+
+_TICK = 20e-6  # admit / stall times are drawn on this grid, so they collide
+
+
+def _hub_run(sc, full_recompute: bool):
+    """Flows on one channel ("hub") beside another component ("side").
+
+    Returns the tracer records, the hub and side rates after every
+    flushed timestamp (as bit patterns), every channel's busy time and
+    the final clock.
+    """
+    eng = Engine()
+    tracer = Tracer()
+    fab = Fabric(eng, tracer=tracer, full_recompute=full_recompute)
+    fab.add_channel("hub", alpha=1e-6, beta=sc["beta"])
+    fab.add_channel("side", alpha=1e-6, beta=gbps(12))
+    # narrower than any hub share: a crossing member is bottlenecked here
+    fab.add_channel("x", alpha=1e-6, beta=sc["beta"] / 16)
+    flows = [("hub", n, t) for n, t in sc["hub"]]
+    flows += [("side", n, t) for n, t in sc["side"]]
+    if sc["cross"] is not None:
+        flows.append((("hub", "x"), *sc["cross"]))
+    for i, (hop, nbytes, tick) in enumerate(flows):
+        eng.call_at(tick * _TICK).add_callback(
+            lambda _e, hop=hop, nbytes=nbytes, i=i: fab.copy(
+                hop, nbytes, tag=f"f{i}"
+            )
+        )
+    if sc["stall"] is not None:
+        stall, length = sc["stall"]
+        eng.call_at(stall * _TICK).add_callback(
+            lambda _e: fab.stall_channel("hub")
+        )
+        eng.call_at((stall + length) * _TICK).add_callback(
+            lambda _e: fab.unstall_channel("hub")
+        )
+    rates = []
+    eng.add_flush_hook(
+        lambda: rates.append((
+            eng.now,
+            tuple(float(f.rate).hex() for f in fab.flows_on("hub")),
+            tuple(float(f.rate).hex() for f in fab.flows_on("side")),
+        ))
+    )
+    eng.run()
+    busy = {name: ch.busy_time for name, ch in fab.channels.items()}
+    return tracer.records, rates, busy, eng.now
+
+
+_sizes = st.integers(64 * KiB, 8 * MiB)
+_hub_scenarios = st.fixed_dictionaries({
+    "beta": st.floats(gbps(4), gbps(64)),
+    "hub": st.one_of(
+        # one size for every flow, or a size each
+        st.tuples(
+            _sizes, st.lists(st.integers(0, 8), min_size=1, max_size=6)
+        ).map(lambda t: [(t[0], tick) for tick in t[1]]),
+        st.lists(st.tuples(_sizes, st.integers(0, 8)), min_size=1, max_size=6),
+    ),
+    "side": st.lists(st.tuples(_sizes, st.integers(0, 8)), max_size=3),
+    "stall": st.none() | st.tuples(st.integers(0, 10), st.integers(1, 10)),
+    "cross": st.none() | st.tuples(_sizes, st.integers(0, 8)),
+})
+
+
+class TestOneChannelClosedForm:
+    """A one-channel solve assigns β/n: the same floats progressive
+    filling computes, on the incremental fabric and the reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_hub_scenarios)
+    def test_matches_progressive_filling(self, sc):
+        records, rates, busy, now = _hub_run(sc, full_recompute=False)
+        assert (records, rates, busy, now) == _hub_run(sc, full_recompute=True)
+        assert len(records) == len(sc["hub"]) + len(sc["side"]) + (
+            sc["cross"] is not None
+        )
+
+    def test_member_crossing_another_channel_takes_the_general_fill(self):
+        eng = Engine()
+        fab = Fabric(eng)
+        fab.add_channel("hub", alpha=0.0, beta=gbps(8))
+        fab.add_channel("x", alpha=0.0, beta=gbps(2))
+        fab.copy(("hub", "x"), 8 * MiB, tag="cross")
+        fab.copy("hub", 8 * MiB, tag="solo")
+        eng.run(until=1e-4)
+        # one dirty channel, but its first member also crosses x: β/2
+        # each would be wrong, the fill gives the max-min split
+        rates = {f.tag: f.rate for f in fab.flows_on("hub")}
+        assert rates == {"cross": gbps(2), "solo": gbps(8) - gbps(2)}
+        assert (fab.rate_recomputes, fab.solver_channels) == (1, 2)
 
 
 class TestFastPathCounters:
