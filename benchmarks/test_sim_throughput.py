@@ -3,7 +3,7 @@
 Runs the :mod:`repro.bench.perfsuite` workloads once and asserts the PR's
 performance floor:
 
-* slab-backed engine core >= 60k events/s on the pure event-churn
+* engine core >= 60k events/s on the pure event-churn
   microbenchmark (the ISSUE-6 gate: >=5x the 11.7k events/s the PR-3
   solver workload managed on the tuple-heap engine);
 * incremental fluid solver >= 1.5x the full-recompute reference on the
@@ -45,7 +45,7 @@ def suite():
 def test_engine_core_throughput_floor(suite):
     core = suite["engine_core"]
     # ISSUE 6 acceptance: >=5x the committed PR-3 baseline (~11.7k ev/s).
-    # The slab heap lands far above the floor; 60k keeps CI noise-proof.
+    # The event heap lands far above the floor; 60k keeps CI noise-proof.
     assert core["events_per_sec"] >= 60_000
     # the workload exercised every hot path it claims to cover
     assert core["events_cancelled"] > 0

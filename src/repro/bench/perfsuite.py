@@ -5,7 +5,7 @@ machine-readable ``BENCH_sim.json``:
 
 * **engine_core** — raw event-loop throughput with no solver attached:
   timeout chains, generator-process ping-pong, and cancellation churn
-  against the slab-backed heap.  This is the series the ≥100k events/s
+  against the event heap.  This is the series the ≥100k events/s
   roadmap target is measured on.
 * **solver** — a synthetic fluid-solver workload (contended waves over
   shared channels + disjoint back-to-back chains) run through
@@ -79,7 +79,7 @@ GATED_SERIES = (
 def _engine_workload(
     *, chains: int, chain_length: int, procs: int, hops: int, churn: int
 ) -> dict:
-    """Pure event-loop churn: measures the slab heap with no solver cost.
+    """Pure event-loop churn: measures the event heap with no solver cost.
 
     Three concurrent stressors cover the engine's distinct hot paths:
 

@@ -3,8 +3,7 @@
 Every transfer admitted to the system gets a **trace id**, and every layer
 it crosses emits a parent-linked span into a :class:`FlightRecorder` — a
 fixed-capacity ring of slab arrays (``trace_id``, ``parent``, ``kind_id``,
-``t0``, ``t1``, ``attrs``) in the style of the engine's event slab.  The
-recorder is cheap enough to be **on by default** (a span is a handful of
+``t0``, ``t1``, ``attrs``).  The recorder is cheap enough to be **on by default** (a span is a handful of
 list writes; no allocation beyond the optional attrs dict), so a production
 run always carries the evidence needed to answer "where did this transfer's
 time go?" after the fact:

@@ -1,9 +1,9 @@
-"""Randomized timeline-invariance certification for the slab-backed core.
+"""Randomized timeline-invariance certification for the simulator core.
 
 A seeded scenario generator mixes the contention patterns the CONTEND
 experiment stresses (``bench/experiments/contention.py``) with fault
 schedules from :mod:`repro.sim.faults`, then replays the *same* scenario
-on the incremental slab-backed solver and on the ``full_recompute=True``
+on the incremental solver and on the ``full_recompute=True``
 reference path.  Every tracer record, the final clock, and the flow/byte
 accounting must be bit-identical — the optimized core may only be faster,
 never different.
