@@ -702,8 +702,8 @@ class Fabric:
                 # progressive filling's only round gives every member
                 # cap/live = β/n (0 if the channel is stalled), so that is
                 # the rate, without the fill's scratch and marks.
-                for ci in dirty:
-                    members = ch_members[ci]
+                (ci,) = dirty
+                members = ch_members[ci]
                 if members:
                     for s in members:
                         if len(f_chans[s]) != 1:
