@@ -13,7 +13,9 @@ it *measures*, exactly like the offline step on a real node:
 * **launch overhead** — back-to-back zero-byte puts.
 
 The result is a :class:`~repro.core.params.ParameterStore` ready for the
-planner, persistable through :class:`~repro.ucx.registry.ModelRegistry`.
+planner.  :func:`calibrate_cached` memoises it per system and, with
+``cache_dir``, persists it as JSON like the paper's per-node model files,
+verifying the stored key on load.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from repro.core.hockney import HockneyModel, MultiPathModel
 from repro.core.optimizer import FractionSolution, optimal_fractions
 from repro.core.planner import PathAssignment, PathPlanner, TransferPlan, plan_transfer
 from repro.core.transfer_graph import CompiledPath, GraphCache, TransferGraph
-from repro.core.window_model import predict_windowed_bandwidth, windowed_bandwidth
 
 __all__ = [
     "PathParams",
@@ -54,6 +53,4 @@ __all__ = [
     "ContentionSolution",
     "CollectiveModel",
     "CollectivePrediction",
-    "windowed_bandwidth",
-    "predict_windowed_bandwidth",
 ]

@@ -4,9 +4,8 @@ This package is the stand-in for real hardware: a deterministic
 discrete-event engine (:mod:`repro.sim.engine`), the max-min fair fluid
 fabric whose channels model NVLink/PCIe/UPI wires and host-memory
 bandwidth (:mod:`repro.sim.fabric`), scripted link faults
-(:mod:`repro.sim.faults`), auxiliary resources (:mod:`repro.sim.resources`),
-timeline tracing (:mod:`repro.sim.trace`) and optional deterministic noise
-(:mod:`repro.sim.noise`).
+(:mod:`repro.sim.faults`), timeline tracing (:mod:`repro.sim.trace`) and
+optional deterministic noise (:mod:`repro.sim.noise`).
 
 Simulated time is in seconds, sizes in bytes (see :mod:`repro.units`).
 """
@@ -29,7 +28,6 @@ from repro.sim.faults import (
     LinkFailure,
     StallInjector,
 )
-from repro.sim.resources import Semaphore, Store
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
@@ -50,8 +48,6 @@ __all__ = [
     "FaultSchedule",
     "FaultWindow",
     "TransferResult",
-    "Semaphore",
-    "Store",
     "Tracer",
     "TraceRecord",
 ]

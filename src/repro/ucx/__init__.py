@@ -1,7 +1,9 @@
 """UCX-like transport layer (paper §4, Fig. 2a).
 
-* :mod:`repro.ucx.registry` — Step 1: per-topology calibrated parameter
-  stores, persisted like the paper's per-node model files;
+Step 1, extracting each system's parameters once and persisting them like
+the paper's per-node model files, is
+:func:`repro.bench.calibrate.calibrate_cached` (``cache_dir=``).
+
 * :mod:`repro.ucx.tuning` — the environment-variable-style configuration
   surface (path include/exclude, pipelining, thresholds);
 * :mod:`repro.ucx.context` — Step 2: the UCX context loads the model and
@@ -17,13 +19,11 @@ from repro.gpu.errors import LinkFailure, PathUnavailable, TransferTimeout
 from repro.ucx.context import UCXContext
 from repro.ucx.endpoint import Endpoint
 from repro.ucx.pipeline import PathFault, SettledExecution
-from repro.ucx.registry import ModelRegistry
 from repro.ucx.tuning import TransportConfig
 
 __all__ = [
     "UCXContext",
     "Endpoint",
-    "ModelRegistry",
     "TransportConfig",
     "LinkFailure",
     "TransferTimeout",

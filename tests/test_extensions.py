@@ -1,4 +1,4 @@
-"""Tests for the windowed steady-state model and the collective model."""
+"""Tests for the collective model."""
 
 import math
 
@@ -7,15 +7,9 @@ import pytest
 from repro.bench.baselines import dynamic_config
 from repro.bench.collectives import COLLECTIVES
 from repro.bench.env import BenchEnvironment
-from repro.bench.omb import osu_bw, osu_collective_latency
+from repro.bench.omb import osu_collective_latency
 from repro.core.collective_model import CollectiveModel
 from repro.core.planner import PathPlanner
-from repro.core.window_model import (
-    asymptotic_bandwidth,
-    predict_windowed_bandwidth,
-    windowed_bandwidth,
-    windowed_time,
-)
 from repro.topology import systems
 from repro.units import MiB
 
@@ -28,46 +22,6 @@ def beluga():
 @pytest.fixture(scope="module")
 def planner(beluga):
     return PathPlanner(beluga)
-
-
-class TestWindowModel:
-    def test_w1_matches_base_prediction(self, planner):
-        plan = planner.plan(0, 1, 16 * MiB, include_host=False)
-        assert windowed_time(plan, 1) == pytest.approx(plan.predicted_time)
-
-    def test_bandwidth_grows_with_window(self, planner):
-        plan = planner.plan(0, 1, 4 * MiB, include_host=False)
-        bws = [windowed_bandwidth(plan, w) for w in (1, 2, 4, 16, 64)]
-        assert all(b2 > b1 for b1, b2 in zip(bws, bws[1:]))
-        assert bws[-1] < asymptotic_bandwidth(plan)
-
-    def test_window_prediction_tracks_measurement(self, beluga, planner):
-        """The windowed prediction follows the measured window gain: the
-        matching-window relative error shrinks as the window grows (the
-        quantitative content of Observation 2), and both prediction and
-        measurement rise with the window."""
-        n = 2 * MiB
-        env = BenchEnvironment(beluga, config=dynamic_config(include_host=False))
-        errors = {}
-        prev_meas = prev_pred = 0.0
-        for w in (1, 16):
-            measured = osu_bw(env, n, window=w, iterations=3).bandwidth
-            predicted = predict_windowed_bandwidth(
-                planner, 0, 1, n, w, include_host=False
-            )
-            errors[w] = abs(predicted - measured) / measured
-            assert measured > prev_meas and predicted > prev_pred
-            prev_meas, prev_pred = measured, predicted
-        assert errors[16] < errors[1]
-
-    def test_validation(self, planner):
-        plan = planner.plan(0, 1, 4 * MiB)
-        with pytest.raises(ValueError):
-            windowed_time(plan, 0)
-
-    def test_asymptote_is_upper_bound(self, planner):
-        plan = planner.plan(0, 1, 64 * MiB, include_host=False)
-        assert windowed_bandwidth(plan, 1000) <= asymptotic_bandwidth(plan)
 
 
 class TestCollectiveModel:

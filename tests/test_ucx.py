@@ -1,13 +1,12 @@
-"""Tests for the UCX-like transport: config, registry, pipeline, cuda_ipc."""
+"""Tests for the UCX-like transport: config, pipeline, cuda_ipc."""
 
 from dataclasses import fields
 
 import pytest
 
-from repro.core.params import ParameterStore
 from repro.sim import Engine, Tracer
 from repro.topology import systems
-from repro.ucx import ModelRegistry, TransportConfig, UCXContext
+from repro.ucx import TransportConfig, UCXContext
 from repro.ucx.pipeline import PipelineEngine, SettledExecution
 from repro.ucx.tuning import StaticShare
 from repro.units import KiB, MiB, gbps
@@ -102,38 +101,6 @@ class TestTransportConfig:
             TransportConfig(rndv_threshold=-1)
         with pytest.raises(ValueError):
             TransportConfig(max_chunks=0)
-
-
-class TestModelRegistry:
-    def test_register_get(self):
-        reg = ModelRegistry()
-        store = ParameterStore.ground_truth(systems.beluga())
-        reg.register("beluga", store)
-        assert reg.get("beluga") is store
-        assert "beluga" in reg
-
-    def test_missing_raises(self):
-        with pytest.raises(KeyError, match="calibrat"):
-            ModelRegistry().get("nope")
-
-    def test_persistence_roundtrip(self, tmp_path):
-        reg = ModelRegistry(tmp_path)
-        store = ParameterStore.ground_truth(systems.narval())
-        reg.register("narval", store)
-        path = reg.save("narval")
-        assert path.exists()
-        fresh = ModelRegistry(tmp_path)
-        assert "narval" in fresh
-        assert fresh.names() == ["narval"]
-        loaded = fresh.get("narval")
-        hop = systems.narval().direct_hop(0, 1)
-        assert loaded.link(hop).beta == store.link(hop).beta
-
-    def test_save_without_directory(self):
-        reg = ModelRegistry()
-        reg.register("x", ParameterStore())
-        with pytest.raises(ValueError):
-            reg.save("x")
 
 
 class TestPipelineEngine:
