@@ -163,7 +163,7 @@ class Communicator:
             recv.request._finish(send.payload)
             return
         # All MPI traffic (and with it every collective) goes through the
-        # transfer service: admission control, load tracking, coalescing.
+        # transfer service: admission control, load tracking, deadlines.
         put = self.context.transfers.submit(
             src_dev,
             dst_dev,

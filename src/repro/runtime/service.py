@@ -9,10 +9,6 @@ admitted transfers to ``CudaIpcModule.start_put``.  It adds:
   (``TransportConfig.max_inflight_per_pair`` / ``max_inflight_total``).
   Requests that cannot be admitted queue FIFO; a pair at its limit never
   blocks other pairs (per-pair FIFO order is still preserved).
-* **Small-message coalescing** — queued requests for the same pair below
-  ``coalesce_threshold`` are merged into one put when dispatched,
-  amortising the per-request software overhead; each original request's
-  event still completes with its own :class:`~repro.ucx.cuda_ipc.PutResult`.
 * **Load tracking** — a :class:`~repro.runtime.load.LoadTracker` maintains
   per-channel in-flight flow/byte counts that the contention-aware planner
   reads (``TransportConfig.contention_aware``).
@@ -35,17 +31,17 @@ admitted transfers to ``CudaIpcModule.start_put``.  It adds:
   buckets) that the recovery loop consumes before every replan, so storms
   of retries against one quarantined path back off collectively.
 
-With the default configuration (no caps, coalescing off, contention-aware
-planning off, no deadlines/limits/budgets) the manager dispatches
-synchronously and returns the put process event untouched, so
-single-transfer timelines are bit-identical to a bare ``start_put`` —
-asserted by ``tests/test_transfer_manager.py``.
+With the default configuration (no caps, contention-aware planning off,
+no deadlines/limits/budgets) the manager dispatches synchronously and
+returns the put process event untouched, so single-transfer timelines are
+bit-identical to a bare ``start_put`` — asserted by
+``tests/test_transfer_manager.py``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.gpu.errors import DeadlineUnsatisfiable, TransferCancelled, TransferShed
@@ -114,8 +110,6 @@ class TransferManager:
         self.queued = 0  # requests that waited in the admission queue
         self.dispatched_direct = 0
         self.dispatched_queued = 0
-        self.coalesced_requests = 0
-        self.coalesced_bytes = 0
         self.completed = 0
         self.failed = 0
         self.rejected = 0  # deadline-unsatisfiable at submit
@@ -140,18 +134,11 @@ class TransferManager:
     # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        return sum(1 for r in self._queue if r is not None)
+        return len(self._queue)
 
     @property
     def inflight(self) -> int:
         return self._inflight_total
-
-    @property
-    def degrade_level(self) -> int:
-        """Planner degradation requested by the overload governor (0-2)."""
-        if not self.config.degrade_under_pressure:
-            return 0
-        return self.governor.degrade_level
 
     # ------------------------------------------------------------------
     def submit(
@@ -256,9 +243,8 @@ class TransferManager:
         handles — ``False`` is returned and nothing changes.
         """
         for i, r in enumerate(self._queue):
-            if r is not None and r.event is handle:
-                self._queue[i] = None
-                self._queue = [q for q in self._queue if q is not None]
+            if r.event is handle:
+                del self._queue[i]
                 if r.deadline_at is not None:
                     self._deadline_queued -= 1
                 self.cancelled += 1
@@ -292,7 +278,7 @@ class TransferManager:
         avoid = (ctx.health.unhealthy_paths(src, dst),)
         try:
             plan = ctx.cuda_ipc.plan_avoiding(
-                src, dst, nbytes, avoid, degrade=self.degrade_level
+                src, dst, nbytes, avoid, degrade=self.governor.degrade_level
             )
         except ValueError:
             return None
@@ -325,7 +311,7 @@ class TransferManager:
         policy = self.config.shed_policy
         if policy == "reject-newest":
             return _INCOMING
-        queued = [r for r in self._queue if r is not None]
+        queued = self._queue
         if not queued:
             return _INCOMING
         if policy == "reject-cheapest":
@@ -380,16 +366,18 @@ class TransferManager:
         if self._deadline_queued <= 0:
             return
         now = self.engine.now
+        kept: list[_QueuedRequest] = []
         expired: list[_QueuedRequest] = []
-        for i, r in enumerate(self._queue):
-            if r is None or r.deadline_at is None:
-                continue
-            if now + (r.predicted or 0.0) > r.deadline_at * (1 + 1e-12):
+        for r in self._queue:
+            if r.deadline_at is not None and (
+                now + (r.predicted or 0.0) > r.deadline_at * (1 + 1e-12)
+            ):
                 expired.append(r)
-                self._queue[i] = None
+            else:
+                kept.append(r)
         if not expired:
             return
-        self._queue = [r for r in self._queue if r is not None]
+        self._queue = kept
         for r in expired:
             self._deadline_queued -= 1
             self.expired += 1
@@ -467,13 +455,7 @@ class TransferManager:
         )
         return ev
 
-    def _finish_trace(
-        self,
-        trace_id: int,
-        root_sid: int,
-        ev: "Event",
-        coalesced_into: int = -1,
-    ) -> None:
+    def _finish_trace(self, trace_id: int, root_sid: int, ev: "Event") -> None:
         """Record the ``settle`` marker and close the trace's root span."""
         flight = self.context.flight
         if ev.ok:
@@ -485,8 +467,6 @@ class TransferManager:
             }
         else:
             attrs = {"ok": False}
-        if coalesced_into >= 0:
-            attrs["coalesced_into"] = coalesced_into
         flight.settle(trace_id, root_sid, attrs)
 
     def _finish_terminal(self, trace_id: int, root_sid: int, outcome: str) -> None:
@@ -532,9 +512,7 @@ class TransferManager:
         remaining: list[_QueuedRequest] = []
         blocked: set[tuple[int, int]] = set()
         queue, self._queue = self._queue, []
-        for i, req in enumerate(queue):
-            if req is None:
-                continue  # coalesced into an earlier dispatch
+        for req in queue:
             pair = (req.src, req.dst)
             if pair in blocked or not self._can_admit(req.src, req.dst):
                 blocked.add(pair)
@@ -542,96 +520,43 @@ class TransferManager:
                 continue
             if req.deadline_at is not None:
                 self._deadline_queued -= 1
-            members = self._collect_coalescible(queue, i, req)
-            self._dispatch_queued(req, members)
-        remaining.extend(r for r in self._queue if r is not None)
+            self._dispatch_queued(req)
+        remaining.extend(self._queue)
         self._queue = remaining
         self._update_governor()
 
-    def _collect_coalescible(
-        self, queue: list, index: int, head: _QueuedRequest
-    ) -> list[_QueuedRequest]:
-        """Later queued small messages of the head's pair, FIFO, merged.
-
-        The scan stops at the pair's first non-coalescible request so
-        coalescing can never reorder a pair's traffic.
-        """
-        threshold = self.config.coalesce_threshold
-        if threshold <= 0 or head.nbytes > threshold:
-            return []
-        members: list[_QueuedRequest] = []
-        for j in range(index + 1, len(queue)):
-            other = queue[j]
-            if other is None or (other.src, other.dst) != (head.src, head.dst):
-                continue
-            if other.nbytes > threshold:
-                break
-            members.append(other)
-            if other.deadline_at is not None:
-                self._deadline_queued -= 1
-            queue[j] = None
-        return members
-
-    def _dispatch_queued(
-        self, req: _QueuedRequest, members: list[_QueuedRequest]
-    ) -> None:
+    def _dispatch_queued(self, req: _QueuedRequest) -> None:
         now = self.engine.now
-        group = [req, *members]
-        total = sum(r.nbytes for r in group)
-        if members:
-            self.coalesced_requests += len(members)
-            self.coalesced_bytes += sum(m.nbytes for m in members)
-        flight = self.context.flight
-        gov = self.governor
-        for r in group:
-            waited = now - r.enqueued_at
-            self.queue_time_total += waited
-            gov.observe_wait(waited)
-            if r.root_sid >= 0:
-                # one-shot queue span (enqueue -> dispatch); recording it
-                # feeds the queue_wait stage aggregate
-                flight.record(
-                    "admission.queue",
-                    r.trace_id,
-                    r.root_sid,
-                    r.enqueued_at,
-                    now,
-                    {"nbytes": r.nbytes, "coalesced": len(group) > 1},
-                )
-        self.dispatched_queued += len(group)
-        # A merged put honours the group's tightest deadline.
-        deadlines = [r.deadline_at for r in group if r.deadline_at is not None]
-        deadline_at = min(deadlines) if deadlines else None
+        waited = now - req.enqueued_at
+        self.queue_time_total += waited
+        self.governor.observe_wait(waited)
+        if req.root_sid >= 0:
+            # one-shot queue span (enqueue -> dispatch); recording it
+            # feeds the queue_wait stage aggregate
+            self.context.flight.record(
+                "admission.queue",
+                req.trace_id,
+                req.root_sid,
+                req.enqueued_at,
+                now,
+                {"nbytes": req.nbytes},
+            )
+        self.dispatched_queued += 1
         put = self._dispatch(
             req.src,
             req.dst,
-            total,
+            req.nbytes,
             req.tag,
             req.trace_id,
             req.root_sid,
-            deadline_at=deadline_at,
+            deadline_at=req.deadline_at,
         )
 
-        def settle(ev, group=group, merged=bool(members)):
+        def settle(ev, event=req.event):
             if ev.ok:
-                result = ev.value
-                for r in group:
-                    r.event.succeed(
-                        replace(result, nbytes=r.nbytes) if merged else result
-                    )
+                event.succeed(ev.value)
             else:
-                for r in group:
-                    r.event.fail(ev._exception)
-            # Coalesced members ride the head's put: their traces settle
-            # here, pointing at the trace that carried their bytes.
-            for r in group[1:]:
-                if r.root_sid >= 0:
-                    self._finish_trace(
-                        r.trace_id,
-                        r.root_sid,
-                        ev,
-                        coalesced_into=group[0].trace_id,
-                    )
+                event.fail(ev._exception)
 
         put.add_callback(settle)
 
@@ -653,8 +578,6 @@ class TransferManager:
             "peak_queue_depth": self.peak_queue_depth,
             "inflight": self._inflight_total,
             "peak_inflight": self.peak_inflight,
-            "coalesced_requests": self.coalesced_requests,
-            "coalesced_bytes": self.coalesced_bytes,
             "queue_time_total": self.queue_time_total,
             "bytes": {
                 "submitted": self.bytes_submitted,

@@ -305,7 +305,7 @@ class CudaIpcModule:
         manager = ctx.transfers
         plan, graph = self._acquire_plan(
             src, dst, nbytes, mode, trace_id, root_sid,
-            degrade=manager.degrade_level,
+            degrade=manager.governor.degrade_level,
         )
 
         # Plan -> execute -> settle.  Each round runs the current plan to a

@@ -60,7 +60,6 @@ class TransportConfig:
     contention_aware: bool = False  # plan against live load (beta/(1+load))
     max_inflight_total: int | None = None  # global admission cap
     max_inflight_per_pair: int | None = None  # per-(src,dst) admission cap
-    coalesce_threshold: int = 0  # queued same-pair puts <= this merge (0=off)
     # Overload resilience (see DESIGN.md §5h).  All off by default: with no
     # queue limit, no overload thresholds, and no retry budgets the service
     # behaves exactly as before (bit-identical timelines).
@@ -69,7 +68,6 @@ class TransportConfig:
     overload_pressured_depth: int | None = None  # queue depth entering PRESSURED
     overload_shedding_depth: int | None = None  # queue depth entering SHEDDING
     overload_wait_pressured: float | None = None  # EWMA queue-wait entering PRESSURED
-    degrade_under_pressure: bool = True  # ask planner for cheaper plans when hot
     retry_budget_total: int | None = None  # global retry tokens (None=unlimited)
     retry_budget_per_pair: int | None = None  # per-(src,dst) retry tokens
     retry_budget_refill: float = 0.0  # tokens per simulated second
@@ -183,13 +181,11 @@ _KNOBS: dict[str, tuple[str | None, _Parser | None, tuple[str, float] | None]] =
     "contention_aware": ("UCX_MP_CONTENTION_AWARE", _flag, None),
     "max_inflight_total": ("UCX_MP_MAX_INFLIGHT", _limit, (">=", 1)),
     "max_inflight_per_pair": ("UCX_MP_MAX_INFLIGHT_PAIR", _limit, (">=", 1)),
-    "coalesce_threshold": ("UCX_MP_COALESCE", parse_size, (">=", 0)),
     "admission_queue_limit": ("UCX_MP_QUEUE_LIMIT", _limit, (">=", 1)),
     "shed_policy": ("UCX_MP_SHED_POLICY", str.strip, None),
     "overload_pressured_depth": ("UCX_MP_PRESSURED_DEPTH", _limit, (">=", 1)),
     "overload_shedding_depth": ("UCX_MP_SHEDDING_DEPTH", _limit, (">=", 1)),
     "overload_wait_pressured": (None, None, (">", 0)),
-    "degrade_under_pressure": (None, None, None),
     "retry_budget_total": ("UCX_MP_RETRY_BUDGET", _limit, (">=", 0)),
     "retry_budget_per_pair": ("UCX_MP_RETRY_BUDGET_PAIR", _limit, (">=", 0)),
     "retry_budget_refill": ("UCX_MP_RETRY_BUDGET_REFILL", float, (">=", 0)),

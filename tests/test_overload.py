@@ -303,24 +303,11 @@ class TestBackpressure:
         evs = [ctx.put(0, 1, 4 * MiB, tag=f"p{i}") for i in range(6)]
         snap = ctx.transfers.stats_snapshot()["overload"]
         assert snap["state"] == "shedding"
-        assert ctx.transfers.degrade_level == 2
+        assert ctx.transfers.governor.degrade_level == 2
         eng.run(until=eng.all_of(evs))
         snap = ctx.transfers.stats_snapshot()["overload"]
         assert snap["state"] == "normal"  # drained back down the ladder
         assert snap["transitions"] >= 2
-
-    def test_degrade_under_pressure_opt_out(self):
-        cfg = TransportConfig(
-            max_inflight_per_pair=1,
-            overload_pressured_depth=1,
-            overload_shedding_depth=2,
-            degrade_under_pressure=False,
-        )
-        eng, ctx = make_ctx(config=cfg)
-        evs = [ctx.put(0, 1, 4 * MiB, tag=f"p{i}") for i in range(4)]
-        assert ctx.transfers.governor.state is not OverloadState.NORMAL
-        assert ctx.transfers.degrade_level == 0  # state tracked, not acted on
-        eng.run(until=eng.all_of(evs))
 
 
 # ----------------------------------------------------------------------
@@ -501,7 +488,6 @@ class TestConfigValidation:
             {"overload_pressured_depth": 4, "overload_shedding_depth": 2},
             {"overload_wait_pressured": 0.0},
             {"max_inflight_per_pair": 0},
-            {"coalesce_threshold": -1},
             {"retry_budget_total": -1},
             {"retry_budget_refill": -0.5},
         ],

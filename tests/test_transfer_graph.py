@@ -201,6 +201,7 @@ class TestConfig:
             "UCX_MP_FLIGHT_RECORDER",
             "UCX_MP_FLIGHT_CAPACITY",
             "UCX_MP_GRAPH_CACHE",
+            "UCX_MP_COALESCE",
             "UCX_MP_MAX_RETRY",
         ):
             with pytest.raises(ValueError, match=var):

@@ -2,7 +2,7 @@
 
 Covers the bit-identity guarantee (default config == bare dispatch),
 admission control (per-pair and global caps, no cross-pair head-of-line
-blocking), small-message coalescing, load accounting, and the re-routed
+blocking), load accounting, cancellation and expiry, and the re-routed
 entry points (context.put, endpoints, MPI traffic).
 """
 
@@ -220,53 +220,6 @@ class TestAdmissionControl:
             ctx.put(0, 1, -1)
 
 
-class TestCoalescing:
-    def test_queued_small_messages_merge(self):
-        cfg = TransportConfig(
-            max_inflight_per_pair=1, coalesce_threshold=64 * KiB
-        )
-        eng, ctx = make_ctx(config=cfg)
-        big = ctx.put(0, 1, 8 * MiB, tag="big")
-        smalls = [ctx.put(0, 1, 16 * KiB, tag=f"s{i}") for i in range(4)]
-        eng.run(until=eng.all_of([big, *smalls]))
-        stats = ctx.transfers.stats_snapshot()
-        assert stats["coalesced_requests"] == 3  # head + 3 merged members
-        assert stats["coalesced_bytes"] == 3 * 16 * KiB
-        # each member still resolves with its own size and shared timing
-        for ev in smalls:
-            assert ev.value.nbytes == 16 * KiB
-        assert len({(e.value.start, e.value.end) for e in smalls}) == 1
-        # only two actual dispatches hit the transport: big + merged group
-        assert ctx.cuda_ipc.puts_issued == 2
-
-    def test_large_queued_message_not_coalesced(self):
-        cfg = TransportConfig(
-            max_inflight_per_pair=1, coalesce_threshold=64 * KiB
-        )
-        eng, ctx = make_ctx(config=cfg)
-        evs = [
-            ctx.put(0, 1, 8 * MiB, tag="head"),  # dispatches; rest queue
-            ctx.put(0, 1, 16 * KiB, tag="s0"),
-            ctx.put(0, 1, 16 * KiB, tag="s1"),
-            ctx.put(0, 1, 8 * MiB, tag="L"),  # above threshold: barrier
-            ctx.put(0, 1, 16 * KiB, tag="s2"),
-        ]
-        eng.run(until=eng.all_of(evs))
-        # s1 merged into s0's dispatch; the large message stops the scan so
-        # s2 dispatches on its own (pair FIFO preserved).
-        assert ctx.transfers.coalesced_requests == 1
-        assert evs[3].value.start >= evs[2].value.end  # L after s0+s1
-        assert evs[4].value.start >= evs[3].value.end  # s2 after L
-
-    def test_coalescing_off_by_default(self):
-        cfg = TransportConfig(max_inflight_per_pair=1)
-        eng, ctx = make_ctx(config=cfg)
-        evs = [ctx.put(0, 1, 16 * KiB, tag=f"s{i}") for i in range(3)]
-        eng.run(until=eng.all_of(evs))
-        assert ctx.transfers.coalesced_requests == 0
-        assert ctx.cuda_ipc.puts_issued == 3
-
-
 class TestEntryPoints:
     def test_context_put_routes_through_manager(self):
         eng, ctx = make_ctx()
@@ -369,12 +322,10 @@ class TestCancellation:
         assert ctx.transfers.cancel(ev) is False  # completed: still False
         assert ctx.transfers.cancelled == 0
 
-    def test_expiry_in_coalesce_group_does_not_strand_siblings(self):
+    def test_expiry_does_not_strand_queued_siblings(self):
         from repro.gpu.errors import DeadlineUnsatisfiable
 
-        cfg = TransportConfig(
-            max_inflight_per_pair=1, coalesce_threshold=64 * KiB
-        )
+        cfg = TransportConfig(max_inflight_per_pair=1)
         eng, ctx = make_ctx(config=cfg)
         big = ctx.put(0, 1, 8 * MiB, tag="big")
         # A deadline generous enough to pass admission (predicted service
@@ -392,12 +343,12 @@ class TestCancellation:
         for ev in siblings:
             assert ev.ok
             assert ev.value.nbytes == 16 * KiB
+        # the sweep's rebuilt queue kept the survivors in FIFO order
+        for before, after in zip(siblings, siblings[1:]):
+            assert after.value.start >= before.value.end
         stats = ctx.transfers.stats_snapshot()
         assert stats["expired"] == 1
-        # big + one merged dispatch for the surviving siblings: the
-        # expired member did not strand or split the coalesce group
-        assert stats["completed"] == 2
-        assert stats["coalesced_requests"] == 2
+        assert stats["completed"] == 4  # big + the three siblings
         assert stats["queue_depth"] == 0
 
     def test_load_idle_after_mass_cancellation(self):

@@ -67,7 +67,6 @@ class TestTransportConfig:
         "UCX_MP_CONTENTION_AWARE": ("y", "contention_aware", True),
         "UCX_MP_MAX_INFLIGHT": ("4", "max_inflight_total", 4),
         "UCX_MP_MAX_INFLIGHT_PAIR": ("2", "max_inflight_per_pair", 2),
-        "UCX_MP_COALESCE": ("64K", "coalesce_threshold", 64 * KiB),
         "UCX_MP_QUEUE_LIMIT": ("16", "admission_queue_limit", 16),
         "UCX_MP_SHED_POLICY": (" tenant-fair", "shed_policy", "tenant-fair"),
         "UCX_MP_PRESSURED_DEPTH": ("4", "overload_pressured_depth", 4),
