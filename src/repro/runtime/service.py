@@ -40,6 +40,7 @@ bit-identical to a bare ``start_put`` — asserted by
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -167,12 +168,17 @@ class TransferManager:
         :class:`DeadlineUnsatisfiable` when it cannot be met.  Queued
         requests whose deadline becomes unreachable are expired by the
         engine-flush sweep.  Both default to ``None`` (no deadline), which
-        keeps timelines bit-identical to the pre-deadline service.
+        keeps timelines bit-identical to the pre-deadline service.  A NaN
+        deadline or timeout raises :class:`ValueError`: no comparison with
+        it is ever true, so it would be counted but never enforced.
         """
         if nbytes < 0:
             raise ValueError("negative transfer size")
         if deadline is not None and timeout is not None:
             raise ValueError("pass deadline or timeout, not both")
+        bound = deadline if deadline is not None else timeout
+        if bound is not None and math.isnan(bound):
+            raise ValueError("deadline or timeout is NaN")
         self.submitted += 1
         self.bytes_submitted += nbytes
         self._seq += 1

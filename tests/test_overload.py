@@ -183,6 +183,19 @@ class TestDeadlines:
         with pytest.raises(ValueError, match="not both"):
             ctx.put(0, 1, 4 * MiB, deadline=1.0, timeout=1.0)
 
+    @pytest.mark.parametrize("kw", ["deadline", "timeout"])
+    def test_nan_deadline_rejected_at_submit(self, kw):
+        # NaN compares False against everything, so admission, the expiry
+        # sweep and recovery would never enforce it; refuse it up front.
+        eng, ctx = make_ctx(config=TransportConfig(max_inflight_per_pair=1))
+        head = ctx.put(0, 1, 64 * MiB, tag="head")
+        with pytest.raises(ValueError, match="NaN"):
+            ctx.put(0, 1, 64 * MiB, **{kw: math.nan})
+        stats = ctx.transfers.stats_snapshot()
+        assert (stats["submitted"], stats["queue_depth"]) == (1, 0)
+        assert ctx.transfers._deadline_queued == 0
+        eng.run(until=head)
+
     def test_queued_expiry_via_flush_sweep(self):
         cfg = TransportConfig(max_inflight_per_pair=1)
         eng, ctx = make_ctx(config=cfg)
