@@ -53,15 +53,10 @@ def load_bucket(flows: int) -> int:
 class LoadSnapshot:
     """An immutable point-in-time view of per-channel in-flight load."""
 
-    __slots__ = ("_flows", "_bytes", "_key")
+    __slots__ = ("_flows", "_key")
 
-    def __init__(
-        self,
-        flows: dict[str, int] | None = None,
-        bytes_: dict[str, float] | None = None,
-    ) -> None:
+    def __init__(self, flows: dict[str, int] | None = None) -> None:
         self._flows = dict(flows) if flows else {}
-        self._bytes = dict(bytes_) if bytes_ else {}
         self._key: tuple[tuple[str, int], ...] | None = None
 
     # ------------------------------------------------------------------
@@ -71,9 +66,6 @@ class LoadSnapshot:
 
     def flows_on(self, channel: str) -> int:
         return self._flows.get(channel, 0)
-
-    def bytes_on(self, channel: str) -> float:
-        return self._bytes.get(channel, 0.0)
 
     def hop_load(self, hop: tuple[str, ...]) -> int:
         """Bucketed flow count of the hop's most-loaded channel.
@@ -181,18 +173,15 @@ class LoadTracker:
     def flows_on(self, channel: str) -> int:
         return self._flows.get(channel, 0)
 
-    def bytes_on(self, channel: str) -> float:
-        return self._bytes.get(channel, 0.0)
-
     @property
     def is_idle(self) -> bool:
         return not self._flows
 
     def snapshot(self) -> LoadSnapshot:
-        """Freeze the current load (cheap: two small dict copies)."""
+        """Freeze the current load (cheap: one small dict copy)."""
         if not self._flows:
             return IDLE_SNAPSHOT
-        return LoadSnapshot(self._flows, self._bytes)
+        return LoadSnapshot(self._flows)
 
     def stats_snapshot(self) -> dict:
         """Structured counters, pulled by a metrics collector."""

@@ -304,10 +304,6 @@ class TopologyBuilder:
             self.sync.host = host
         return self
 
-    def set_staging_policy(self, policy: str) -> "TopologyBuilder":
-        self.staging_numa_policy = policy
-        return self
-
     def build(self) -> NodeTopology:
         return NodeTopology(
             name=self.name,
