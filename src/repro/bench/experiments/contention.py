@@ -103,7 +103,7 @@ class ContentionReport:
         return table
 
     def to_series(self) -> dict:
-        """The ``concurrent_transfers`` series for BENCH_sim.json."""
+        """The ``concurrent_transfers`` series (``concurrent_transfers.json``)."""
         return {
             "system": self.system,
             "size_mib": self.nbytes // MiB,

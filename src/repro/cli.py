@@ -434,7 +434,8 @@ def cmd_contention(args):
     """Contention-aware vs blind planning error over concurrent patterns.
 
     ``--scenario`` narrows to one pattern; ``-o`` writes the JSON series
-    (the ``concurrent_transfers`` shape committed to BENCH_sim.json);
+    (the ``concurrent_transfers`` shape committed to
+    ``benchmarks/results/concurrent_transfers.json``);
     ``--dump PREFIX`` writes the usual artifact bundle of one aware run.
     """
     system = _systems(args)[0]
