@@ -350,6 +350,7 @@ class TestCancellation:
         assert stats["expired"] == 1
         assert stats["completed"] == 4  # big + the three siblings
         assert stats["queue_depth"] == 0
+        assert ctx.cuda_ipc.puts_issued == 4  # one put per dispatched request
 
     def test_load_idle_after_mass_cancellation(self):
         from repro.runtime import check_invariants
