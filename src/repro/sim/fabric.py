@@ -52,8 +52,11 @@ Four layers keep the hot paths flat:
   once the batch has drained.  Intermediate solves were unobservable — no
   simulated time passes inside a batch and every intermediate wakeup was
   invalidated — so the final rates, and therefore every timestamp, are
-  unchanged.  Stale bandwidth-phase wakeups are cancelled out of the engine
-  heap in O(1) by their entry handle.
+  unchanged.  A wakeup due at the batch's own instant is the exception: an
+  admit that cancels it re-arms it at once, so the flow finishing then
+  leaves before the flush, as under the reference's eager solve.  Stale
+  bandwidth-phase wakeups are cancelled out of the engine heap in O(1) by
+  their entry handle.
 * **Component-local solves.**  A solve fills only the flow components
   (channels linked by the flows that share them) holding a *dirty*
   channel, one whose flow set, capacity or stall state changed since the
@@ -619,7 +622,13 @@ class Fabric:
             # same-timestamp admit folds into one progressive-filling pass.
             # No simulated time can pass while dirty (the flush runs before
             # the clock moves), so intermediate rates are unobservable.
+            # A cancelled wakeup that is due now is re-armed at once, as
+            # the reference's eager solve does: a flow finishing at this
+            # instant must leave within this timestamp, before the flush.
+            pending = self._pending_wakeup
             self._invalidate_wakeup()
+            if pending is not None and pending[0] <= self.engine.now:
+                self._arm_wakeup()
             dirty = self._dirty
             for ci in cis:
                 dirty[ci] = None

@@ -10,7 +10,7 @@ reference implementation.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.sim.fabric as fabric_mod
@@ -180,6 +180,16 @@ class TestOneChannelClosedForm:
 
     @settings(max_examples=200, deadline=None)
     @given(_hub_scenarios)
+    # A side flow finishes at the instant a hub flow is admitted beside
+    # the hub's stalled flow: the admit cancels the wakeup due now, which
+    # must fire within this timestamp, as the reference's does.
+    @example({
+        "beta": 4e9,
+        "hub": [(65536, 0), (65536, 8)],
+        "side": [(160000, 0), (760000, 0), (1000000, 0)],
+        "stall": (0, 8),
+        "cross": None,
+    })
     def test_matches_progressive_filling(self, sc):
         records, rates, busy, now = _hub_run(sc, full_recompute=False)
         assert (records, rates, busy, now) == _hub_run(sc, full_recompute=True)
