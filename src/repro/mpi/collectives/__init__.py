@@ -10,6 +10,14 @@ For large GPU messages the UCC/UCP stack selects:
 Every step is an ``isend``/``irecv`` pair, so each hits the cuda_ipc module
 and — when multi-path is enabled — is split across paths by the model,
 which is how the paper's collective speedups arise.
+
+Each message is copied once, by ``isend``'s snapshot
+(:func:`~repro.mpi.datatypes.copy_payload`): a step ships views of its
+buffer or the caller's blocks (several as one ``{key: block}`` bundle)
+and keeps what it receives as a result block or reduces it in place,
+``op(target, received, out=target)``, so ``op`` is a numpy ufunc
+(``np.add``, ``np.maximum``, ...).  A rank copies the caller's data only
+where it keeps it, so no result shares memory with an input.
 """
 
 from repro.mpi.collectives.allreduce import allreduce, allreduce_recursive, allreduce_ring

@@ -34,18 +34,12 @@ def allgather_recursive_doubling(view: RankView, array):
     step = 0
     while dist < p:
         partner = rank ^ dist
-        # Ship everything gathered so far, interleaved with owner ids via
-        # deterministic ordering (both sides know the owner sets).
-        my_owners = sorted(gathered)
-        payload = np.concatenate([gathered[o] for o in my_owners])
+        # Ship everything gathered so far as one {owner: block} bundle;
+        # ``isend`` snapshots it, so later updates do not reach the wire.
         received = yield from view.sendrecv(
-            partner, partner, payload=payload, tag=tag + step
+            partner, partner, payload=gathered, tag=tag + step
         )
-        # Partner's owner set is my owner set XOR dist-block.
-        partner_owners = sorted(o ^ dist for o in my_owners)
-        pieces = np.split(received, len(partner_owners))
-        for o, piece in zip(partner_owners, pieces):
-            gathered[o] = piece
+        gathered.update(received)
         dist <<= 1
         step += 1
     return [gathered[r] for r in range(p)]

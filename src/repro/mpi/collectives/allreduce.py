@@ -21,6 +21,40 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def reduce_into(view: RankView, target: np.ndarray, received, op):
+    """``op(target, received, out=target)``, charged as GPU time.  In place,
+    numpy would broadcast a short ``received`` or cast the result to
+    ``target``'s dtype (int64 ones plus float64 halves give 2), so a
+    mismatch in size or dtype raises instead."""
+    if received.size != target.size or received.dtype != target.dtype:
+        raise ValueError(
+            f"reduction region mismatch: received {received.size} "
+            f"{received.dtype} into {target.size} {target.dtype} "
+            "(unequal payloads?)"
+        )
+    op(target, received, out=target)
+    yield from view.compute(int(received.nbytes))
+
+
+def ring_reduce_scatter(view: RankView, buf: np.ndarray, op, tag: int):
+    """Reduce ``buf``'s p blocks in place in p-1 ring steps; afterwards
+    this rank holds block (rank + 1) % p fully reduced.  Returns the block
+    bounds and ``block``, where ``block(i)`` is block ``i % p``."""
+    p, rank = view.size, view.rank
+    bounds = np.linspace(0, buf.size, p + 1).astype(int)
+
+    def block(i):
+        i %= p
+        return buf[bounds[i] : bounds[i + 1]]
+
+    for s in range(p - 1):
+        received = yield from view.sendrecv(
+            (rank + 1) % p, (rank - 1) % p, payload=block(rank - s), tag=tag + s
+        )
+        yield from reduce_into(view, block(rank - s - 1), received, op)
+    return bounds, block
+
+
 def allreduce(view: RankView, array, op=np.add):
     """Dispatch to the best algorithm for the communicator size."""
     if _is_power_of_two(view.size):
@@ -63,11 +97,9 @@ def allreduce_recursive(view: RankView, array, op=np.add):
             payload=buf[send_off : send_off + send_cnt],
             tag=tag + step_id,
         )
-        keep = buf[keep_off : keep_off + keep_cnt]
-        if received.size != keep.size:
-            raise ValueError("allreduce region mismatch (unequal payloads?)")
-        buf[keep_off : keep_off + keep_cnt] = op(keep, received)
-        yield from view.compute(int(received.nbytes))
+        yield from reduce_into(
+            view, buf[keep_off : keep_off + keep_cnt], received, op
+        )
         steps.append((send_off, send_cnt, keep_off, keep_cnt, partner))
         offset, count = keep_off, keep_cnt
         dist //= 2
@@ -97,28 +129,11 @@ def allreduce_ring(view: RankView, array, op=np.add):
     if p == 1:
         return buf
     tag = view.next_collective_tag()
-    bounds = np.linspace(0, buf.size, p + 1).astype(int)
-
-    def block(i):
-        i %= p
-        return buf[bounds[i] : bounds[i + 1]]
-
-    right = (rank + 1) % p
-    left = (rank - 1) % p
-
-    # Reduce-scatter: after p-1 steps, rank owns the fully reduced block
-    # (rank+1) % p.
-    for s in range(p - 1):
-        send_idx = (rank - s) % p
-        recv_idx = (rank - s - 1) % p
-        received = yield from view.sendrecv(
-            right, left, payload=block(send_idx), tag=tag + s
-        )
-        target = block(recv_idx)
-        target[:] = op(target, received)
-        yield from view.compute(int(received.nbytes))
+    _bounds, block = yield from ring_reduce_scatter(view, buf, op, tag)
 
     # Allgather: circulate the reduced blocks.
+    right = (rank + 1) % p
+    left = (rank - 1) % p
     for s in range(p - 1):
         send_idx = (rank - s + 1) % p
         recv_idx = (rank - s) % p

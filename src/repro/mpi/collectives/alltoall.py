@@ -46,22 +46,27 @@ def alltoall_bruck(view: RankView, blocks):
     tag = view.next_collective_tag()
 
     # Phase 1: local rotation so slot i holds data for rank (rank + i) % p.
-    slots = [arrs[(rank + i) % p].copy() for i in range(p)]
+    # Slot 0, this rank's own block, is its result and the one copy made
+    # here.  Every other slot has a bit set, so a round replaces it with a
+    # received block; until then it is a view of the caller's block,
+    # which ``isend`` snapshots when it ships.
+    slots = [arrs[(rank + i) % p] for i in range(p)]
+    slots[0] = slots[0].copy()
 
-    # Phase 2: log rounds; round k ships slots whose index has bit k set.
+    # Phase 2: log rounds; round k ships the slots whose index has bit k
+    # set, as one {slot: block} bundle (the wire size of their
+    # concatenation).
     k = 1
     step = 0
     while k < p:
         send_to = (rank + k) % p
         recv_from = (rank - k) % p
         idx = [i for i in range(p) if i & k]
-        payload = np.concatenate([slots[i] for i in idx])
         received = yield from view.sendrecv(
-            send_to, recv_from, payload=payload, tag=tag + step
+            send_to, recv_from, payload={i: slots[i] for i in idx}, tag=tag + step
         )
-        pieces = np.split(received, len(idx)) if len(idx) else []
-        for i, piece in zip(idx, pieces):
-            slots[i] = piece
+        for i in idx:
+            slots[i] = received[i]
         k <<= 1
         step += 1
 

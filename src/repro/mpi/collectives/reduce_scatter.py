@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.mpi.collectives.allreduce import ring_reduce_scatter
 from repro.mpi.comm import RankView
 
 
@@ -18,38 +19,18 @@ def reduce_scatter_ring(view: RankView, array, op=np.add):
     if buf.ndim != 1:
         raise ValueError("reduce_scatter payloads must be 1-D")
     p, rank = view.size, view.rank
-    bounds = np.linspace(0, buf.size, p + 1).astype(int)
     if p == 1:
         return buf, (0, buf.size)
     tag = view.next_collective_tag()
-
-    def block(i):
-        i %= p
-        return buf[bounds[i] : bounds[i + 1]]
-
-    right = (rank + 1) % p
-    left = (rank - 1) % p
     # After p-1 steps, rank owns block (rank + 1) % p fully reduced; one
-    # final neighbour shift moves ownership to block == rank.
-    for s in range(p - 1):
-        send_idx = (rank - s) % p
-        recv_idx = (rank - s - 1) % p
-        received = yield from view.sendrecv(
-            right, left, payload=block(send_idx), tag=tag + s
-        )
-        target = block(recv_idx)
-        target[:] = op(target, received)
-        yield from view.compute(int(received.nbytes))
-    owned = (rank + 1) % p
-    if owned != rank:
-        # Block b sits on rank (b - 1) % p: ship mine to the rank that
-        # needs it (rank + 1) and take mine from (rank - 1).
-        received = yield from view.sendrecv(
-            right, left, payload=block(owned), tag=tag + p
-        )
-        block(rank)[:] = received
-    start, stop = int(bounds[rank]), int(bounds[rank + 1])
-    return buf[start:stop].copy(), (start, stop)
+    # final neighbour shift moves ownership to block == rank: block b sits
+    # on rank (b - 1) % p, so ship it to rank + 1 and take mine from
+    # rank - 1.  The received snapshot is the result.
+    bounds, block = yield from ring_reduce_scatter(view, buf, op, tag)
+    received = yield from view.sendrecv(
+        (rank + 1) % p, (rank - 1) % p, payload=block(rank + 1), tag=tag + p
+    )
+    return received, (int(bounds[rank]), int(bounds[rank + 1]))
 
 
 __all__ = ["reduce_scatter_ring"]

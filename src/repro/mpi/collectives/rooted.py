@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.mpi.collectives.allreduce import reduce_into
 from repro.mpi.comm import RankView
 
 
@@ -62,7 +63,9 @@ def scatter_binomial(view: RankView, blocks=None, root: int = 0):
     if rank == root:
         if blocks is None or len(blocks) != p:
             raise ValueError(f"root must supply {p} blocks")
-        bundle = {j: np.array(blocks[(j + root) % p], copy=True) for j in range(p)}
+        # ``isend`` snapshots every block it ships: copy only the root's.
+        bundle = {j: blocks[(j + root) % p] for j in range(p)}
+        bundle[0] = np.array(bundle[0], copy=True)
     else:
         bundle = None
 
@@ -87,7 +90,8 @@ def gather_binomial(view: RankView, array, root: int = 0):
     vrank = (rank - root) % p
     children, parent = _children_and_parent(vrank, p)
 
-    bundle = {vrank: np.array(array, copy=True)}
+    # A non-root rank only ships its array, which ``isend`` snapshots.
+    bundle = {vrank: array if parent is not None else np.array(array, copy=True)}
     # Children report in increasing-subtree order (reverse of scatter).
     for child_v in sorted(children):
         received = yield from view.recv((child_v + root) % p, tag=tag)
@@ -110,8 +114,7 @@ def reduce_binomial(view: RankView, array, op=np.add, root: int = 0):
     acc = np.array(array, copy=True)
     for child_v in sorted(children):
         received = yield from view.recv((child_v + root) % p, tag=tag)
-        acc = op(acc, received)
-        yield from view.compute(int(np.asarray(received).nbytes))
+        yield from reduce_into(view, acc, received, op)
     if parent is not None:
         yield from view.send((parent + root) % p, payload=acc, tag=tag)
         return None

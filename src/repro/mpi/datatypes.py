@@ -15,8 +15,8 @@ def payload_nbytes(payload, nbytes: int | None) -> int:
 
     Exactly one of ``payload`` / ``nbytes`` determines the size; if both
     are given they must agree (catching benchmark-harness bugs).  Dict
-    payloads (bundles of arrays, used by the tree collectives) count the
-    sum of their values' sizes.
+    payloads (bundles of blocks) count the sum of their values' sizes,
+    the size of the blocks' concatenation.
     """
     if payload is None:
         if nbytes is None:
@@ -34,7 +34,9 @@ def payload_nbytes(payload, nbytes: int | None) -> int:
 
 
 def copy_payload(payload):
-    """Defensive copy so receiver-side mutation can't alias the sender."""
+    """Snapshot a payload at ``isend``, so neither side's later writes
+    reach the other.  It is the one copy a message gets: collectives ship
+    views (several blocks as a dict bundle) and keep the snapshot."""
     if payload is None:
         return None
     if isinstance(payload, dict):
@@ -42,9 +44,4 @@ def copy_payload(payload):
     return np.array(payload, copy=True)
 
 
-def concat_payloads(parts):
-    """Concatenate 1-D payload blocks (Bruck merge step)."""
-    return np.concatenate([np.asarray(p) for p in parts])
-
-
-__all__ = ["payload_nbytes", "copy_payload", "concat_payloads"]
+__all__ = ["payload_nbytes", "copy_payload"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi.datatypes import concat_payloads, copy_payload, payload_nbytes
+from repro.mpi.datatypes import copy_payload, payload_nbytes
 from repro.sim import Engine
 from repro.topology import systems
 from repro.ucx import UCXContext
@@ -34,10 +34,6 @@ class TestDatatypes:
         src[0] = 9
         assert dup[0] == 0
         assert copy_payload(None) is None
-
-    def test_concat_payloads(self):
-        out = concat_payloads([np.array([1.0, 2.0]), np.array([3.0])])
-        np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
 
 
 class TestEndpointFlush:

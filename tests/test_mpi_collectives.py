@@ -107,6 +107,30 @@ class TestAllreduce:
         with pytest.raises(ValueError, match="1-D"):
             run_collective(fn)
 
+    @pytest.mark.parametrize(
+        "fn_",
+        [
+            collectives.allreduce_recursive,
+            collectives.allreduce_ring,
+            collectives.reduce_scatter_ring,
+            collectives.reduce_binomial,
+        ],
+        ids=["recursive", "ring", "reduce_scatter", "reduce"],
+    )
+    def test_mixed_dtypes_rejected(self, fn_):
+        # int64 ones on rank 0, float64 halves elsewhere: the sum is 2.5,
+        # but reducing into rank 0's int64 buffer would give 2
+        def fn(view):
+            if view.rank == 0:
+                array = np.ones(64, dtype=np.int64)
+            else:
+                array = np.full(64, 0.5)
+            result = yield from fn_(view, array)
+            return result
+
+        with pytest.raises(ValueError, match="region mismatch"):
+            run_collective(fn)
+
     @given(
         elems=st.integers(min_value=4, max_value=2048),
         seed=st.integers(min_value=0, max_value=100),
@@ -266,6 +290,56 @@ class TestBcast:
 
         with pytest.raises(ValueError):
             run_collective(fn)
+
+
+def _alltoall_of(fn_):
+    # the caller's blocks are views of one per-rank vector
+    return lambda view, array: fn_(view, np.split(array, view.size))
+
+
+def _reduce_scatter(view, array):
+    block, _bounds = yield from collectives.reduce_scatter_ring(view, array)
+    return block
+
+
+class TestOwnership:
+    """A collective ships views of its inputs and keeps only what it
+    copied itself or received: no result aliases an input."""
+
+    CASES = {
+        "allreduce_recursive": collectives.allreduce_recursive,
+        "allreduce_ring": collectives.allreduce_ring,
+        "alltoall_bruck": _alltoall_of(collectives.alltoall_bruck),
+        "alltoall_pairwise": _alltoall_of(collectives.alltoall_pairwise),
+        "allgather_rd": collectives.allgather_recursive_doubling,
+        "allgather_ring": collectives.allgather_ring,
+        "reduce_scatter": _reduce_scatter,
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_results_own_their_memory(self, name):
+        inputs = make_inputs(4, 64)
+        expected_input = [x.copy() for x in inputs]
+
+        def fn(view):
+            result = yield from self.CASES[name](view, inputs[view.rank])
+            return result
+
+        results, _ = run_collective(fn)
+        arrays = []
+        for r in range(4):
+            out = results[r]
+            arrays.extend(out if isinstance(out, list) else [out])
+        for a in arrays:
+            for x in inputs:
+                assert not np.shares_memory(a, x)
+        for x, want in zip(inputs, expected_input):
+            np.testing.assert_array_equal(x, want)  # inputs left untouched
+        before = [a.copy() for a in arrays]
+        for x in inputs:
+            x[:] = -1.0
+        for a, want in zip(arrays, before):
+            np.testing.assert_array_equal(a, want)
 
 
 class TestCollectiveTiming:
