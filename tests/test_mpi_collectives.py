@@ -302,6 +302,18 @@ def _reduce_scatter(view, array):
     return block
 
 
+def _scatter(view, array):
+    # rank 0 scatters the blocks of its vector
+    blocks = np.split(array, view.size) if view.rank == 0 else None
+    block = yield from collectives.scatter_binomial(view, blocks)
+    return block
+
+
+def _gather(view, array):
+    gathered = yield from collectives.gather_binomial(view, array)
+    return gathered or []  # None off the root
+
+
 class TestOwnership:
     """A collective ships views of its inputs and keeps only what it
     copied itself or received: no result aliases an input."""
@@ -314,6 +326,8 @@ class TestOwnership:
         "allgather_rd": collectives.allgather_recursive_doubling,
         "allgather_ring": collectives.allgather_ring,
         "reduce_scatter": _reduce_scatter,
+        "scatter": _scatter,
+        "gather": _gather,
     }
 
     @pytest.mark.parametrize("name", list(CASES))
