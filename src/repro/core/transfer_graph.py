@@ -101,7 +101,7 @@ def compile_plan(
 ) -> tuple[CompiledPath, ...]:
     """Freeze a plan's per-path execution schedules.
 
-    Everything the pipeline's ``_run_path`` needs that does not depend on
+    Everything the pipeline needs to issue a path that does not depend on
     the transfer's tag is resolved here once: stream-pool keys, chunk byte
     splits, the ε sync cost, and the invariant suffix of every per-chunk
     copy tag.

@@ -109,11 +109,25 @@ class GPURuntime:
         stream: Stream,
         *,
         tag: str = "",
+        flows: list | None = None,
     ) -> Event:
-        """Enqueue a DMA copy along a topology hop on ``stream``."""
+        """Enqueue a DMA copy along a topology hop on ``stream``.
+
+        With ``flows`` given, the copy's fabric flow event is appended to
+        it when the op starts, so a deadline watchdog can abort exactly
+        the flows its path issued.
+        """
         self.copies_issued += 1
         self.copy_bytes_requested += nbytes
-        return stream.push(lambda: self.fabric.copy(hop, nbytes, tag=tag))
+        if flows is None:
+            return stream.push(lambda: self.fabric.copy(hop, nbytes, tag=tag))
+
+        def start() -> Event:
+            flow = self.fabric.copy(hop, nbytes, tag=tag)
+            flows.append(flow)
+            return flow
+
+        return stream.push(start)
 
     def peer_copy_async(
         self, src: int, dst: int, nbytes: int, stream: Stream, *, tag: str = ""

@@ -472,8 +472,8 @@ class Fabric:
     ) -> int:
         """Abort live flows (admitted *or* still in the latency phase).
 
-        Used by deadline watchdogs to kill a path's in-flight copies by tag
-        prefix.  Returns the number of flows failed.
+        Used by deadline watchdogs to kill the in-flight copies their path
+        issued.  Returns the number of flows failed.
         """
         admitted = [
             f for s in self._live_slots if predicate(f := self._f_obj[s])

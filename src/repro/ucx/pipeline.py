@@ -14,6 +14,12 @@ runtime.  Per path:
 Streams are pooled per (src, dst, path) so back-to-back transfers (OSU
 windowed loops) reuse queues exactly like the real engine reuses its CUDA
 streams.
+
+No engine process runs a path.  :meth:`PipelineEngine.execute` issues
+every path's copies onto its streams when it is called, from the compiled
+schedule, and registers one completion callback per path on the path's
+last copy.  A :class:`_Settlement` takes the outcomes in path-index order
+and succeeds the returned event once the slowest path has landed (Eq. 4).
 """
 
 from __future__ import annotations
@@ -51,6 +57,13 @@ def _path_kind(path_index: int) -> str:
     return f"pipeline.path[{path_index}]"
 
 
+def _chunk_kinds(path_index: int, n: int) -> tuple[str, ...]:
+    """Span kinds of a path's first ``n`` chunk markers."""
+    if path_index < _KIND_CACHE_PATHS and n <= _KIND_CACHE_CHUNKS:
+        return _CHUNK_KINDS[path_index][:n]
+    return tuple(f"pipeline.path[{path_index}].chunk[{j}]" for j in range(n))
+
+
 @dataclass(frozen=True)
 class PathExecution:
     """Per-path accounting returned by the engine."""
@@ -66,24 +79,15 @@ class PathExecution:
         return self.end - self.start
 
 
-@dataclass
-class _PathProgress:
-    """Observer attached to a path's copies: destination-delivered bytes
-    plus the timestamp at which the path's process failed (if it did)."""
-
-    delivered: int = 0
-    failed_at: float | None = None
-
-
 @dataclass(frozen=True)
 class PathFault:
     """One failed/timed-out path of a settled execution."""
 
     path_id: str
     nbytes: int  # bytes the plan assigned to this path
-    delivered: int  # bytes confirmed delivered at the destination
+    delivered: int  # bytes of the final-hop copies that landed
     start: float
-    end: float  # time the path's process failed
+    end: float  # time the path failed
     error: BaseException
 
     @property
@@ -108,6 +112,61 @@ class SettledExecution:
     @property
     def ok(self) -> bool:
         return not self.faults
+
+
+class _Settlement:
+    """The outcomes of one execution's paths, taken in path-index order.
+
+    Path ``i``'s outcome is taken once it and every earlier path have
+    resolved, at the latest of those times: a fault then counts in
+    ``paths_failed``, drops the path's streams and joins the result.  A
+    non-transfer error fails the execution with that exception, and the
+    outcomes after it are ignored.
+    """
+
+    __slots__ = (
+        "pipeline", "src", "dst", "start", "done", "outcomes", "taken",
+        "executions", "faults",
+    )
+
+    def __init__(
+        self, pipeline: "PipelineEngine", plan: TransferPlan, paths: int
+    ) -> None:
+        self.pipeline = pipeline
+        self.src = plan.src
+        self.dst = plan.dst
+        self.start = pipeline.engine.now
+        self.done = pipeline.engine.event()
+        #: per path: None until it resolves, then its PathExecution,
+        #: PathFault or non-transfer exception
+        self.outcomes: list = [None] * paths
+        self.taken = 0  # outcomes handled so far; past the end once failed
+        self.executions: list[PathExecution] = []
+        self.faults: list[PathFault] = []
+
+    def resolve(self, index: int, outcome) -> None:
+        outcomes = self.outcomes
+        outcomes[index] = outcome
+        n = len(outcomes)
+        i = self.taken
+        while i < n and outcomes[i] is not None:
+            outcome = outcomes[i]
+            i += 1
+            if type(outcome) is PathExecution:
+                self.executions.append(outcome)
+            elif type(outcome) is PathFault:
+                self.pipeline.paths_failed += 1
+                self.pipeline.reset_path_streams(self.src, self.dst, outcome.path_id)
+                self.faults.append(outcome)
+            else:
+                self.taken = n + 1
+                self.done.fail(outcome)
+                return
+        self.taken = i
+        if i == n:
+            self.done.succeed(
+                SettledExecution(tuple(self.executions), tuple(self.faults))
+            )
 
 
 class PipelineEngine:
@@ -146,15 +205,16 @@ class PipelineEngine:
     ) -> Event:
         """Run all paths of ``plan`` concurrently and *settle* every one.
 
-        The returned process waits for each path to either complete or fail
-        with a typed error (:class:`~repro.gpu.errors.LinkFailure` /
-        :class:`~repro.gpu.errors.TransferTimeout`) and succeeds with a
+        Every path's copies are issued now.  The returned event succeeds
+        once each path has completed or failed with a typed error
+        (:class:`~repro.gpu.errors.LinkFailure` /
+        :class:`~repro.gpu.errors.TransferTimeout`), with a
         :class:`SettledExecution` carrying both outcomes (completion = the
         slowest path, Eq. 4); the recovery layer needs every path's
         delivered-byte count to replan the remainder.  With
         ``deadline_factor`` set, each path gets a watchdog that aborts its
-        in-flight copies once ``predicted T_i x factor`` elapses.
-        Non-transfer errors propagate unchanged.
+        in-flight copies once ``predicted T_i x factor`` elapses.  A
+        non-transfer error fails the event with that same exception.
 
         ``trace`` is the flight-recorder identity (``trace_id, parent_sid``)
         the per-path spans attach under.  ``graph`` replays a cached
@@ -162,80 +222,135 @@ class PipelineEngine:
         bypasses the :class:`~repro.core.transfer_graph.GraphCache`, so
         ``transfers_replayed`` counts cached replays only.
         """
-        return self.engine.process(
-            self._settled_proc(plan, tag, deadline_factor, trace, graph),
-            name=f"settle:{tag or f'{plan.src}->{plan.dst}'}",
-        )
-
-    #: Former name of :meth:`execute`; ``benchmarks/e2e/layertrace.py``
-    #: looks up both names when it instruments a pipeline.
-    execute_settled = execute
-
-    def _settled_proc(
-        self,
-        plan: TransferPlan,
-        tag: str,
-        deadline_factor: float | None,
-        trace: tuple[int, int] = (-1, -1),
-        graph: "TransferGraph | None" = None,
-    ):
-        active = plan.active_assignments
-        if not active:
-            return SettledExecution()
+        if not plan.active_assignments:
+            return self.engine.event().succeed(SettledExecution())
         self.transfers_executed += 1
         if graph is None:
             compiled = compile_plan(plan, self)
         else:
             self.transfers_replayed += 1
             compiled = graph.paths
-        t0 = self.engine.now
-        entries: list[tuple[PathAssignment, Event, _PathProgress]] = []
-        for i, a in enumerate(active):
-            progress = _PathProgress()
-            proc = self.engine.process(
-                self._run_path(
-                    compiled[i], tag, progress, trace=trace, path_index=i
-                ),
-                name=f"path:{a.path.path_id}",
-            )
-            proc.add_callback(
-                lambda ev, p=progress: (
-                    None if ev.ok else setattr(p, "failed_at", self.engine.now)
-                )
-            )
-            entries.append((a, proc, progress))
-        if deadline_factor is not None:
-            for a, proc, _ in entries:
+        flight = self.flight
+        if flight is None or not flight.enabled or trace[0] < 0:
+            trace = None
+        settlement = _Settlement(self, plan, len(compiled))
+        for i, path in enumerate(compiled):
+            flows = None if deadline_factor is None else []
+            last = self._issue(path, tag, i, settlement, trace, flows)
+            if flows is not None:
+                a = path.assignment
                 self.engine.process(
                     self._watchdog(
-                        proc, a, tag, self._path_deadline(plan, a, deadline_factor)
+                        last, flows, a, self._path_deadline(plan, a, deadline_factor)
                     ),
                     name=f"watchdog:{a.path.path_id}",
                 )
-        execs: list[PathExecution] = []
-        faults: list[PathFault] = []
-        for a, proc, progress in entries:
-            try:
-                execs.append((yield proc))
-            except (LinkFailure, TransferTimeout) as exc:
-                self.paths_failed += 1
-                self.reset_path_streams(plan.src, plan.dst, a.path.path_id)
-                failed_at = (
-                    progress.failed_at
-                    if progress.failed_at is not None
-                    else self.engine.now
+        return settlement.done
+
+    #: Former name of :meth:`execute`; ``benchmarks/e2e/layertrace.py``
+    #: looks up both names when it instruments a pipeline.
+    execute_settled = execute
+
+    def _issue(
+        self,
+        compiled: "CompiledPath",
+        tag: str,
+        index: int,
+        settlement: _Settlement,
+        trace: tuple[int, int] | None,
+        flows: list | None,
+    ) -> Event:
+        """Enqueue one path's copies; returns its last copy event, whose
+        completion callback settles the path."""
+        a = compiled.assignment
+        label = f"{tag}/{a.path.path_id}" if tag else a.path.path_id
+        copy = self.runtime.copy_on_hop_async
+        keys, devices = compiled.stream_keys, compiled.stream_devices
+        if not a.path.is_staged:
+            stream = self._stream(keys[0], devices[0])
+            last = copy(
+                a.path.hops[0], a.nbytes, stream, tag=f"{label}:direct", flows=flows
+            )
+            finals = ()
+        else:
+            # Staged path: three-step chunk loop over two streams, driven
+            # by the compiled schedule (tags are ``label + suffix``).
+            hop1, hop2 = a.path.hops
+            s1 = self._stream(keys[0], devices[0])
+            s2 = self._stream(keys[1], devices[1])
+            epsilon = compiled.epsilon
+            finals = []
+            for c, chunk_bytes in enumerate(compiled.chunk_sizes):
+                # Step 1: source -> staging location.
+                hop1_done = copy(
+                    hop1, chunk_bytes, s1, tag=label + compiled.h1_suffixes[c],
+                    flows=flows,
                 )
-                faults.append(
-                    PathFault(
-                        path_id=a.path.path_id,
-                        nbytes=a.nbytes,
-                        delivered=progress.delivered,
-                        start=t0,
-                        end=failed_at,
-                        error=exc,
-                    )
-                )
-        return SettledExecution(tuple(execs), tuple(faults))
+                # Step 2: synchronization point on the staging device, once
+                # the chunk has arrived there.
+                s2.delay_after(hop1_done, epsilon)
+                # Step 3: staging location -> destination.
+                finals.append(copy(
+                    hop2, chunk_bytes, s2, tag=label + compiled.h2_suffixes[c],
+                    flows=flows,
+                ))
+            last = finals[-1]
+        last.add_callback(
+            lambda ev: self._path_resolved(
+                ev, compiled, finals, index, settlement, trace
+            )
+        )
+        return last
+
+    def _path_resolved(
+        self,
+        last: Event,
+        compiled: "CompiledPath",
+        finals,
+        index: int,
+        settlement: _Settlement,
+        trace: tuple[int, int] | None,
+    ) -> None:
+        """Close out one path when its last copy resolves: accounting, its
+        flight span, and its outcome handed to the settlement."""
+        a = compiled.assignment
+        start, end = settlement.start, self.engine.now
+        error = last._exception
+        # Stream errors are sticky, so the chunks that landed before a
+        # path died are a prefix of its schedule.
+        landed = finals if error is None else [ev for ev in finals if ev.ok]
+        chunks = len(compiled.chunk_sizes) or 1
+        if trace is not None:
+            # One-shot span + chunk markers in a single journal append.  A
+            # faulted path still gets its span (ok=False) with its planned
+            # split and the markers of the chunks that landed.  Each landed
+            # final's TransferResult value carries the chunk's
+            # destination-delivery time, so the recorder extracts
+            # timestamps lazily at materialisation.
+            attrs = {
+                "path": a.path.path_id,
+                "nbytes": a.nbytes,
+                "chunks": chunks,
+                "theta": a.theta,
+            }
+            if error is not None:
+                attrs["ok"] = False
+            self.flight.record_path(
+                _path_kind(index), trace[0], trace[1], start, end, attrs,
+                _chunk_kinds(index, len(landed)), landed,
+            )
+        if error is None:
+            self.paths_executed += 1
+            self.chunks_executed += chunks
+            outcome = PathExecution(a.path.path_id, a.nbytes, chunks, start, end)
+        elif isinstance(error, (LinkFailure, TransferTimeout)):
+            delivered = sum(compiled.chunk_sizes[: len(landed)])
+            outcome = PathFault(
+                a.path.path_id, a.nbytes, delivered, start, end, error
+            )
+        else:
+            outcome = error
+        settlement.resolve(index, outcome)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -247,20 +362,22 @@ class PipelineEngine:
         predicted = a.theta * plan.nbytes * a.effective.omega + a.effective.delta
         return factor * max(predicted, 1e-6)
 
-    def _watchdog(self, proc: Event, a: PathAssignment, tag: str, deadline: float):
+    def _watchdog(
+        self, last: Event, flows: list, a: PathAssignment, deadline: float
+    ):
         """Abort a path's in-flight fabric flows once its deadline passes.
 
-        The kill is delivered *through the fabric* (flows fail, streams
-        poison, the path process raises) so the unwind path is the same one
-        hard link failures take.  A path stuck outside the fabric for a
-        moment (e.g. in the ε sync delay) is re-checked a bounded number of
-        times rather than force-killed.
+        ``last`` is the path's last copy and ``flows`` the fabric events of
+        the copies it has started so far, so the kill reaches this path's
+        flows and no other put's.  It is delivered *through the fabric*
+        (flows fail, streams poison, the last copy fails) so the unwind
+        path is the same one hard link failures take.  A path stuck
+        outside the fabric for a moment (e.g. in the ε sync delay) is
+        re-checked a bounded number of times rather than force-killed.
         """
-        label = f"{tag}/{a.path.path_id}" if tag else a.path.path_id
-        prefix = f"{label}:"
         expiry = self.engine.timeout(deadline)
         try:
-            idx, _ = yield self.engine.any_of([proc, expiry])
+            idx, _ = yield self.engine.any_of([last, expiry])
         except (LinkFailure, TransferTimeout):
             self.engine.cancel(expiry)
             return  # the path already failed on its own; nothing to abort
@@ -271,13 +388,14 @@ class PipelineEngine:
         fabric = self.runtime.fabric
         recheck = max(deadline * 0.25, 1e-6)
         for _ in range(64):
-            if proc.triggered:
+            if last.triggered:
                 return
+            issued = set(flows)
             fabric.fail_flows_matching(
-                lambda f: f.tag.startswith(prefix),
+                lambda f: f.event in issued,
                 lambda f: TransferTimeout(a.path.path_id, deadline),
             )
-            if proc.triggered:
+            if last.triggered:
                 return
             yield self.engine.timeout(recheck)
 
@@ -320,163 +438,6 @@ class PipelineEngine:
                 dropped += 1
         self.streams_reset += dropped
         return dropped
-
-    # ------------------------------------------------------------------
-    def _run_path(
-        self,
-        compiled: "CompiledPath",
-        tag: str,
-        progress: _PathProgress,
-        *,
-        trace: tuple[int, int] = (-1, -1),
-        path_index: int = 0,
-    ):
-        a = compiled.assignment
-        start = self.engine.now
-        label = f"{tag}/{a.path.path_id}" if tag else a.path.path_id
-        # The path's flight span is recorded in one shot when the path
-        # resolves (both endpoints are known by then), with chunk markers
-        # batched under it — the traced hot path opens nothing up front.
-        flight = self.flight
-        trace_id, parent = trace
-        traced = flight is not None and flight.enabled and trace_id >= 0
-        finals: list = []
-        try:
-            if not a.path.is_staged:
-                stream = self._stream(
-                    compiled.stream_keys[0], compiled.stream_devices[0]
-                )
-                done = self.runtime.copy_on_hop_async(
-                    a.path.hops[0], a.nbytes, stream, tag=f"{label}:direct"
-                )
-                done.add_callback(
-                    lambda ev, p=progress, n=a.nbytes: (
-                        setattr(p, "delivered", p.delivered + n) if ev.ok else None
-                    )
-                )
-                yield done
-                return self._path_done(
-                    a, start, 1, trace if traced else None, path_index, finals
-                )
-
-            # Staged path: three-step chunk loop over two streams, driven
-            # by the compiled schedule (tags are ``label + suffix``).
-            hop1, hop2 = a.path.hops
-            s1 = self._stream(compiled.stream_keys[0], compiled.stream_devices[0])
-            s2 = self._stream(compiled.stream_keys[1], compiled.stream_devices[1])
-            epsilon = compiled.epsilon
-            chunks = compiled.chunk_sizes
-            for c, chunk_bytes in enumerate(chunks):
-                # Step 1: source -> staging location.
-                hop1_done = self.runtime.copy_on_hop_async(
-                    hop1, chunk_bytes, s1, tag=label + compiled.h1_suffixes[c]
-                )
-                # Step 2: synchronization point on the staging device, once
-                # the chunk has arrived there.
-                s2.delay_after(hop1_done, epsilon)
-                # Step 3: staging location -> destination.
-                final = self.runtime.copy_on_hop_async(
-                    hop2, chunk_bytes, s2, tag=label + compiled.h2_suffixes[c]
-                )
-                final.add_callback(
-                    lambda ev, p=progress, n=chunk_bytes: (
-                        setattr(p, "delivered", p.delivered + n) if ev.ok else None
-                    )
-                )
-                finals.append(final)
-            yield finals[-1]
-            return self._path_done(
-                a, start, len(chunks), trace if traced else None, path_index,
-                finals,
-            )
-        except BaseException:
-            if traced:
-                # The faulted path still gets its span (ok=False) with its
-                # planned split, and the markers of chunks that landed
-                # before it died, so the trace shows how far the path got.
-                cached = (
-                    _CHUNK_KINDS[path_index]
-                    if path_index < _KIND_CACHE_PATHS
-                    else ()
-                )
-                kinds: list = []
-                landed: list = []
-                for j, ev in enumerate(finals):
-                    if ev.ok:
-                        kinds.append(
-                            cached[j]
-                            if j < len(cached)
-                            else f"pipeline.path[{path_index}].chunk[{j}]"
-                        )
-                        landed.append(ev)
-                flight.record_path(
-                    _path_kind(path_index),
-                    trace_id,
-                    parent,
-                    start,
-                    self.engine.now,
-                    {
-                        "path": a.path.path_id,
-                        "nbytes": a.nbytes,
-                        "chunks": len(compiled.chunk_sizes) or 1,
-                        "theta": a.theta,
-                        "ok": False,
-                    },
-                    kinds,
-                    landed,
-                )
-            raise
-
-    def _path_done(
-        self,
-        a: PathAssignment,
-        start: float,
-        chunks: int,
-        trace: tuple[int, int] | None = None,
-        path_index: int = 0,
-        finals: list = (),
-    ) -> PathExecution:
-        """Close out one path: accounting plus an optional trace span."""
-        end = self.engine.now
-        self.paths_executed += 1
-        self.chunks_executed += chunks
-        if trace is not None:
-            # One-shot span + chunk markers in a single journal append.
-            # Every final-hop event is ok here (a faulted path takes the
-            # except path), and its TransferResult value carries the
-            # chunk's destination-delivery time, so the recorder extracts
-            # timestamps lazily at materialisation.
-            trace_id, parent = trace
-            n = len(finals)
-            cached = (
-                _CHUNK_KINDS[path_index]
-                if path_index < _KIND_CACHE_PATHS
-                else ()
-            )
-            self.flight.record_path(
-                _path_kind(path_index),
-                trace_id,
-                parent,
-                start,
-                end,
-                {
-                    "path": a.path.path_id,
-                    "nbytes": a.nbytes,
-                    "chunks": chunks,
-                    "theta": a.theta,
-                },
-                cached[:n] if n <= len(cached) else tuple(
-                    f"pipeline.path[{path_index}].chunk[{j}]" for j in range(n)
-                ),
-                finals,
-            )
-        return PathExecution(
-            path_id=a.path.path_id,
-            nbytes=a.nbytes,
-            chunks=chunks,
-            start=start,
-            end=end,
-        )
 
     # ------------------------------------------------------------------
     def stats_snapshot(self) -> dict:

@@ -318,6 +318,31 @@ class TestPutRecovery:
         # The watchdog fired long before the stall window ended.
         assert eng.now < 0.4 * t0 + 50 * t0
 
+    def test_watchdog_spares_other_puts_with_the_same_tag(self):
+        """A deadline watchdog aborts only the flows its own path issued.
+        Put B (2->3) never touches the stalled link; giving it put A's
+        tag, so its copies carry labels like A's (``x/direct:``), must not
+        get them killed when A's watchdog fires."""
+        eng0, ctx0 = make_ctx()
+        t0 = eng0.run(until=ctx0.put(0, 1, 64 * MiB)).duration
+
+        def run(tag_b):
+            eng, ctx = make_ctx(config=TransportConfig(deadline_factor=2.0))
+            FaultSchedule(
+                StallInjector("nvl:0->1", at=0.4 * t0, duration=50 * t0)
+            ).attach(ctx.runtime.fabric)
+            a = ctx.put(0, 1, 64 * MiB, tag="x")
+            eng.run(until=t0)
+            b = eng.run(until=ctx.put(2, 3, 64 * MiB, tag=tag_b))
+            assert eng.run(until=a).retries >= 1
+            assert ctx.pipeline.watchdog_timeouts >= 1
+            return b
+
+        shared, own = run("x"), run("y")
+        assert own.retries == 0
+        assert shared.retries == 0
+        assert shared.duration == own.duration
+
     def test_no_fault_timeline_invariant_vs_legacy(self):
         """Without faults, the recovery machinery must not perturb the
         simulated timeline: 3 windows of 4 concurrent 32 MiB puts match the

@@ -4,7 +4,8 @@ from dataclasses import fields
 
 import pytest
 
-from repro.sim import Engine, Tracer
+from repro.gpu.errors import LinkFailure
+from repro.sim import Engine, FaultSchedule, LinkDown, Tracer
 from repro.topology import systems
 from repro.ucx import TransportConfig, UCXContext
 from repro.ucx.pipeline import PipelineEngine, SettledExecution
@@ -192,6 +193,78 @@ class TestPipelineEngine:
         assert eng.run(until=done) == SettledExecution()
         assert ctx.pipeline.transfers_executed == 0
 
+    def _staged_down_run(self, fault_at=None):
+        eng, tracer = Engine(), Tracer()
+        ctx = UCXContext(eng, systems.beluga(), tracer=tracer)
+        if fault_at is not None:
+            FaultSchedule(LinkDown("nvl:2->1", at=fault_at)).attach(
+                ctx.runtime.fabric
+            )
+        plan = ctx.planner.plan(0, 1, 256 * MiB, include_host=False)
+        assert [a.path.path_id for a in plan.active_assignments] == [
+            "direct", "gpu:2", "gpu:3"
+        ]
+        return eng, ctx, tracer, ctx.pipeline.execute(plan, tag="T")
+
+    def test_outcomes_settle_in_path_order(self):
+        """A later path that dies while path 0 still runs is settled when
+        path 0 lands, in plan order, yet its fault keeps its own time."""
+        eng, _, tracer, done = self._staged_down_run()
+        eng.run(until=done)
+        (chunk,) = tracer.for_tag_prefix("T/gpu:2:h2:8")
+        t_down = (chunk.start + chunk.end) / 2  # mid hop-2 copy of chunk 8
+
+        eng, ctx, tracer, done = self._staged_down_run(fault_at=t_down)
+        pipeline = ctx.pipeline
+        eng.run(until=t_down)
+        # gpu:2 has failed, but path 0 still runs: nothing is settled yet
+        assert not done.triggered
+        assert pipeline.paths_failed == 0
+        assert (0, 1, "gpu:2", "h2") in pipeline._stream_pool
+        settled = eng.run(until=done)
+        assert [e.path_id for e in settled.executions] == ["direct", "gpu:3"]
+        assert eng.now == max(e.end for e in settled.executions)
+        (fault,) = settled.faults
+        assert fault.path_id == "gpu:2"
+        assert isinstance(fault.error, LinkFailure)
+        assert fault.start == 0.0 and fault.end == t_down < eng.now
+        landed = tracer.for_tag_prefix("T/gpu:2:h2")
+        assert len(landed) == 8
+        assert fault.delivered == sum(r.nbytes for r in landed)
+        assert pipeline.paths_failed == 1
+        assert pipeline.streams_reset == 2
+        assert not any(key[2] == "gpu:2" for key in pipeline._stream_pool)
+
+    def test_non_transfer_error_fails_the_execution(self, monkeypatch):
+        """A copy that raises a non-transfer error fails the execution with
+        that same exception, once the paths before it have landed, and is
+        not recorded as a path fault."""
+        eng, tracer = Engine(), Tracer()
+        ctx = UCXContext(eng, systems.beluga(), tracer=tracer)
+        fabric = ctx.runtime.fabric
+        boom = RuntimeError("boom")
+        copy = fabric.copy
+
+        def failing_copy(hop, nbytes, *, tag=""):
+            if tag.startswith("T/gpu:3:"):
+                raise boom
+            return copy(hop, nbytes, tag=tag)
+
+        monkeypatch.setattr(fabric, "copy", failing_copy)
+        plan = ctx.planner.plan(0, 1, 64 * MiB, include_host=False)
+        done = ctx.pipeline.execute(plan, tag="T")
+        with pytest.raises(RuntimeError) as info:
+            eng.run(until=done)
+        assert info.value is boom
+        assert eng.now == max(
+            r.end for r in tracer.records if ":direct" in r.tag or ":h2:" in r.tag
+        )
+        assert ctx.pipeline.paths_executed == 2
+        assert ctx.pipeline.paths_failed == 0
+        assert ctx.pipeline.streams_reset == 0
+        # the poisoned gpu:3 streams are still pooled; drop them
+        assert ctx.pipeline.reset_path_streams(0, 1, "gpu:3") == 2
+
     def test_direct_execute_compiles_one_shot(self):
         """Without a graph, execute compiles the plan for this run only:
         nothing enters the graph cache and nothing counts as a replay."""
@@ -293,6 +366,33 @@ class TestCudaIpcPut:
         hits_before = ctx.runtime.ipc.cache.hits
         eng.run(until=ctx.put(0, 1, 1 * MiB))
         assert ctx.runtime.ipc.cache.hits == hits_before + 1
+
+    @pytest.mark.parametrize(
+        "size, paths, end",
+        [
+            (64, 4, 0.001094469565217391),
+            (16, 4, 0.00034126191304347826),
+            (2, 3, 9.258573913043479e-05),
+        ],
+    )
+    def test_warm_put_spawns_one_process(self, size, paths, end, monkeypatch):
+        """The put is the only engine process a transfer runs: its paths
+        and their settlement run on completion callbacks, and the put ends
+        when it did with one process per path."""
+        eng, ctx = make_ctx()
+        eng.run(until=ctx.put(0, 1, size * MiB))
+        spawned = []
+        process = eng.process
+        monkeypatch.setattr(
+            eng,
+            "process",
+            lambda gen, name="": spawned.append(name) or process(gen, name),
+        )
+        executed = ctx.pipeline.paths_executed
+        result = eng.run(until=ctx.put(0, 1, size * MiB))
+        assert spawned == ["put:0->1"]
+        assert ctx.pipeline.paths_executed - executed == paths
+        assert result.end == end
 
 
 class TestEndpoint:
