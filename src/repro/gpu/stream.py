@@ -88,9 +88,20 @@ class Stream:
         self._busy = False
 
     def _resume(self, inner: Event | None) -> None:
-        """Complete the in-flight head op with ``inner`` (None: no value)."""
-        self._complete(self._ops.popleft()[1], inner)
-        self._drain()
+        """Complete the in-flight head op with ``inner`` (None: no value).
+
+        When nothing is queued behind it the stream goes idle before the
+        op's completion callbacks run, so an op they push starts inside
+        the push, in order with the work they start on other streams.
+        """
+        ops = self._ops
+        done = ops.popleft()[1]
+        if ops:
+            self._complete(done, inner)
+            self._drain()
+        else:
+            self._busy = False
+            self._complete(done, inner)
 
     def _complete(self, done: Event, inner: Event | None) -> None:
         if inner is not None and inner._exception is not None:

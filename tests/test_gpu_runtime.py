@@ -115,6 +115,23 @@ class TestStreamOrdering:
         assert final.value.start == first.value.end + 5 * us
         assert eng.now == pytest.approx(2 * one + 5 * us, rel=1e-12)
 
+    def test_push_from_last_op_callback_starts_at_once(self, rt):
+        """A stream whose last op completes is idle inside that op's
+        completion callbacks: an op they push starts inside the push,
+        ahead of work they issue on another stream afterwards."""
+        eng, runtime = rt
+        s1, s2 = runtime.create_stream(0), runtime.create_stream(1)
+        started = []
+
+        def issue(_ev):
+            s1.push(lambda: started.append("s1"))
+            s2.push(lambda: started.append("s2"))
+
+        s1.delay(1.0).add_callback(issue)
+        eng.run()
+        assert started == ["s1", "s2"]
+        assert s1.idle and s2.idle
+
     def test_synchronize_idle_stream(self, rt):
         eng, runtime = rt
         s = runtime.create_stream(0)

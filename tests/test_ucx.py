@@ -376,9 +376,9 @@ class TestCudaIpcPut:
         ],
     )
     def test_warm_put_spawns_one_process(self, size, paths, end, monkeypatch):
-        """The put is the only engine process a transfer runs: its paths
-        and their settlement run on completion callbacks, and the put ends
-        when it did with one process per path."""
+        """The put is the only engine process a warm transfer runs: its
+        paths and their settlement run on completion callbacks.  The end
+        times are pinned bit for bit."""
         eng, ctx = make_ctx()
         eng.run(until=ctx.put(0, 1, size * MiB))
         spawned = []
