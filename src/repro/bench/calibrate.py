@@ -93,9 +93,11 @@ def _measure_staged_k1(
     hop1, hop2 = path.hops
 
     start = engine.now
-    hop1_done = runtime.copy_on_hop_async(hop1, nbytes, s1, tag="cal:h1")
-    s2.delay_after(hop1_done, epsilon)  # the pipeline's staging sync
-    done = runtime.copy_on_hop_async(hop2, nbytes, s2, tag="cal:h2")
+    # the pipeline's staged copy, as one chunk
+    done, _ = runtime.staged_copy_async(
+        hop1, hop2, (nbytes,), s1, s2, epsilon,
+        tag="cal", suffixes=((":h1",), (":h2",)),
+    )
     engine.run(until=done)
     return engine.now - start
 

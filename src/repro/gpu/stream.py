@@ -6,12 +6,13 @@ contract the multi-path pipeline engine builds on (one stream per path,
 chunks in order within a path).  No engine process runs an op: the head
 op starts from the completion callback of the op ahead of it (see
 :meth:`Stream.push`).  The op kinds are copies
-(``GPURuntime.copy_on_hop_async``), :meth:`Stream.delay`,
-:meth:`Stream.delay_after`, :meth:`Stream.wait_event` and
-``GpuEvent.record``.  A delay is a bare engine timer whose callback
-completes the op: no :class:`~repro.sim.engine.Timeout` is built.  Errors
-are sticky, loosely like CUDA's: an op that fails, or whose start raises,
-fails its event and every later op with the same exception.
+(``GPURuntime.copy_on_hop_async``), the two halves of a staged copy
+(``GPURuntime.staged_copy_async``), :meth:`Stream.delay`,
+:meth:`Stream.wait_event` and ``GpuEvent.record``.  A delay is a bare
+engine timer whose callback completes the op: no
+:class:`~repro.sim.engine.Timeout` is built.  Errors are sticky, loosely
+like CUDA's: an op that fails, or whose start raises, fails its event and
+every later op with the same exception.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.gpu.errors import StreamError
 from repro.sim.engine import Engine, Event
 
 #: Returned by an op's ``start()`` when the op completes itself by calling
-#: :meth:`Stream._resume` (a delay's timer callback does).
+#: :meth:`Stream._resume` (a delay's timer callback and a staged copy do).
 _RESUMES = object()
 
 
@@ -103,6 +104,12 @@ class Stream:
             self._busy = False
             self._complete(done, inner)
 
+    def _fail(self, exc: BaseException) -> None:
+        """Poison the stream with ``exc`` and fail the in-flight head op
+        with it: the op's work, started from a completion callback, raised."""
+        self._error = exc
+        self._resume(None)
+
     def _complete(self, done: Event, inner: Event | None) -> None:
         if inner is not None and inner._exception is not None:
             self._error = inner._exception
@@ -123,35 +130,6 @@ class Stream:
         if seconds < 0:
             raise ValueError("negative delay")
         return self.push(lambda: self._timer(seconds))
-
-    def delay_after(self, event: Event, seconds: float) -> Event:
-        """Enqueue one op that waits for ``event``, then delays ``seconds``.
-
-        The staged pipeline's sync step: ``event`` is the chunk's hop-1
-        copy on another stream, and the timer starts from that copy's
-        completion callback (at once if it already succeeded), the point
-        where a recorded marker, a wait on it and a delay would start it.
-        If ``event`` fails, this stream is poisoned with that exception.
-        """
-        if seconds < 0:
-            raise ValueError("negative delay")
-
-        def start() -> object:
-            if event.triggered:
-                if event._exception is not None:
-                    return event  # fails this op with the same exception
-                return self._timer(seconds)
-
-            def after(ev: Event) -> None:
-                if ev._exception is not None:
-                    self._resume(ev)
-                else:
-                    self._timer(seconds)
-
-            event.add_callback(after)
-            return _RESUMES
-
-        return self.push(start)
 
     def wait_event(self, gpu_event) -> Event:
         """Enqueue a dependency: later ops wait until ``gpu_event`` occurs."""

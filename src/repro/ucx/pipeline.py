@@ -4,12 +4,12 @@ Executes a :class:`~repro.core.planner.TransferPlan` on the simulated GPU
 runtime.  Per path:
 
 * **direct** — one peer copy on the path's source-side stream;
-* **staged** — the three-step chunk loop of §3.4: copy chunk to the staging
-  device on stream A, synchronize (ε, modelled as one stream-B op that
-  waits for the chunk's arrival, then takes a fixed cost), forward on
-  stream B.  Stream A immediately proceeds to the next chunk's
-  first hop, so the two hops of consecutive chunks overlap — the pipelining
-  the model's Eq. (13) describes.
+* **staged** — the three-step chunk loop of §3.4 as one
+  :meth:`~repro.gpu.runtime.GPURuntime.staged_copy_async` op per stream:
+  copy chunk to the staging device on stream A, synchronize (ε, once the
+  chunk has arrived), forward on stream B.  Stream A immediately proceeds
+  to the next chunk's first hop, so the two hops of consecutive chunks
+  overlap — the pipelining the model's Eq. (13) describes.
 
 Streams are pooled per (src, dst, path) so back-to-back transfers (OSU
 windowed loops) reuse queues exactly like the real engine reuses its CUDA
@@ -18,7 +18,7 @@ streams.
 No engine process runs a path.  :meth:`PipelineEngine.execute` issues
 every path's copies onto its streams when it is called, from the compiled
 schedule, and registers one completion callback per path on the path's
-last copy.  A :class:`_Settlement` takes the outcomes in path-index order
+last op.  A :class:`_Settlement` takes the outcomes in path-index order
 and succeeds the returned event once the slowest path has landed (Eq. 4).
 """
 
@@ -120,35 +120,50 @@ class _Settlement:
     Path ``i``'s outcome is taken once it and every earlier path have
     resolved, at the latest of those times: a fault then counts in
     ``paths_failed``, drops the path's streams and joins the result.  A
-    non-transfer error fails the execution with that exception, and the
-    outcomes after it are ignored.
+    non-transfer error fails the execution with that exception.  From
+    then on the outcomes are not taken, but every path that resolves with
+    an error, or already has, drops its poisoned streams all the same.
     """
 
     __slots__ = (
-        "pipeline", "src", "dst", "start", "done", "outcomes", "taken",
-        "executions", "faults",
+        "pipeline", "src", "dst", "paths", "start", "done", "outcomes",
+        "taken", "executions", "faults",
     )
 
     def __init__(
-        self, pipeline: "PipelineEngine", plan: TransferPlan, paths: int
+        self,
+        pipeline: "PipelineEngine",
+        plan: TransferPlan,
+        paths: "tuple[CompiledPath, ...]",
     ) -> None:
         self.pipeline = pipeline
         self.src = plan.src
         self.dst = plan.dst
+        self.paths = paths
         self.start = pipeline.engine.now
         self.done = pipeline.engine.event()
         #: per path: None until it resolves, then its PathExecution,
         #: PathFault or non-transfer exception
-        self.outcomes: list = [None] * paths
+        self.outcomes: list = [None] * len(paths)
         self.taken = 0  # outcomes handled so far; past the end once failed
         self.executions: list[PathExecution] = []
         self.faults: list[PathFault] = []
+
+    def _drop_if_failed(self, index: int) -> None:
+        """Drop path ``index``'s streams if it resolved with an error."""
+        outcome = self.outcomes[index]
+        if outcome is not None and type(outcome) is not PathExecution:
+            path_id = self.paths[index].assignment.path.path_id
+            self.pipeline.reset_path_streams(self.src, self.dst, path_id)
 
     def resolve(self, index: int, outcome) -> None:
         outcomes = self.outcomes
         outcomes[index] = outcome
         n = len(outcomes)
         i = self.taken
+        if i > n:  # the execution has failed
+            self._drop_if_failed(index)
+            return
         while i < n and outcomes[i] is not None:
             outcome = outcomes[i]
             i += 1
@@ -160,6 +175,8 @@ class _Settlement:
                 self.faults.append(outcome)
             else:
                 self.taken = n + 1
+                for j in range(i - 1, n):
+                    self._drop_if_failed(j)
                 self.done.fail(outcome)
                 return
         self.taken = i
@@ -233,7 +250,7 @@ class PipelineEngine:
         flight = self.flight
         if flight is None or not flight.enabled or trace[0] < 0:
             trace = None
-        settlement = _Settlement(self, plan, len(compiled))
+        settlement = _Settlement(self, plan, compiled)
         for i, path in enumerate(compiled):
             flows = None if deadline_factor is None else []
             last = self._issue(path, tag, i, settlement, trace, flows)
@@ -260,44 +277,33 @@ class PipelineEngine:
         trace: tuple[int, int] | None,
         flows: list | None,
     ) -> Event:
-        """Enqueue one path's copies; returns its last copy event, whose
+        """Enqueue one path's copies; returns its last op event, whose
         completion callback settles the path."""
         a = compiled.assignment
         label = f"{tag}/{a.path.path_id}" if tag else a.path.path_id
-        copy = self.runtime.copy_on_hop_async
         keys, devices = compiled.stream_keys, compiled.stream_devices
         if not a.path.is_staged:
             stream = self._stream(keys[0], devices[0])
-            last = copy(
+            last = self.runtime.copy_on_hop_async(
                 a.path.hops[0], a.nbytes, stream, tag=f"{label}:direct", flows=flows
             )
-            finals = ()
+            landed = ()
         else:
-            # Staged path: three-step chunk loop over two streams, driven
-            # by the compiled schedule (tags are ``label + suffix``).
+            # Staged path: the compiled chunk schedule as one op per
+            # stream (tags are ``label + suffix``).
             hop1, hop2 = a.path.hops
-            s1 = self._stream(keys[0], devices[0])
-            s2 = self._stream(keys[1], devices[1])
-            epsilon = compiled.epsilon
-            finals = []
-            for c, chunk_bytes in enumerate(compiled.chunk_sizes):
-                # Step 1: source -> staging location.
-                hop1_done = copy(
-                    hop1, chunk_bytes, s1, tag=label + compiled.h1_suffixes[c],
-                    flows=flows,
-                )
-                # Step 2: synchronization point on the staging device, once
-                # the chunk has arrived there.
-                s2.delay_after(hop1_done, epsilon)
-                # Step 3: staging location -> destination.
-                finals.append(copy(
-                    hop2, chunk_bytes, s2, tag=label + compiled.h2_suffixes[c],
-                    flows=flows,
-                ))
-            last = finals[-1]
+            last, landed = self.runtime.staged_copy_async(
+                hop1, hop2, compiled.chunk_sizes,
+                self._stream(keys[0], devices[0]),
+                self._stream(keys[1], devices[1]),
+                compiled.epsilon,
+                tag=label,
+                suffixes=(compiled.h1_suffixes, compiled.h2_suffixes),
+                flows=flows,
+            )
         last.add_callback(
             lambda ev: self._path_resolved(
-                ev, compiled, finals, index, settlement, trace
+                ev, compiled, landed, index, settlement, trace
             )
         )
         return last
@@ -306,19 +312,18 @@ class PipelineEngine:
         self,
         last: Event,
         compiled: "CompiledPath",
-        finals,
+        landed,
         index: int,
         settlement: _Settlement,
         trace: tuple[int, int] | None,
     ) -> None:
-        """Close out one path when its last copy resolves: accounting, its
-        flight span, and its outcome handed to the settlement."""
+        """Close out one path when its last op resolves: accounting, its
+        flight span, and its outcome handed to the settlement.  ``landed``
+        holds the final-hop chunk copies that landed, a prefix of the
+        schedule (none for a direct path)."""
         a = compiled.assignment
         start, end = settlement.start, self.engine.now
         error = last._exception
-        # Stream errors are sticky, so the chunks that landed before a
-        # path died are a prefix of its schedule.
-        landed = finals if error is None else [ev for ev in finals if ev.ok]
         chunks = len(compiled.chunk_sizes) or 1
         if trace is not None:
             # One-shot span + chunk markers in a single journal append.  A
@@ -367,10 +372,10 @@ class PipelineEngine:
     ):
         """Abort a path's in-flight fabric flows once its deadline passes.
 
-        ``last`` is the path's last copy and ``flows`` the fabric events of
+        ``last`` is the path's last op and ``flows`` the fabric events of
         the copies it has started so far, so the kill reaches this path's
         flows and no other put's.  It is delivered *through the fabric*
-        (flows fail, streams poison, the last copy fails) so the unwind
+        (flows fail, streams poison, the last op fails) so the unwind
         path is the same one hard link failures take.  A path stuck
         outside the fabric for a moment (e.g. in the ε sync delay) is
         re-checked a bounded number of times rather than force-killed.

@@ -22,13 +22,21 @@ The ``paper_*`` entries digest (:func:`table_digest`) the reduced paper
 tables ``tests/test_experiments.py`` computes: fig4–fig7, the prediction
 error table, the headline speedups and the five observations.  They pin
 the paper's numbers exactly, not only within their bands.
+
+The ``copy_order_*`` entries digest (:func:`copy_order_digest`) the
+``fabric.copy`` calls of a run in the order they were made.  Tracer
+records are kept in completion order, so a timeline digest can miss two
+copies issued at one instant in the other order; these cannot.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
+
+from repro.sim.fabric import Fabric
 
 _TIMELINES = Path(__file__).with_name("timelines.json")
 
@@ -48,6 +56,30 @@ def table_digest(rows) -> str:
     """sha256 of a result table's rows, in order (``repr`` per row)."""
     payload = repr(tuple(rows))
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@contextmanager
+def copy_calls():
+    """Record every ``Fabric.copy`` call made inside the block, on any
+    fabric: its ``(now, tag, nbytes, hop)``, in call order.  Yields the
+    list the calls are appended to."""
+    calls: list[tuple] = []
+    copy = Fabric.copy
+
+    def recorded(self, channel_names, nbytes, **kwargs):
+        calls.append((self.engine.now, kwargs.get("tag", ""), nbytes, channel_names))
+        return copy(self, channel_names, nbytes, **kwargs)
+
+    Fabric.copy = recorded
+    try:
+        yield calls
+    finally:
+        Fabric.copy = copy
+
+
+def copy_order_digest(calls) -> str:
+    """sha256 of :func:`copy_calls`' records, in call order."""
+    return hashlib.sha256(repr(tuple(calls)).encode()).hexdigest()
 
 
 def assert_golden(scenario: str, digest: str) -> None:

@@ -10,6 +10,10 @@ stall while many independent flow components share the fabric.  A
 change that reorders same-timestamp work moves these digests even where
 the older ones stay put.  Each scenario also asserts that the mechanism
 it exists for actually fired.
+
+The ``copy_order_*`` digests pin the order in which three staged-path
+scenarios call ``fabric.copy`` — an OSU window, a link outage and a
+stall the deadline watchdog breaks — not only when each copy ran.
 """
 
 from __future__ import annotations
@@ -18,14 +22,22 @@ import hashlib
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from repro.bench.env import REDUCE_BANDWIDTH, default_jitter_factory
+from repro.bench.experiments.chaos import run_chaos
+from repro.bench.runner import get_setup
 from repro.mpi import Communicator, collectives
 from repro.sim import Engine, FaultSchedule, LinkDown, StallInjector, Tracer
 from repro.topology import systems
 from repro.ucx import TransportConfig, UCXContext
 from repro.units import MiB, us
-from tests.golden import assert_golden, timeline_digest
+from tests.golden import (
+    assert_golden,
+    copy_calls,
+    copy_order_digest,
+    timeline_digest,
+)
 
 #: The e2e benchmark's P2P pairs: two disjoint pairs, then two that share
 #: a GPU with them, so concurrent puts meet on channels.
@@ -188,3 +200,31 @@ def test_golden_narval_linkdown_budgets():
     assert ctx.transfers.peak_queue_depth > 0  # puts queued behind the cap
     assert ctx.transfers.retry_budget.snapshot()["consumed"] == retries
     assert_golden("narval_linkdown_budgets", _digest(ctx, results))
+
+
+def test_golden_copy_order_osu_window():
+    """An OSU window: 16 concurrent 16 MiB puts 0->1, so each path's staged
+    copies queue back to back on its two pooled streams."""
+    eng = Engine()
+    ctx = UCXContext(eng, systems.beluga())
+    with copy_calls() as calls:
+        events = [ctx.put(0, 1, 16 * MiB, tag=f"w{i}") for i in range(16)]
+        eng.run()
+    assert all(ev.ok for ev in events)
+    # one stream per direct path and two per staged one, shared by all 16
+    assert ctx.pipeline.stats_snapshot()["stream_pool_size"] == 7
+    assert len({c[0] for c in calls}) < len(calls)  # same-instant issues
+    assert_golden("copy_order_osu_window", copy_order_digest(calls))
+
+
+@pytest.mark.parametrize("scenario", ["linkdown", "stall"])
+def test_golden_copy_order_chaos(scenario):
+    """The chaos ``linkdown`` put, and the ``stall`` put that only its
+    deadline watchdog can unstick, each after its fault-free twin."""
+    get_setup("beluga")  # calibration copies stay out of the record
+    with copy_calls() as calls:
+        r = run_chaos("beluga", scenario=scenario, keep_context=True)
+    assert r.chaotic.retries >= 1
+    if scenario == "stall":
+        assert r._context.pipeline.watchdog_timeouts >= 1
+    assert_golden(f"copy_order_chaos_{scenario}", copy_order_digest(calls))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.gpu import GPURuntime, IpcHandleCache, InvalidDevice, StreamError
 from repro.gpu.errors import LinkFailure
 from repro.gpu.event import GpuEvent
-from repro.gpu.stream import Stream
 from repro.sim import Engine, Fabric, Tracer
 from repro.sim.faults import FaultSchedule, LinkDown
 from repro.topology import systems
@@ -210,41 +209,114 @@ class TestGpuEvents:
             e2.elapsed_since(e1)
 
 
-def _staged_chunks(chunks, beta1, beta2, eps, *, one_op, fail_at=None):
-    """The pipeline's staged chunk loop on two raw streams.
+def _suffixes(n):
+    """Per-chunk copy tag suffixes of an ``n``-chunk staged copy."""
+    return (
+        tuple(f":h1:{c}" for c in range(n)), tuple(f":h2:{c}" for c in range(n))
+    )
 
-    Step 2 is either the one-op sync (``delay_after``) or its GpuEvent
-    oracle: record on s1, wait on s2, then delay.
+
+def _staged_run(
+    schedules, beta1, beta2, eps, *, oracle, fail_at=None, raise_tag=None,
+    poison=None,
+):
+    """Staged copies of ``schedules`` (chunk-size lists), queued back to
+    back on one pair of streams over two test channels.
+
+    Without ``oracle`` each is one ``GPURuntime.staged_copy_async``; with
+    it, each chunk is the GpuEvent sequence the staged copy replaces: a
+    copy on s1, a record on s1, a wait on s2, an ε delay and a copy on
+    s2.  ``fail_at`` takes hop 1's channel down then, ``raise_tag`` makes
+    the copy with that tag raise ``RuntimeError`` at its start, and
+    ``poison`` poisons s1 before the staged copies run: "idle" by an op
+    whose start raises, "busy" by a 64 MiB hop-1 copy queued ahead of
+    them that a LinkDown at 100 µs kills.  Returns the engine, the tracer,
+    ``(done, landed finals)`` per staged copy, both streams and the
+    raised exception, with the engine's list of ``schedule_fn`` times in
+    call order.
     """
     eng = Engine()
+    scheduled = []
+    schedule_fn = eng.schedule_fn
+    eng.schedule_fn = lambda at, fn, arg=None: (
+        scheduled.append(at) or schedule_fn(at, fn, arg)
+    )
     tracer = Tracer()
+    runtime = GPURuntime(eng, systems.beluga())
     fab = Fabric(eng, tracer=tracer)
     fab.add_channel("h1", alpha=1 * us, beta=beta1)
     fab.add_channel("h2", alpha=2 * us, beta=beta2)
-    s1, s2 = Stream(eng, 0), Stream(eng, 1)
-    firsts, finals = [], []
-    for c, n in enumerate(chunks):
-        hop1_done = s1.push(lambda n=n, c=c: fab.copy("h1", n, tag=f"h1:{c}"))
-        firsts.append(hop1_done)
-        if one_op:
-            s2.delay_after(hop1_done, eps)
-        else:
-            arrived = GpuEvent(eng, f"c{c}").record(s1)
-            s2.wait_event(arrived)
+    runtime.fabric = fab  # copies run on the two test channels
+    boom = RuntimeError("boom")
+    if raise_tag is not None:
+        copy = fab.copy
+
+        def raising_copy(hop, nbytes, *, tag=""):
+            if tag == raise_tag:
+                raise boom
+            return copy(hop, nbytes, tag=tag)
+
+        fab.copy = raising_copy
+    s1, s2 = runtime.create_stream(0), runtime.create_stream(1)
+    if poison == "idle":
+        def start():
+            raise boom
+
+        s1.push(start)
+    elif poison == "busy":
+        runtime.copy_on_hop_async("h1", 64 * MiB, s1, tag="ahead")
+        fail_at = 100 * us
+    runs = []
+    for k, chunks in enumerate(schedules):
+        tag = f"x{k}"
+        h1s, h2s = _suffixes(len(chunks))
+        if not oracle:
+            runs.append(runtime.staged_copy_async(
+                "h1", "h2", chunks, s1, s2, eps, tag=tag, suffixes=(h1s, h2s)
+            ))
+            continue
+        finals = []
+        for c, n in enumerate(chunks):
+            runtime.copy_on_hop_async("h1", n, s1, tag=tag + h1s[c])
+            s2.wait_event(GpuEvent(eng, f"{tag}{c}").record(s1))
             s2.delay(eps)
-        finals.append(s2.push(lambda n=n, c=c: fab.copy("h2", n, tag=f"h2:{c}")))
+            finals.append(
+                runtime.copy_on_hop_async("h2", n, s2, tag=tag + h2s[c])
+            )
+        runs.append((finals[-1], finals))
     if fail_at is not None:
         FaultSchedule(LinkDown("h1", at=fail_at)).attach(fab)
     eng.run()
-    return eng, tracer, firsts, finals, (s1, s2)
+    # an oracle's landed finals are known once the run is over
+    runs = [(done, [ev for ev in landed if ev.ok]) for done, landed in runs]
+    return eng, tracer, runs, (s1, s2), boom, scheduled
 
 
 def _outcome(ev):
     return ev.value.end.hex() if ev.ok else type(ev._exception).__name__
 
 
+def _same_run(new, oracle):
+    """The staged copies and their oracle made the same copies at the same
+    instants, with the same outcomes, in the same engine steps: each ε
+    timer is scheduled where the oracle's delay was, among the fabric's
+    own timers."""
+    (eng, tracer, runs, _, _, sched), (eng_o, tracer_o, runs_o, _, _, sched_o) = (
+        new, oracle
+    )
+    assert sched == sched_o
+    assert tracer.records == tracer_o.records
+    for (done, landed), (done_o, landed_o) in zip(runs, runs_o):
+        assert _outcome(done) == _outcome(done_o)
+        assert [_outcome(ev) for ev in landed] == [_outcome(ev) for ev in landed_o]
+    assert (eng.now, eng.events_processed, eng._seq) == (
+        eng_o.now, eng_o.events_processed, eng_o._seq
+    )
+
+
+_chunk_lists = st.lists(st.integers(4 * KiB, 4 * MiB), min_size=1, max_size=8)
 _chunk_schedules = st.fixed_dictionaries({
-    "chunks": st.lists(st.integers(4 * KiB, 4 * MiB), min_size=1, max_size=8),
+    "chunks": _chunk_lists,
     # hop 2 both slower and faster than hop 1: s2 sometimes waits for the
     # chunk, sometimes finds its copy already done
     "beta1": st.floats(gbps(2), gbps(64)),
@@ -253,50 +325,113 @@ _chunk_schedules = st.fixed_dictionaries({
 })
 
 
+def _both(sched, **kw):
+    """``(staged copy run, GpuEvent oracle run)`` of one schedule dict."""
+    sched = dict(sched)
+    schedules = [sched.pop("chunks")] + sched.pop("more", [])
+    return [_staged_run(schedules, **sched, **kw, oracle=flag) for flag in (False, True)]
+
+
 class TestStagingSync:
-    """``Stream.delay_after`` equals the record + wait + delay it replaced."""
+    """``GPURuntime.staged_copy_async`` equals the per-chunk record + wait
+    + delay sequence it replaced (the GpuEvent oracle)."""
 
     @settings(max_examples=150, deadline=None)
     @given(_chunk_schedules)
     def test_one_op_sync_matches_gpu_event_oracle(self, sched):
-        runs = [_staged_chunks(**sched, one_op=flag) for flag in (True, False)]
-        (eng, tracer, _, finals, _), (eng_o, tracer_o, _, finals_o, _) = runs
-        assert tracer.records == tracer_o.records
-        assert [_outcome(f) for f in finals] == [_outcome(f) for f in finals_o]
-        assert all(f.ok for f in finals)
-        # the timer consumes its seq where the oracle's Timeout did
-        assert (eng.now, eng.events_processed, eng._seq) == (
-            eng_o.now, eng_o.events_processed, eng_o._seq
-        )
+        new, oracle = _both(sched)
+        _same_run(new, oracle)
+        (done, landed), = new[2]
+        assert done.ok and len(landed) == len(sched["chunks"])
+        assert done.value is landed[-1].value
 
     @settings(max_examples=100, deadline=None)
     @given(_chunk_schedules, st.floats(0.05, 0.95))
     def test_hop1_failure_poisons_like_the_oracle(self, sched, frac):
         # the link dies while hop 1 still has chunks to move
         fail_at = frac * sum(sched["chunks"]) / sched["beta1"]
-        runs = [
-            _staged_chunks(**sched, one_op=flag, fail_at=fail_at)
-            for flag in (True, False)
-        ]
-        for eng, _, firsts, finals, streams in runs:
-            failed = [ev for ev in firsts if not ev.ok]
-            assert failed, "hop 1 never failed"
-            exc = failed[0]._exception
+        runs = _both(sched, fail_at=fail_at)
+        for eng, _, ((done, landed),), streams, _, _ in runs:
+            exc = done._exception
             assert isinstance(exc, LinkFailure)
-            # every op after the failed chunk fails with that very exception
-            k = firsts.index(failed[0])
-            assert all(ev._exception is exc for ev in firsts[k:])
-            assert all(ev._exception is exc for ev in finals[k:])
-            assert all(ev.ok for ev in finals[:k])
-            # both streams end poisoned with it
+            assert len(landed) < len(sched["chunks"])
+            # both streams end poisoned with hop 1's own exception
             assert all(s._error is exc for s in streams)
             assert eng.queued == 0
-        (eng, tracer, _, finals, _), (eng_o, tracer_o, _, finals_o, _) = runs
-        assert tracer.records == tracer_o.records
-        assert [_outcome(f) for f in finals] == [_outcome(f) for f in finals_o]
-        assert (eng.now, eng.events_processed) == (
-            eng_o.now, eng_o.events_processed
+        _same_run(*runs)
+
+    @pytest.mark.parametrize("poison", ["idle", "busy"])
+    @settings(max_examples=40, deadline=None)
+    @given(sched=_chunk_schedules)
+    def test_poisoned_first_stream_fails_both_like_the_oracle(self, poison, sched):
+        """Stream 1 is poisoned before the staged copy's op runs: either
+        when it is pushed, or by a failing copy ahead of it while stream
+        2 already waits for chunk 0.  Both ops fail with stream 1's error,
+        and no chunk is copied."""
+        runs = _both(sched, poison=poison)
+        for _, tracer, ((done, landed),), (s1, s2), boom, _ in runs:
+            exc = s1._error
+            if poison == "idle":
+                assert exc is boom
+            else:
+                assert isinstance(exc, LinkFailure)
+            assert done._exception is exc and s2._error is exc
+            assert landed == []
+            assert not any(r.tag.startswith("x0") for r in tracer.records)
+        _same_run(*runs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _chunk_schedules, _chunk_lists,
+        st.one_of(st.none(), st.floats(0.05, 1.5)),
+    )
+    def test_back_to_back_copies_match_the_oracle(self, sched, second, frac):
+        """Two staged copies queued on the same two streams (an OSU
+        window): the second's ops wait behind the first's on both streams,
+        and a hop-1 outage poisons both alike."""
+        fail_at = None
+        if frac is not None:
+            fail_at = frac * sum(sched["chunks"]) / sched["beta1"]
+        new, oracle = _both({**sched, "more": [second]}, fail_at=fail_at)
+        _same_run(new, oracle)
+        if fail_at is None:
+            assert all(done.ok for done, _ in new[2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _chunk_schedules.filter(lambda d: len(d["chunks"]) >= 2),
+        st.sampled_from(["h1", "h2"]), st.data(),
+    )
+    def test_raising_copy_poisons_like_a_failing_copy(self, sched, hop, data):
+        """A copy of chunk >= 1 whose start raises (from a completion
+        callback, in the staged copy) fails its stream's op with that very
+        exception and poisons the stream; nothing escapes ``engine.run``.
+        A second staged copy queued behind fails with it too."""
+        c = data.draw(st.integers(1, len(sched["chunks"]) - 1))
+        runs = _both(
+            {**sched, "more": [sched["chunks"]]}, raise_tag=f"x0:{hop}:{c}"
         )
+        for _, _, ((done, landed), (done2, landed2)), (s1, s2), boom, _ in runs:
+            assert done._exception is boom and done2._exception is boom
+            assert len(landed) == c and landed2 == []
+            assert s2._error is boom
+            assert s1._error is (boom if hop == "h1" else None)
+        _same_run(*runs)
+
+    def test_rejects_no_chunks_and_negative_epsilon(self, rt):
+        _, runtime = rt
+        s1, s2 = runtime.create_stream(0), runtime.create_stream(1)
+        hop1 = runtime.topology.direct_hop(0, 2)
+        hop2 = runtime.topology.direct_hop(2, 1)
+        with pytest.raises(ValueError):
+            runtime.staged_copy_async(
+                hop1, hop2, (), s1, s2, 0.0, tag="x", suffixes=((), ())
+            )
+        with pytest.raises(ValueError):
+            runtime.staged_copy_async(
+                hop1, hop2, (MiB,), s1, s2, -1.0, tag="x", suffixes=_suffixes(1)
+            )
+        assert runtime.copies_issued == 0 and s1.idle and s2.idle
 
     def test_every_copy_goes_through_a_wrapped_fabric_copy(self):
         # A layer tracer wraps fabric.copy on the built context's instance;

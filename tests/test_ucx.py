@@ -10,7 +10,7 @@ from repro.topology import systems
 from repro.ucx import TransportConfig, UCXContext
 from repro.ucx.pipeline import PipelineEngine, SettledExecution
 from repro.ucx.tuning import StaticShare
-from repro.units import KiB, MiB, gbps
+from repro.units import KiB, MiB, gbps, us
 
 
 def make_ctx(topology=None, **kw):
@@ -261,9 +261,75 @@ class TestPipelineEngine:
         )
         assert ctx.pipeline.paths_executed == 2
         assert ctx.pipeline.paths_failed == 0
-        assert ctx.pipeline.streams_reset == 0
-        # the poisoned gpu:3 streams are still pooled; drop them
-        assert ctx.pipeline.reset_path_streams(0, 1, "gpu:3") == 2
+        assert ctx.pipeline.streams_reset == 2
+
+    def _raising_execution(self, prefix, fault_at=None):
+        """Start the 64 MiB 0->1 plan (direct, gpu:2, gpu:3) tagged "T"
+        while ``fabric.copy`` raises ``RuntimeError`` for tags starting
+        with ``prefix``, with ``nvl:3->1`` going down at ``fault_at``.
+        Returns the engine, the context, the exception, the execution
+        event and a function that restores ``fabric.copy``."""
+        eng = Engine()
+        ctx = UCXContext(eng, systems.beluga())
+        fabric = ctx.runtime.fabric
+        boom = RuntimeError("boom")
+        copy = fabric.copy
+
+        def failing_copy(hop, nbytes, *, tag=""):
+            if tag.startswith(prefix):
+                raise boom
+            return copy(hop, nbytes, tag=tag)
+
+        fabric.copy = failing_copy
+        if fault_at is not None:
+            FaultSchedule(LinkDown("nvl:3->1", at=fault_at)).attach(fabric)
+        plan = ctx.planner.plan(0, 1, 64 * MiB, include_host=False)
+        assert [a.path.path_id for a in plan.active_assignments] == [
+            "direct", "gpu:2", "gpu:3"
+        ]
+        done = ctx.pipeline.execute(plan, tag="T")
+        return eng, ctx, boom, done, lambda: setattr(fabric, "copy", copy)
+
+    @pytest.mark.parametrize("prefix", ["T/gpu:3:h1:2", "T/gpu:3:h2:2"])
+    def test_raising_chunk_copy_fails_the_execution(self, prefix):
+        """Chunk 2's copy, started from a completion callback, raises: the
+        path fails with that exception and the execution fails with it
+        once path 0 lands, as when every copy was its own stream op."""
+        eng, ctx, boom, done, _ = self._raising_execution(prefix)
+        with pytest.raises(RuntimeError) as info:
+            eng.run(until=done)
+        assert info.value is boom
+        assert eng.now == 0.0005633904347826087
+        assert ctx.pipeline.streams_reset == 2
+
+    def test_non_transfer_error_leaves_no_poisoned_stream(self):
+        """Once the failed execution has dropped gpu:3's poisoned streams,
+        the next put over the pair runs on fresh ones and succeeds."""
+        eng, ctx, boom, done, restore = self._raising_execution("T/gpu:3:")
+        with pytest.raises(RuntimeError) as info:
+            eng.run(until=done)
+        assert info.value is boom
+        restore()
+        result = eng.run(until=ctx.put(0, 1, 64 * MiB))
+        assert result.retries == 0
+        assert ctx.pipeline.leaked_streams() == []
+
+    @pytest.mark.parametrize("prefix, reset", [("T/gpu:2:", 4), ("T/direct", 3)])
+    def test_fault_after_a_non_transfer_error_drops_its_streams(self, prefix, reset):
+        """gpu:3 dies on a LinkDown at 500 µs after another path raised.
+        When gpu:2 raises, its error fails the execution once path 0 lands,
+        after gpu:3's fault; when the direct path raises, the execution
+        fails at once, before it.  Either way gpu:3's fault is not taken,
+        yet its poisoned stream is dropped all the same."""
+        eng, ctx, boom, done, _ = self._raising_execution(prefix, fault_at=500 * us)
+        with pytest.raises(RuntimeError) as info:
+            eng.run(until=done)
+        assert info.value is boom
+        eng.run()
+        pipeline = ctx.pipeline
+        assert pipeline.paths_failed == 0
+        assert pipeline.streams_reset == reset
+        assert pipeline.leaked_streams() == []
 
     def test_direct_execute_compiles_one_shot(self):
         """Without a graph, execute compiles the plan for this run only:
