@@ -16,10 +16,12 @@ Run:  python examples/multinode_rails.py
 
 from repro.core.contention import max_min_path_rates, usage_matrix
 from repro.core.planner import PathPlanner
+from repro.gpu.runtime import GPURuntime
 from repro.sim import Engine
 from repro.topology import systems
-from repro.topology.cluster import ClusterTopology, execute_plan_on_fabric
+from repro.topology.cluster import ClusterTopology
 from repro.topology.links import LinkKind, LinkSpec
+from repro.ucx.pipeline import PipelineEngine
 from repro.units import MiB, format_bandwidth, us
 from repro.util.tables import Table
 
@@ -41,8 +43,8 @@ def main() -> None:
         plan = planner.plan_for_paths(0, 4, n, paths)
 
         engine = Engine()
-        fabric = cluster.build_fabric(engine)
-        engine.run(until=execute_plan_on_fabric(fabric, plan))
+        pipeline = PipelineEngine(GPURuntime(engine, cluster))
+        engine.run(until=pipeline.execute(plan))
         simulated = n / engine.now
 
         channels, usage = usage_matrix(paths)

@@ -392,12 +392,11 @@ def bench_graph_replay(*, quick: bool = False, repeats: int = 3) -> dict:
     sizes = (8 * MiB, 64 * MiB, 2 * MiB, 16 * MiB)
     ops = 2_000 if quick else 5_000
     cache = GraphCache()
-    epoch = ctx.health.epoch
     # warm both caches: one plan + one compiled graph per distinct size
     for nbytes in sizes:
         plan = planner.plan(0, 1, nbytes)
-        key = cache.key_for(0, 1, nbytes, "dynamic", health_epoch=epoch)
-        cache.compile_and_store(key, plan, pipeline, health_epoch=epoch)
+        key = cache.key_for(0, 1, nbytes, "dynamic")
+        cache.compile_and_store(key, plan, pipeline)
 
     cold_wall = float("inf")
     for _ in range(max(1, repeats)):
@@ -411,9 +410,7 @@ def bench_graph_replay(*, quick: bool = False, repeats: int = 3) -> dict:
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         for i in range(ops):
-            key = cache.key_for(
-                0, 1, sizes[i % len(sizes)], "dynamic", health_epoch=epoch
-            )
+            key = cache.key_for(0, 1, sizes[i % len(sizes)], "dynamic")
             graph = cache.get(key)
         warm_wall = min(warm_wall, time.perf_counter() - t0)
     assert graph is not None, "warm arm must hit the graph cache"

@@ -551,7 +551,6 @@ def cmd_graphs(args):
             f"lookups={lookups} hit_rate={hit_rate:.1%} "
             f"compiles={stats['compiles']} replays={stats['replays']} "
             f"evictions={stats['evictions']} "
-            f"recovery_invalidations={stats['recovery_invalidations']} "
             f"compile_wall={stats['compile_wall_s'] * 1e6:.0f}us"
         )
         print(

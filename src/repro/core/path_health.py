@@ -103,11 +103,6 @@ class PathHealthRegistry:
         self.quarantines = 0
         self.probes = 0
         self.readmissions = 0
-        # Monotone state-machine clock.  Compiled transfer graphs embed the
-        # epoch in their cache key, so ANY health transition (quarantine,
-        # probe start, readmission) makes graphs compiled under the old
-        # health picture unreachable without enumerating them.
-        self.epoch = 0
 
     # ------------------------------------------------------------------
     def state(self, src: int, dst: int, path_id: str) -> PathHealth:
@@ -211,7 +206,6 @@ class PathHealthRegistry:
     ) -> None:
         if e.state is new:
             return
-        self.epoch += 1
         self.transitions.append(
             HealthTransition(now, key[0], key[1], key[2], e.state, new)
         )
@@ -233,7 +227,6 @@ class PathHealthRegistry:
             "probes": self.probes,
             "readmissions": self.readmissions,
             "transitions": len(self.transitions),
-            "epoch": self.epoch,
         }
 
 

@@ -17,7 +17,7 @@ bench).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -170,8 +170,8 @@ class PathPlanner:
         self._phi_cache: dict[str, float] = {}
         self._candidates: dict[tuple, tuple[PathDescriptor, ...]] = {}
         #: Optional GraphCache of compiled transfer graphs.  Graphs embed
-        #: resolved plans, so every plan-cache invalidation below forwards
-        #: to it — a graph must never outlive the plan it froze.
+        #: resolved plans, so every plan-cache invalidation below drops
+        #: them by the same predicate — a graph never outlives its plan.
         self.graphs = None
 
     # ------------------------------------------------------------------
@@ -437,15 +437,13 @@ class PathPlanner:
         φ derives from (α̂, β̂, ε̂).  Returns the number of plans dropped.
         """
         self._phi_cache.clear()
-        if self.graphs is not None:
-            self.graphs.invalidate_hops(hops)
         if hops is None:
-            return self.cache.invalidate(lambda key, plan: True)
+            return self._invalidate(lambda plan: True)
         hopset = {tuple(h) for h in hops}
         if not hopset:
             return 0
-        return self.cache.invalidate(
-            lambda key, plan: any(
+        return self._invalidate(
+            lambda plan: any(
                 tuple(h) in hopset
                 for a in plan.assignments
                 for h in a.path.hops
@@ -462,16 +460,21 @@ class PathPlanner:
         key, so only *stale* entries need dropping).  Returns the number of
         plans invalidated.
         """
-        if self.graphs is not None:
-            self.graphs.invalidate_path(src, dst, path_id)
-        return self.cache.invalidate(
-            lambda key, plan: plan.src == src
+        return self._invalidate(
+            lambda plan: plan.src == src
             and plan.dst == dst
             and any(
                 a.path.path_id == path_id and a.nbytes > 0
                 for a in plan.assignments
             )
         )
+
+    def _invalidate(self, stale: Callable[[TransferPlan], bool]) -> int:
+        """Drop the cached plans ``stale`` marks, and the compiled graphs
+        that froze such a plan; returns the number of plans dropped."""
+        if self.graphs is not None:
+            self.graphs.invalidate(stale)
+        return self.cache.invalidate(lambda key, plan: stale(plan))
 
     # ------------------------------------------------------------------
     def predict_time(self, src: int, dst: int, nbytes: int, **kwargs) -> float:

@@ -18,27 +18,32 @@ This module mirrors that design in the simulator:
   ``label + suffix``).
 * :class:`TransferGraph` — a whole plan compiled: the immutable
   :class:`~repro.core.planner.TransferPlan` plus one
-  :class:`CompiledPath` per active assignment, stamped with the
-  path-health epoch it was compiled under.
+  :class:`CompiledPath` per active assignment.
 * :class:`GraphCache` — an LRU of graphs keyed by
-  ``(src, dst, nbytes, mode, load-bucket, health-epoch, exclusions,
-  degrade-level)``.  Exact ``nbytes`` is the "size bucket": chunk schedules
-  and byte shares are size-exact, and replay must be bit-identical, so
-  two sizes can never share a graph.
+  ``(src, dst, nbytes, mode, load-bucket, exclusions, degrade-level)``.
+  Exact ``nbytes`` is the "size bucket": chunk schedules and byte shares
+  are size-exact, and replay must be bit-identical, so two sizes can never
+  share a graph.
 
-Invalidation rides the same signals as the plan cache:
+A graph is stale exactly when its plan is.  The plan is a pure function
+of the key and the calibrated parameter store: a dynamic plan is
+Algorithm 1 over the configured paths minus the key's exclusions, at its
+load bucket and degrade level, and single and static plans read only the
+config and the store.  So only the planner's two invalidation signals
+can make one stale, and each drops the affected plans and graphs with
+one predicate (:meth:`GraphCache.invalidate`):
 
-* **drift refits** — :meth:`PathPlanner.refresh_params` forwards to
-  :meth:`GraphCache.invalidate_hops` (recalibrated (α̂, β̂) make every
-  embedded schedule stale);
-* **quarantine** — :meth:`PathPlanner.invalidate_path` forwards to
-  :meth:`GraphCache.invalidate_path`;
-* **load buckets** — the bucketed load snapshot joins the key, so a
-  bucket change misses and compiles a fresh graph (the old one stays
-  for when load returns to its bucket, exactly like the plan cache);
-* **health epoch** — every circuit-breaker transition bumps the
-  registry's epoch, which joins the key: a graph compiled under an old
-  epoch is unreachable and falls off the LRU.
+* **drift refits** — :meth:`PathPlanner.refresh_params` (recalibrated
+  (α̂, β̂) make every plan crossing the refit hops stale);
+* **quarantine** — :meth:`PathPlanner.invalidate_path` (plans routing
+  bytes over the path).
+
+A load-bucket change misses and compiles a fresh graph (the old one stays
+for when load returns to its bucket, exactly like the plan cache).  Other
+health transitions change nothing a plan reads: a suspect path is still
+planned over, and a quarantined or probing one enters the key through the
+exclusions.  A faulted round does not drop its graph either; only its
+recovery replans compile one-shot.
 
 A compiled schedule is the pipeline's only execution form: cache misses
 compile and store, recovery replans and direct ``PipelineEngine.execute``
@@ -50,6 +55,7 @@ golden digests in ``tests/golden/timelines.json``.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -86,7 +92,6 @@ class TransferGraph:
     key: tuple
     plan: TransferPlan
     paths: tuple[CompiledPath, ...]
-    health_epoch: int
     compile_wall_s: float
     replays: int = 0
 
@@ -149,7 +154,6 @@ class GraphCache:
         self.compiles = 0
         self.replays = 0
         self.compile_wall_s = 0.0
-        self.recovery_invalidations = 0
 
     # ------------------------------------------------------------------
     def key_for(
@@ -160,7 +164,6 @@ class GraphCache:
         mode: str,
         *,
         load_key: tuple = (),
-        health_epoch: int = 0,
         excluded: tuple[str, ...] = (),
         degrade: int = 0,
     ) -> tuple:
@@ -170,9 +173,7 @@ class GraphCache:
         at (DESIGN.md §5h): degraded graphs must never replay for healthy
         submits (and vice versa), so the level joins the key.
         """
-        return (
-            src, dst, int(nbytes), mode, load_key, health_epoch, excluded, degrade
-        )
+        return (src, dst, int(nbytes), mode, load_key, excluded, degrade)
 
     def get(self, key: tuple) -> TransferGraph | None:
         graph = self.cache.get(key)
@@ -186,66 +187,24 @@ class GraphCache:
         key: tuple,
         plan: TransferPlan,
         pipeline: "PipelineEngine",
-        *,
-        health_epoch: int = 0,
     ) -> TransferGraph:
         """Compile ``plan`` and cache the graph under ``key``."""
         wall0 = time.perf_counter()
         paths = compile_plan(plan, pipeline)
         wall = time.perf_counter() - wall0
-        graph = TransferGraph(
-            key=key,
-            plan=plan,
-            paths=paths,
-            health_epoch=health_epoch,
-            compile_wall_s=wall,
-        )
+        graph = TransferGraph(key=key, plan=plan, paths=paths, compile_wall_s=wall)
         self.compiles += 1
         self.compile_wall_s += wall
         self.cache.put(key, graph)
         return graph
 
-    # ------------------------------------------------------------------
-    # Invalidation (same signals as the plan cache)
-    # ------------------------------------------------------------------
-    def invalidate_all(self) -> int:
-        """Drop every graph (full drift refit)."""
-        return self.cache.invalidate(lambda key, graph: True)
+    def invalidate(self, stale: Callable[[TransferPlan], bool]) -> int:
+        """Drop every graph whose plan ``stale`` marks; returns the count.
 
-    def invalidate_hops(self, hops) -> int:
-        """Drop graphs whose plan crosses any of ``hops`` (drift refit).
-
-        ``None`` means a full refit: everything goes.
+        The planner calls this with the predicate it drops its own cached
+        plans by, so a graph never outlives the plan it froze.
         """
-        if hops is None:
-            return self.invalidate_all()
-        hopset = {tuple(h) for h in hops}
-        if not hopset:
-            return 0
-        return self.cache.invalidate(
-            lambda key, graph: any(
-                tuple(h) in hopset
-                for a in graph.plan.assignments
-                for h in a.path.hops
-            )
-        )
-
-    def invalidate_path(self, src: int, dst: int, path_id: str) -> int:
-        """Drop a pair's graphs routing bytes over ``path_id`` (quarantine)."""
-        return self.cache.invalidate(
-            lambda key, graph: graph.plan.src == src
-            and graph.plan.dst == dst
-            and any(
-                a.path.path_id == path_id and a.nbytes > 0
-                for a in graph.plan.assignments
-            )
-        )
-
-    def discard(self, key: tuple) -> int:
-        """Drop one graph (a recovery replan proved its schedule wrong)."""
-        dropped = self.cache.invalidate(lambda k, graph: k == key)
-        self.recovery_invalidations += dropped
-        return dropped
+        return self.cache.invalidate(lambda key, graph: stale(graph.plan))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -259,7 +218,6 @@ class GraphCache:
             "compiles": self.compiles,
             "replays": self.replays,
             "compile_wall_s": self.compile_wall_s,
-            "recovery_invalidations": self.recovery_invalidations,
             "live_replays": sum(g.replays for g in entries),
         }
 

@@ -12,7 +12,6 @@ Simulated time is in seconds, sizes in bytes (see :mod:`repro.units`).
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Engine,
     Event,
     Process,
@@ -36,7 +35,6 @@ __all__ = [
     "Process",
     "Timeout",
     "AllOf",
-    "AnyOf",
     "SimError",
     "Fabric",
     "FabricChannel",

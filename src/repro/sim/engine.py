@@ -7,7 +7,7 @@ The engine follows the SimPy execution model (generator-based processes that
 * :class:`Timeout` — an event scheduled at ``now + delay``;
 * :class:`Process` — a generator driven by the engine; itself an event that
   triggers when the generator returns, so processes can wait on each other;
-* :class:`AllOf` / :class:`AnyOf` — barrier / race combinators;
+* :class:`AllOf` — the barrier combinator;
 * :class:`Engine` — the event heap and clock.
 
 Determinism: events scheduled for the same timestamp fire in scheduling
@@ -191,28 +191,6 @@ class AllOf(Event):
             self.succeed([ev.value for ev in self._children])
 
 
-class AnyOf(Event):
-    """Succeeds when the first child triggers; value = (index, value)."""
-
-    __slots__ = ("_children",)
-
-    def __init__(self, engine: "Engine", events: Iterable[Event]) -> None:
-        super().__init__(engine)
-        self._children = list(events)
-        if not self._children:
-            raise ValueError("AnyOf requires at least one event")
-        for i, ev in enumerate(self._children):
-            ev.add_callback(lambda e, i=i: self._on_child(i, e))
-
-    def _on_child(self, index: int, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.ok:
-            self.succeed((index, event.value))
-        else:
-            self.fail(event._exception)  # type: ignore[arg-type]
-
-
 class Process(Event):
     """A generator-based coroutine driven by the engine.
 
@@ -327,9 +305,6 @@ class Engine:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -562,6 +537,5 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "SimError",
 ]

@@ -18,7 +18,12 @@ inter-node case with *no new math*:
 
 The cluster builds one fabric containing every node's intra-node channels
 (names prefixed ``n<k>:``) plus per-node, per-rail NIC uplink/downlink
-channels through a non-blocking switch.
+channels through a non-blocking switch.  It numbers GPUs globally (node
+``k``'s GPU ``g`` is ``k * gpus_per_node + g``) and offers what a
+:class:`~repro.gpu.runtime.GPURuntime` reads from a node, so cluster plans
+run on the pipeline engine like intra-node ones::
+
+    PipelineEngine(GPURuntime(engine, cluster)).execute(plan)
 """
 
 from __future__ import annotations
@@ -26,9 +31,6 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.core.params import LinkEstimate, ParameterStore
-from repro.sim.engine import Engine, Event
-from repro.sim.fabric import Fabric
-from repro.sim.trace import Tracer
 from repro.topology.links import LinkKind, LinkSpec
 from repro.topology.node import ChannelDef, NodeTopology
 from repro.topology.routing import Hop, PathDescriptor, PathKind
@@ -60,6 +62,9 @@ class ClusterTopology:
         self.num_rails = num_rails
         self.rail_spec = rail_spec
         self.gpus_per_node = self.nodes[0].num_gpus
+        self.num_gpus = num_nodes * self.gpus_per_node
+        #: NUMA domain of each GPU, in global GPU order
+        self.gpu_numa = [numa for node in self.nodes for numa in node.gpu_numa]
         self.channels: dict[str, ChannelDef] = {}
         self._build_channels()
 
@@ -183,46 +188,12 @@ class ClusterTopology:
                                     )
         return store
 
-    def build_fabric(
-        self, engine: Engine, *, tracer: Tracer | None = None
-    ) -> Fabric:
-        fabric = Fabric(engine, tracer=tracer)
-        for cdef in self.channels.values():
-            fabric.add_channel(cdef.name, cdef.alpha, cdef.beta)
-        return fabric
+    def sync_epsilon(self, via_gpu: bool) -> float:
+        """ε of a staging sync (node 0's; the nodes are identical)."""
+        return self.nodes[0].sync_epsilon(via_gpu)
+
+    #: One fabric channel per cluster channel (same construction as a node's).
+    build_fabric = NodeTopology.build_fabric
 
 
-def execute_plan_on_fabric(fabric: Fabric, plan, *, epsilon: float = 0.0) -> Event:
-    """Execute a (possibly staged) transfer plan directly on a fabric.
-
-    Minimal executor used for cluster paths: direct paths are one copy;
-    staged paths run their chunks through the copy→sync→copy loop using
-    plain engine processes (no stream pool — cluster transfers are
-    one-shot in the tests/examples).
-    """
-    engine = fabric.engine
-
-    def run_path(a):
-        if not a.path.is_staged:
-            yield fabric.copy(a.path.hops[0], a.nbytes, tag=f"{a.path.path_id}")
-            return
-        hop1, hop2 = a.path.hops
-        base, rem = divmod(a.nbytes, a.chunks)
-        pending = None
-        for c in range(a.chunks):
-            chunk = base + (1 if c < rem else 0)
-            yield fabric.copy(hop1, chunk, tag=f"{a.path.path_id}:h1:{c}")
-            if epsilon > 0:
-                yield engine.timeout(epsilon)
-            pending = fabric.copy(hop2, chunk, tag=f"{a.path.path_id}:h2:{c}")
-        if pending is not None:
-            yield pending
-
-    procs = [
-        engine.process(run_path(a), name=f"cluster:{a.path.path_id}")
-        for a in plan.active_assignments
-    ]
-    return engine.all_of(procs)
-
-
-__all__ = ["ClusterTopology", "execute_plan_on_fabric", "DEFAULT_RAIL"]
+__all__ = ["ClusterTopology", "DEFAULT_RAIL"]

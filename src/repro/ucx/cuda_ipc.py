@@ -354,12 +354,9 @@ class CudaIpcModule:
                 health.record_failure(src, dst, f.path_id, now=now)
             if not faults:
                 break
-            if graph is not None:
-                # The schedule just proved wrong for the fabric as it is:
-                # drop it so the next same-shape put compiles fresh.  The
-                # recovery replans below compile one-shot, outside the cache.
-                ctx.graphs.discard(graph.key)
-                graph = None
+            # The recovery replans below compile one-shot, outside the
+            # cache; the graph stays cached, as stale as its plan (§5g).
+            graph = None
             remaining = nbytes - delivered
             backoff = recovery.after_faults(faults, remaining)
             if backoff is None:
@@ -498,18 +495,15 @@ class CudaIpcModule:
         wall0 = time.perf_counter() if tracing else 0.0
         load = None
         quarantined: tuple[str, ...] = ()
-        health = ctx.health
         if mode == "dynamic":
             load = self._load_snapshot()
-            quarantined = health.excluded(src, dst, now=ctx.engine.now)
+            quarantined = ctx.health.excluded(src, dst, now=ctx.engine.now)
         load_key: tuple = ()
         if load is not None and not load.is_idle:
             load_key = load.bucket_key()
-        epoch = health.epoch
         key = graphs.key_for(
             src, dst, nbytes, mode,
-            load_key=load_key, health_epoch=epoch, excluded=quarantined,
-            degrade=degrade,
+            load_key=load_key, excluded=quarantined, degrade=degrade,
         )
         graph = graphs.get(key)
         if graph is not None:
@@ -524,7 +518,7 @@ class CudaIpcModule:
             src, dst, nbytes, mode, trace_id, parent_sid,
             load=load, avoid=(quarantined,), degrade=degrade,
         )
-        graph = graphs.compile_and_store(key, plan, ctx.pipeline, health_epoch=epoch)
+        graph = graphs.compile_and_store(key, plan, ctx.pipeline)
         return plan, graph
 
     def _make_plan(

@@ -256,11 +256,9 @@ class PipelineEngine:
             last = self._issue(path, tag, i, settlement, trace, flows)
             if flows is not None:
                 a = path.assignment
-                self.engine.process(
-                    self._watchdog(
-                        last, flows, a, self._path_deadline(plan, a, deadline_factor)
-                    ),
-                    name=f"watchdog:{a.path.path_id}",
+                self._watch(
+                    last, flows, a.path.path_id,
+                    self._path_deadline(plan, a, deadline_factor),
                 )
         return settlement.done
 
@@ -367,42 +365,44 @@ class PipelineEngine:
         predicted = a.theta * plan.nbytes * a.effective.omega + a.effective.delta
         return factor * max(predicted, 1e-6)
 
-    def _watchdog(
-        self, last: Event, flows: list, a: PathAssignment, deadline: float
-    ):
-        """Abort a path's in-flight fabric flows once its deadline passes.
+    def _watch(
+        self, last: Event, flows: list, path_id: str, deadline: float
+    ) -> None:
+        """Arm a path's deadline watchdog: an engine timer at ``now +
+        deadline`` that aborts the fabric flows the path has issued.
 
-        ``last`` is the path's last op and ``flows`` the fabric events of
-        the copies it has started so far, so the kill reaches this path's
-        flows and no other put's.  It is delivered *through the fabric*
-        (flows fail, streams poison, the last op fails) so the unwind
-        path is the same one hard link failures take.  A path stuck
-        outside the fabric for a moment (e.g. in the ε sync delay) is
-        re-checked a bounded number of times rather than force-killed.
+        ``flows`` holds the fabric events of the copies the path has
+        started, so the kill reaches this path's flows and no other put's.
+        It is delivered *through the fabric* (flows fail, streams poison,
+        the last op fails), so the unwind is the one hard link failures
+        take.  While ``last`` stays pending (a path stuck in its ε sync)
+        the timer re-arms every ``max(deadline / 4, 1 µs)`` and kills
+        again, at most 64 times, after which one last re-check does
+        nothing.  A callback on ``last`` cancels the timer when the op
+        resolves, whatever its outcome.
         """
-        expiry = self.engine.timeout(deadline)
-        try:
-            idx, _ = yield self.engine.any_of([last, expiry])
-        except (LinkFailure, TransferTimeout):
-            self.engine.cancel(expiry)
-            return  # the path already failed on its own; nothing to abort
-        if idx == 0:
-            self.engine.cancel(expiry)
-            return  # path completed within its deadline
-        self.watchdog_timeouts += 1
-        fabric = self.runtime.fabric
-        recheck = max(deadline * 0.25, 1e-6)
-        for _ in range(64):
-            if last.triggered:
+        engine = self.engine
+        kills = 0
+
+        def expired(_arg) -> None:
+            nonlocal kills, timer
+            if kills == 64:
                 return
+            if not kills:
+                self.watchdog_timeouts += 1
+            kills += 1
             issued = set(flows)
-            fabric.fail_flows_matching(
+            self.runtime.fabric.fail_flows_matching(
                 lambda f: f.event in issued,
-                lambda f: TransferTimeout(a.path.path_id, deadline),
+                lambda f: TransferTimeout(path_id, deadline),
             )
-            if last.triggered:
-                return
-            yield self.engine.timeout(recheck)
+            if not last.triggered:
+                timer = engine.schedule_fn(
+                    engine.now + max(deadline * 0.25, 1e-6), expired
+                )
+
+        timer = engine.schedule_fn(engine.now + deadline, expired)
+        last.add_callback(lambda _last: engine.cancel_handle(timer))
 
     # ------------------------------------------------------------------
     def leaked_streams(self) -> list[tuple[tuple, str]]:

@@ -4,13 +4,26 @@ import pytest
 
 from repro.core.contention import max_min_path_rates, usage_matrix
 from repro.core.planner import PathPlanner
+from repro.gpu.runtime import GPURuntime
 from repro.sim import Engine
 from repro.topology import systems
-from repro.topology.cluster import ClusterTopology, execute_plan_on_fabric
+from repro.topology.cluster import ClusterTopology
 from repro.topology.links import LinkKind, LinkSpec
+from repro.ucx.pipeline import PipelineEngine
 from repro.units import MiB, gbps, us
 
 RAIL = LinkSpec(LinkKind.PCIE4, alpha=1.5 * us, beta=gbps(12.0))
+
+
+def simulate(cluster, plan) -> float:
+    """Run ``plan`` on the pipeline engine over a fresh cluster fabric;
+    returns the completion time."""
+    engine = Engine()
+    settled = engine.run(
+        until=PipelineEngine(GPURuntime(engine, cluster)).execute(plan)
+    )
+    assert settled.ok and settled.delivered == plan.nbytes
+    return engine.now
 
 
 @pytest.fixture(scope="module")
@@ -73,11 +86,9 @@ class TestMultiRailPlanning:
         paths = cluster.inter_node_paths(0, 0, 1, 0, include_host_staged=False)
 
         def run(path_subset):
-            engine = Engine()
-            fabric = cluster.build_fabric(engine)
-            plan = cluster_planner.plan_for_paths(0, 4, n, path_subset)
-            engine.run(until=execute_plan_on_fabric(fabric, plan))
-            return engine.now
+            return simulate(
+                cluster, cluster_planner.plan_for_paths(0, 4, n, path_subset)
+            )
 
         t_one = run(paths[:1])
         t_two = run(paths)
@@ -99,26 +110,29 @@ class TestMultiRailPlanning:
         n = 256 * MiB
         paths = cluster.inter_node_paths(0, 0, 1, 0, include_host_staged=False)
         plan = cluster_planner.plan_for_paths(0, 4, n, paths)
-        engine = Engine()
-        fabric = cluster.build_fabric(engine)
-        engine.run(until=execute_plan_on_fabric(fabric, plan))
-        measured_bw = n / engine.now
+        measured_bw = n / simulate(cluster, plan)
         assert plan.predicted_bandwidth > measured_bw
         assert plan.predicted_bandwidth / measured_bw < 1.15
 
     def test_host_staged_fallback_plan(self, cluster, cluster_planner):
         """Without GPUDirect the host path is the only route; the plan and
-        the executor both handle the staged 2-hop structure."""
+        the pipeline engine both handle the staged 2-hop structure."""
         n = 32 * MiB
         paths = [cluster.inter_node_paths(0, 0, 1, 0)[-1]]
         assert paths[0].path_id == "host"
         plan = cluster_planner.plan_for_paths(0, 4, n, paths)
-        engine = Engine()
-        fabric = cluster.build_fabric(engine)
-        engine.run(
-            until=execute_plan_on_fabric(
-                fabric, plan, epsilon=cluster.nodes[0].sync.host
-            )
-        )
-        assert engine.now > 0
-        assert n / engine.now < gbps(12.0)  # rail-bound, plus staging cost
+        assert plan.assignments[0].chunks > 1
+        elapsed = simulate(cluster, plan)
+        assert elapsed > 0
+        assert n / elapsed < gbps(12.0)  # rail-bound, plus staging cost
+
+    def test_runtime_surface(self, cluster):
+        """A GPURuntime over the cluster sees every node's GPUs in global
+        order, node 0's staging ε and one fabric channel per channel."""
+        runtime = GPURuntime(Engine(), cluster)
+        assert cluster.num_gpus == 8
+        assert [d.numa for d in runtime.devices] == cluster.gpu_numa
+        assert cluster.gpu_numa == cluster.nodes[0].gpu_numa * 2
+        assert runtime.sync_cost(via_gpu=False) == cluster.nodes[0].sync.host
+        assert runtime.sync_cost(via_gpu=True) == cluster.nodes[0].sync.gpu
+        assert set(runtime.fabric.channels) == set(cluster.channels)

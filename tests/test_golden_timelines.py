@@ -11,9 +11,10 @@ change that reorders same-timestamp work moves these digests even where
 the older ones stay put.  Each scenario also asserts that the mechanism
 it exists for actually fired.
 
-The ``copy_order_*`` digests pin the order in which three staged-path
-scenarios call ``fabric.copy`` — an OSU window, a link outage and a
-stall the deadline watchdog breaks — not only when each copy ran.
+The ``copy_order_*`` digests pin the order in which four staged-path
+scenarios call ``fabric.copy`` — an OSU window, a link outage, a stall
+the deadline watchdog breaks and a path that cycles through every
+circuit-breaker state twice — not only when each copy ran.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.bench.env import REDUCE_BANDWIDTH, default_jitter_factory
 from repro.bench.experiments.chaos import run_chaos
 from repro.bench.runner import get_setup
 from repro.mpi import Communicator, collectives
+from repro.core.path_health import PathHealth
 from repro.sim import Engine, FaultSchedule, LinkDown, StallInjector, Tracer
 from repro.topology import systems
 from repro.ucx import TransportConfig, UCXContext
@@ -228,3 +230,30 @@ def test_golden_copy_order_chaos(scenario):
     if scenario == "stall":
         assert r._context.pipeline.watchdog_timeouts >= 1
     assert_golden(f"copy_order_chaos_{scenario}", copy_order_digest(calls))
+
+
+def test_golden_copy_order_health_cycle():
+    """60 sequential 8 MiB puts 0->1, 50 µs apart, while ``nvl:0->1`` goes
+    down at 300 µs for 400 µs and at 6 ms for 300 µs: the direct path goes
+    healthy -> suspect -> quarantined -> probing -> healthy twice.  A
+    compiled graph is dropped only when its plan is (the quarantine), so
+    the suspect and readmitted paths replay the graphs compiled before."""
+    eng = Engine()
+    ctx = UCXContext(eng, systems.beluga())
+    FaultSchedule(
+        LinkDown("nvl:0->1", at=300 * us, duration=400 * us),
+        LinkDown("nvl:0->1", at=6000 * us, duration=300 * us),
+    ).attach(ctx.runtime.fabric)
+    with copy_calls() as calls:
+        for i in range(60):
+            eng.run(until=ctx.put(0, 1, 8 * MiB, tag=f"h{i}"))
+            eng.run(until=eng.now + 50 * us)
+    H, S, Q, P = (
+        PathHealth.HEALTHY, PathHealth.SUSPECT,
+        PathHealth.QUARANTINED, PathHealth.PROBING,
+    )
+    assert [(t.path_id, t.old, t.new) for t in ctx.health.transitions] == [
+        ("direct", H, S), ("direct", S, Q), ("direct", Q, P), ("direct", P, H),
+    ] * 2
+    assert ctx.graphs.stats()["compiles"] == 4
+    assert_golden("copy_order_health_cycle", copy_order_digest(calls))

@@ -158,7 +158,7 @@ class TestPlannerDecisionLog:
         engine, ctx, _ = env.fresh()
         engine.run(until=ctx.put(0, 1, 64 * MiB))  # cold: plan + compile
         engine.run(until=ctx.put(0, 1, 64 * MiB))  # graph replay
-        ctx.graphs.invalidate_all()
+        ctx.graphs.invalidate(lambda plan: True)
         engine.run(until=ctx.put(0, 1, 64 * MiB))  # plan-cache hit
         tree = TraceTree(ctx.flight)
         plans = [

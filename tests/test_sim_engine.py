@@ -175,18 +175,6 @@ class TestCombinators:
         eng = Engine()
         assert eng.all_of([]).triggered
 
-    def test_any_of_returns_first(self):
-        eng = Engine()
-        race = eng.any_of([eng.timeout(5.0, "slow"), eng.timeout(1.0, "fast")])
-        idx, value = eng.run(until=race)
-        assert (idx, value) == (1, "fast")
-        assert eng.now == 1.0
-
-    def test_any_of_empty_rejected(self):
-        eng = Engine()
-        with pytest.raises(ValueError):
-            eng.any_of([])
-
     def test_all_of_fails_fast(self):
         eng = Engine()
 

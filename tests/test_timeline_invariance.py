@@ -321,15 +321,12 @@ def test_graph_replay_bit_identical_recorder_off():
 
 
 def test_graph_replay_bit_identical_across_recovery():
-    """Replay through the retry/replan machinery: faults invalidate the
-    affected graph, recovery replans compile one-shot, and the timeline
-    still matches cold execution bit for bit."""
+    """Replay through the retry/replan machinery: recovery replans compile
+    one-shot, and the timeline still matches cold execution bit for bit."""
     _digest, res0, _ctx = _graph_workload()
     fault_at = res0[0].duration + 0.45 * res0[1].duration
     digest, results, ctx = _graph_workload(fault_at=fault_at)
     assert any(r.retries > 0 for r in results)  # the fault actually bit
-    # the faulted graph was discarded so the next same-shape put recompiles
-    assert ctx.graphs.recovery_invalidations > 0
     assert_golden("graph_workload_recovery", digest)
 
 

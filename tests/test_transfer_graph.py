@@ -1,15 +1,17 @@
-"""Compiled transfer graphs: compile/replay/invalidate lifecycle (ISSUE 8).
+"""Compiled transfer graphs: compile/replay/invalidate lifecycle.
 
-Invalidation coverage: drift refits, path quarantine, load-bucket changes,
-and health-epoch bumps must each make the affected graphs unreachable and
-force recompilation.  Bit-identity of replayed timelines is certified
-separately in ``tests/test_timeline_invariance.py``.
+Invalidation coverage: drift refits, path quarantine and load-bucket
+changes must each make the affected graphs unreachable and force
+recompilation; a health transition that leaves the plan as it was (a
+suspect path, a recovered fault) must not.  Bit-identity of replayed
+timelines is certified separately in ``tests/test_timeline_invariance.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.path_health import PathHealth
 from repro.core.transfer_graph import compile_plan
 from repro.obs import Observability
 from repro.sim.engine import Engine
@@ -103,21 +105,23 @@ class TestInvalidation:
         assert len(ctx.graphs) == 0
         assert ctx.graphs.stats()["invalidations"] >= 1
 
-    def test_health_epoch_bump_forces_recompile(self):
+    def test_suspect_path_keeps_its_graph(self):
         eng, ctx = _context()
         _run_puts(eng, ctx, [8 * MiB] * 2)
         assert ctx.graphs.stats()["compiles"] == 1
-        # a single failure only demotes healthy -> suspect (no quarantine,
-        # no eviction) but bumps the epoch: the old graph's key is now
-        # unreachable and the next put must recompile
+        # a single failure only demotes healthy -> suspect: a suspect path
+        # is still planned over, so the plan, and the graph that froze it,
+        # stay valid and the next put replays it
         graph = next(iter(ctx.graphs.cache._data.values()))
         path_id = graph.plan.active_assignments[0].path.path_id
-        epoch_before = ctx.health.epoch
-        ctx.health.record_failure(0, 1, path_id, now=eng.now)
-        assert ctx.health.epoch > epoch_before
-        assert len(ctx.graphs) == 1  # not evicted...
+        assert ctx.health.record_failure(0, 1, path_id, now=eng.now) is PathHealth.SUSPECT
+        assert len(ctx.graphs) == 1
+        hits = ctx.graphs.stats()["hits"]
         _run_puts(eng, ctx, [8 * MiB])
-        assert ctx.graphs.stats()["compiles"] == 2  # ...but recompiled
+        stats = ctx.graphs.stats()
+        assert stats["compiles"] == 1
+        assert stats["hits"] == hits + 1
+        assert graph.replays == 2
 
     def test_load_bucket_change_compiles_per_bucket(self):
         cfg = TransportConfig(contention_aware=True)
@@ -138,22 +142,36 @@ class TestInvalidation:
         assert len(load_keys) >= 2
 
 
-class TestRecoveryInvalidation:
-    def test_fault_discards_the_replayed_graph(self):
+class TestRecoveryKeepsTheGraph:
+    def test_next_put_replays_the_faulted_rounds_graph(self):
+        """A faulted round leaves its graph cached: the recovery replans
+        compile one-shot, and once the fault has left the path suspect
+        the next same-shape put replays the first round's graph."""
         from repro.sim.faults import FaultSchedule, LinkDown
 
         eng, ctx = _context()
         topo = ctx.topology
         (r0,) = _run_puts(eng, ctx, [8 * MiB])
-        fault_at = eng.now + 0.4 * r0.duration
+        (graph,) = ctx.graphs.cache._data.values()
         FaultSchedule(
-            LinkDown(topo.direct_hop(0, 1)[0], at=fault_at, duration=1e3)
+            LinkDown(
+                topo.direct_hop(0, 1)[0],
+                at=eng.now + 0.4 * r0.duration,
+                duration=0.2 * r0.duration,
+            )
         ).attach(ctx.runtime.fabric)
-        ev = ctx.put(0, 1, 8 * MiB, tag="faulted")
-        result = eng.run(until=ev)
-        assert result.retries > 0
-        assert ctx.graphs.recovery_invalidations == 1
-        assert ctx.graphs.stats()["recovery_invalidations"] == 1
+        (r1,) = _run_puts(eng, ctx, [8 * MiB])
+        assert r1.retries > 0
+        assert ctx.health.state(0, 1, "direct") is PathHealth.SUSPECT
+        before = ctx.graphs.stats()
+        assert before["compiles"] == 1
+        (r2,) = _run_puts(eng, ctx, [8 * MiB])
+        after = ctx.graphs.stats()
+        assert r2.retries == 0
+        assert after["compiles"] == before["compiles"]
+        assert after["hits"] == before["hits"] + 1
+        assert graph.replays == 2
+        assert ctx.health.state(0, 1, "direct") is PathHealth.HEALTHY
 
 
 class TestObservability:

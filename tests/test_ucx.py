@@ -263,10 +263,11 @@ class TestPipelineEngine:
         assert ctx.pipeline.paths_failed == 0
         assert ctx.pipeline.streams_reset == 2
 
-    def _raising_execution(self, prefix, fault_at=None):
+    def _raising_execution(self, prefix, fault_at=None, deadline_factor=None):
         """Start the 64 MiB 0->1 plan (direct, gpu:2, gpu:3) tagged "T"
         while ``fabric.copy`` raises ``RuntimeError`` for tags starting
-        with ``prefix``, with ``nvl:3->1`` going down at ``fault_at``.
+        with ``prefix``, with ``nvl:3->1`` going down at ``fault_at`` and
+        each path watched by a deadline watchdog with ``deadline_factor``.
         Returns the engine, the context, the exception, the execution
         event and a function that restores ``fabric.copy``."""
         eng = Engine()
@@ -287,7 +288,7 @@ class TestPipelineEngine:
         assert [a.path.path_id for a in plan.active_assignments] == [
             "direct", "gpu:2", "gpu:3"
         ]
-        done = ctx.pipeline.execute(plan, tag="T")
+        done = ctx.pipeline.execute(plan, tag="T", deadline_factor=deadline_factor)
         return eng, ctx, boom, done, lambda: setattr(fabric, "copy", copy)
 
     @pytest.mark.parametrize("prefix", ["T/gpu:3:h1:2", "T/gpu:3:h2:2"])
@@ -330,6 +331,44 @@ class TestPipelineEngine:
         assert pipeline.paths_failed == 0
         assert pipeline.streams_reset == reset
         assert pipeline.leaked_streams() == []
+
+    def test_watchdog_disarmed_by_a_non_transfer_error(self):
+        """A path that fails with a non-transfer error cancels its deadline
+        watchdog as a completed or faulted one does: draining the engine
+        afterwards leaves the clock at the failure instant instead of
+        moving it to the expiry with no work done."""
+        eng, ctx, boom, done, restore = self._raising_execution(
+            "T/gpu:3:", deadline_factor=1.5
+        )
+        with pytest.raises(RuntimeError) as info:
+            eng.run(until=done)
+        assert info.value is boom
+        failed_at = eng.now
+        assert failed_at == 0.0005633904347826087
+        restore()
+        eng.run()
+        assert eng.now == failed_at
+        assert ctx.pipeline.watchdog_timeouts == 0
+        assert eng.stats_snapshot()["live"] == 0
+
+    def test_watchdog_runs_no_engine_process(self, monkeypatch):
+        """A put with a deadline watchdog on every path still runs one
+        engine process, the put's own: each watchdog is an engine timer."""
+        eng, ctx = make_ctx(config=TransportConfig(deadline_factor=2.0))
+        eng.run(until=ctx.put(0, 1, 64 * MiB))
+        spawned = []
+        process = eng.process
+        monkeypatch.setattr(
+            eng,
+            "process",
+            lambda gen, name="": spawned.append(name) or process(gen, name),
+        )
+        result = eng.run(until=ctx.put(0, 1, 64 * MiB))
+        assert spawned == ["put:0->1"]
+        assert result.retries == 0
+        assert ctx.pipeline.watchdog_timeouts == 0
+        eng.run()
+        assert eng.now == result.end  # every watchdog timer was cancelled
 
     def test_direct_execute_compiles_one_shot(self):
         """Without a graph, execute compiles the plan for this run only:
