@@ -88,10 +88,6 @@ class MultiPathModel:
             raise ValueError(f"duplicate path ids: {ids}")
         self.paths = list(paths)
 
-    @property
-    def num_paths(self) -> int:
-        return len(self.paths)
-
     def path_times(self, theta: Sequence[float], nbytes: float) -> np.ndarray:
         arr = validate_fractions(theta)
         if arr.size != len(self.paths):
@@ -105,10 +101,6 @@ class MultiPathModel:
     def total_time(self, theta: Sequence[float], nbytes: float) -> float:
         """Eq. (4): the completion time is the slowest path's time."""
         return float(self.path_times(theta, nbytes).max())
-
-    def bandwidth(self, theta: Sequence[float], nbytes: float) -> float:
-        t = self.total_time(theta, nbytes)
-        return nbytes / t if t > 0 else 0.0
 
     def single_path_time(self, index: int, nbytes: float) -> float:
         """Time when the whole message uses one path (the baseline)."""

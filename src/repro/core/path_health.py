@@ -58,46 +58,30 @@ class HealthTransition:
 class PathHealthRegistry:
     """Circuit-breaker state per (src, dst, path_id).
 
-    Parameters
-    ----------
-    suspect_after / quarantine_after:
-        Consecutive-failure thresholds for the two demotions.
-    probe_backoff:
-        Base quarantine duration (simulated seconds) before the first
-        probe; doubles (``backoff_factor``) on every failed probe up to
-        ``max_backoff``.
-    seed:
-        Seeds the probe-delay jitter (+0..25%), which de-synchronizes
-        probes of simultaneously quarantined paths deterministically.
-    on_quarantine:
-        Callback ``(src, dst, path_id)`` fired on entry into quarantine —
-        the context uses it to invalidate cached plans using the path.
+    ``on_quarantine`` is a callback ``(src, dst, path_id)`` fired on entry
+    into quarantine — the context uses it to invalidate cached plans
+    using the path.
     """
+
+    #: Consecutive-failure thresholds for the two demotions.
+    suspect_after = 1
+    quarantine_after = 2
+    #: Quarantine (simulated seconds) before the first probe; it grows by
+    #: ``backoff_factor`` on every failed probe, up to ``max_backoff``.
+    probe_backoff = 2e-3
+    backoff_factor = 2.0
+    max_backoff = 1.0
+    #: Seed of the probe-delay jitter (+0..25%), which de-synchronizes
+    #: probes of simultaneously quarantined paths deterministically.
+    seed = 0
 
     def __init__(
         self,
         *,
-        suspect_after: int = 1,
-        quarantine_after: int = 2,
-        probe_backoff: float = 2e-3,
-        backoff_factor: float = 2.0,
-        max_backoff: float = 1.0,
-        seed: int = 0,
         on_quarantine: Callable[[int, int, str], None] | None = None,
     ) -> None:
-        if not 1 <= suspect_after <= quarantine_after:
-            raise ValueError("need 1 <= suspect_after <= quarantine_after")
-        if probe_backoff <= 0 or max_backoff < probe_backoff:
-            raise ValueError("need 0 < probe_backoff <= max_backoff")
-        if backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        self.suspect_after = suspect_after
-        self.quarantine_after = quarantine_after
-        self.probe_backoff = probe_backoff
-        self.backoff_factor = backoff_factor
-        self.max_backoff = max_backoff
         self.on_quarantine = on_quarantine
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(self.seed)
         self._entries: dict[tuple[int, int, str], _Entry] = {}
         self.transitions: list[HealthTransition] = []
         self.quarantines = 0

@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.load import LoadSnapshot
 
 #: Message-size window used to fit φ when no calibrated value exists.
-DEFAULT_PHI_SIZES = tuple(int(2**i * MiB) for i in range(1, 10))  # 2MiB..512MiB
+_PHI_SIZES = tuple(int(2**i * MiB) for i in range(1, 10))  # 2MiB..512MiB
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,6 @@ class PathPlanner:
     sequential_initiation:
         Apply the Line-18 correction: path *i*'s Δ accumulates the launch
         latencies of the paths scheduled before it.
-    alignment:
-        Byte shares are rounded down to this multiple (GPU copies want
-        aligned buffers); the remainder goes to the direct path.
     max_chunks:
         Upper bound on per-path chunk counts (pipeline queue depth).
     phi_mode:
@@ -139,6 +136,12 @@ class PathPlanner:
         ablation.
     """
 
+    #: Byte shares are rounded down to this multiple (GPU copies want
+    #: aligned buffers); the remainder goes to the direct path.
+    alignment = 256
+    #: Plans the configuration cache keeps.
+    cache_capacity = 512
+
     def __init__(
         self,
         topology: NodeTopology,
@@ -146,27 +149,20 @@ class PathPlanner:
         *,
         pipelining: bool = True,
         sequential_initiation: bool = True,
-        cache_capacity: int = 512,
-        alignment: int = 256,
         max_chunks: int = 64,
-        phi_sizes: Sequence[int] = DEFAULT_PHI_SIZES,
         phi_mode: str = "per-size",
     ) -> None:
         if phi_mode not in ("per-size", "calibrated"):
             raise ValueError("phi_mode must be 'per-size' or 'calibrated'")
-        if alignment < 1:
-            raise ValueError("alignment must be >= 1")
         if max_chunks < 1:
             raise ValueError("max_chunks must be >= 1")
         self.topology = topology
         self.store = store if store is not None else ParameterStore.ground_truth(topology)
         self.pipelining = pipelining
         self.sequential_initiation = sequential_initiation
-        self.alignment = alignment
         self.max_chunks = max_chunks
-        self.phi_sizes = tuple(phi_sizes)
         self.phi_mode = phi_mode
-        self.cache: LRUCache = LRUCache(cache_capacity)
+        self.cache: LRUCache = LRUCache(self.cache_capacity)
         self._phi_cache: dict[str, float] = {}
         self._candidates: dict[tuple, tuple[PathDescriptor, ...]] = {}
         #: Optional GraphCache of compiled transfer graphs.  Graphs embed
@@ -531,7 +527,7 @@ class PathPlanner:
         if params.path_id in self.store._phi:  # calibrated value wins
             phi = self.store.phi(params.path_id)
         else:
-            phi = fit_phi_for_sizes(params, self.phi_sizes)
+            phi = fit_phi_for_sizes(params, _PHI_SIZES)
         self._phi_cache[params.path_id] = phi
         return phi
 

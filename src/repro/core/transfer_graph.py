@@ -146,11 +146,14 @@ def compile_plan(
 class GraphCache:
     """LRU of compiled transfer graphs plus its invalidation surface."""
 
-    def __init__(self, *, capacity: int = 256) -> None:
+    #: Graphs kept; the least recently used is evicted first.
+    capacity = 256
+
+    def __init__(self) -> None:
         # One cache per context, and a context's config is fixed: every
         # graph in it was shaped by the same knobs, so they stay out of
         # the key.
-        self.cache: LRUCache[tuple, TransferGraph] = LRUCache(capacity)
+        self.cache: LRUCache[tuple, TransferGraph] = LRUCache(self.capacity)
         self.compiles = 0
         self.replays = 0
         self.compile_wall_s = 0.0

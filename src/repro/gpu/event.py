@@ -27,14 +27,6 @@ class GpuEvent:
         self.record_time: float | None = None
         self.complete_time: float | None = None
 
-    @property
-    def recorded(self) -> bool:
-        return self._occurred is not None
-
-    @property
-    def occurred(self) -> bool:
-        return self._occurred is not None and self._occurred.triggered
-
     def record(self, stream: "Stream") -> "GpuEvent":
         """Enqueue this event marker on ``stream`` (re-record allowed only
         before the previous recording occurred is an error, like CUDA's

@@ -53,23 +53,14 @@ class IpcHandleCache:
         return done
 
     def invalidate(self, owner_device: int | None = None) -> None:
-        """Drop cached handles (all, or one owner's) — free/realloc events."""
-        if owner_device is None:
-            self.cache.clear()
-            return
-        # LRUCache has no partial clear; rebuild without the owner's entries.
-        survivors = [
-            (k, True)
-            for k in list(self.cache._data)
-            if k[0] != owner_device
-        ]
-        self.cache.clear()
-        for k, v in survivors:
-            self.cache.put(k, v)
+        """Drop cached handles (all, or one owner's) — free/realloc events.
 
-    @property
-    def hit_rate(self) -> float:
-        return self.cache.hit_rate
+        The hit/miss statistics stay: a free drops handles, not the
+        lookups that already happened.
+        """
+        self.cache.invalidate(
+            lambda key, _v: owner_device is None or key[0] == owner_device
+        )
 
 
 __all__ = ["IpcHandleCache", "DEFAULT_OPEN_COST"]

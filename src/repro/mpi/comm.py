@@ -229,10 +229,6 @@ class RankView:
     def size(self) -> int:
         return self.comm.size
 
-    @property
-    def device(self) -> int:
-        return self.comm.rank_to_device[self.rank]
-
     # ------------------------------------------------------------------
     # Non-blocking
     # ------------------------------------------------------------------

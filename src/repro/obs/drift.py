@@ -105,20 +105,12 @@ class PredictionErrorTracker:
     claim (>4 MB) can be checked from live telemetry alone.
     """
 
-    def __init__(
-        self,
-        *,
-        ewma_alpha: float = 0.2,
-        window: int = 64,
-        enabled: bool = True,
-    ) -> None:
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.ewma_alpha = ewma_alpha
-        self.window = window
-        self.enabled = enabled
+    #: EWMA weight of each new signed error.
+    ewma_alpha = 0.2
+    #: Signed errors kept per key for the percentiles.
+    window = 64
+
+    def __init__(self) -> None:
         self.records: list[ErrorRecord] = []
         self._stats: dict[tuple, _KeyStats] = {}
 
@@ -127,7 +119,7 @@ class PredictionErrorTracker:
         self, plan: "TransferPlan", observed: float, *, now: float = 0.0
     ) -> ErrorRecord | None:
         """Join one executed plan with its observed completion time."""
-        if not self.enabled or plan.predicted_time <= 0 or observed <= 0:
+        if plan.predicted_time <= 0 or observed <= 0:
             return None
         path_ids = tuple(a.path.path_id for a in plan.active_assignments)
         rec = ErrorRecord(
@@ -198,10 +190,6 @@ class PredictionErrorTracker:
             "keys": keys,
         }
 
-    def clear(self) -> None:
-        self.records.clear()
-        self._stats.clear()
-
 
 class PageHinkley:
     """Two-sided Page–Hinkley change-point test over a scalar stream.
@@ -209,24 +197,17 @@ class PageHinkley:
     Fires when the cumulative deviation from the running mean exceeds
     ``threshold`` in either direction (observed times drifting slower
     *or* faster than predicted), then resets so successive drifts can be
-    caught.  ``delta`` is the magnitude of change considered noise;
-    ``min_samples`` suppresses firings before the mean stabilises.
+    caught.
     """
 
-    def __init__(
-        self,
-        *,
-        delta: float = 0.005,
-        threshold: float = 0.15,
-        min_samples: int = 5,
-    ) -> None:
-        if threshold <= 0:
-            raise ValueError("threshold must be > 0")
-        if min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
-        self.delta = delta
-        self.threshold = threshold
-        self.min_samples = min_samples
+    #: Magnitude of change considered noise.
+    delta = 0.005
+    #: Cumulative deviation that fires the test.
+    threshold = 0.15
+    #: Samples before the test may fire, so the mean can settle.
+    min_samples = 5
+
+    def __init__(self) -> None:
         self.fired_count = 0
         self.reset()
 
@@ -289,26 +270,19 @@ class OnlineRecalibrator:
     so noise does not thrash the planner cache.
     """
 
-    def __init__(
-        self,
-        store,
-        tracer: "Tracer",
-        *,
-        window: int = 16,
-        min_samples: int = 4,
-        min_distinct: int = 3,
-        spread_ratio: float = 4.0,
-        change_tol: float = 0.02,
-    ) -> None:
-        if window < 1 or min_samples < 1:
-            raise ValueError("window and min_samples must be >= 1")
+    #: Trace records per hop the fit reads (the most recent ones).
+    window = 16
+    #: Records a hop needs before it is refit at all.
+    min_samples = 4
+    #: Distinct sizes, spanning ``spread_ratio``, for a full Hockney fit.
+    min_distinct = 3
+    spread_ratio = 4.0
+    #: Relative α̂/β̂ change below which the stored estimate stays.
+    change_tol = 0.02
+
+    def __init__(self, store, tracer: "Tracer") -> None:
         self.store = store
         self.tracer = tracer
-        self.window = window
-        self.min_samples = min_samples
-        self.min_distinct = min_distinct
-        self.spread_ratio = spread_ratio
-        self.change_tol = change_tol
 
     # ------------------------------------------------------------------
     def _samples_for(self, hop: "Hop") -> tuple[np.ndarray, np.ndarray]:
@@ -415,30 +389,22 @@ class DriftController:
       (one refit per cooldown period) until the window is clean.
     """
 
+    #: Observations a pair skips after a refit (or a fruitless firing).
+    cooldown = 8
+    #: EWMA |error| above which a pair keeps refitting (see above).
+    error_bound = 0.08
+
     def __init__(
         self,
         planner: "PathPlanner",
         tracer: "Tracer",
         *,
         tracker: PredictionErrorTracker | None = None,
-        recalibrator: OnlineRecalibrator | None = None,
-        detector_factory=None,
-        cooldown: int = 8,
-        error_bound: float = 0.08,
     ) -> None:
         self.planner = planner
         self.tracer = tracer
         self.tracker = tracker if tracker is not None else PredictionErrorTracker()
-        self.recalibrator = (
-            recalibrator
-            if recalibrator is not None
-            else OnlineRecalibrator(planner.store, tracer)
-        )
-        self.detector_factory = (
-            detector_factory if detector_factory is not None else PageHinkley
-        )
-        self.cooldown = cooldown
-        self.error_bound = error_bound
+        self.recalibrator = OnlineRecalibrator(planner.store, tracer)
         self.events: list[DriftEvent] = []
         self._detectors: dict[tuple[int, int], PageHinkley] = {}
         self._cooldown_left: dict[tuple[int, int], int] = {}
@@ -455,7 +421,7 @@ class DriftController:
         pair = (plan.src, plan.dst)
         det = self._detectors.get(pair)
         if det is None:
-            det = self._detectors[pair] = self.detector_factory()
+            det = self._detectors[pair] = PageHinkley()
         fired = det.update(rec.signed_error)
         self._pair_samples[pair] = self._pair_samples.get(pair, 0) + 1
         left = self._cooldown_left.get(pair, 0)

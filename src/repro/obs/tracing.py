@@ -561,10 +561,6 @@ class TraceBreakdown:
     children: dict  # sid -> tuple of child SpanViews, in sid order
     stages: dict  # stage name -> seconds (see TraceTree.breakdown)
 
-    @property
-    def duration(self) -> float:
-        return self.root.duration
-
     def walk(self):
         """Yield ``(depth, span)`` depth-first from the root."""
 

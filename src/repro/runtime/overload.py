@@ -9,10 +9,10 @@ three-state ladder::
     PRESSURED  --depth >= shedding_depth-->  SHEDDING
 
 with hysteresis on the way down: a state is exited only once depth falls
-to ``exit_fraction`` (default 0.5) of the threshold that entered it (and
-the EWMA wait is back under that fraction of its threshold), so the
-machine does not flap at the boundary.  Each observed wait enters the
-EWMA with weight ``ewma_alpha`` (default 0.2).
+to ``exit_fraction`` (0.5) of the threshold that entered it (and the EWMA
+wait is back under that fraction of its threshold), so the machine does
+not flap at the boundary.  Each observed wait enters the EWMA with weight
+``ewma_alpha`` (0.2).  Both are fixed constants.
 
 The manager builds its governor once, from the config's three thresholds.
 The governor is *inert* unless thresholds are configured: with
@@ -36,20 +36,21 @@ class OverloadState(IntEnum):
 class OverloadGovernor:
     """Tracks overload state from queue depth + EWMA queue wait."""
 
+    #: A state exits at this fraction of the threshold that entered it.
+    exit_fraction = 0.5
+    #: EWMA weight of each observed queue wait.
+    ewma_alpha = 0.2
+
     def __init__(
         self,
         *,
         pressured_depth: int | None = None,
         shedding_depth: int | None = None,
         wait_pressured: float | None = None,
-        exit_fraction: float = 0.5,
-        ewma_alpha: float = 0.2,
     ) -> None:
         self.pressured_depth = pressured_depth
         self.shedding_depth = shedding_depth
         self.wait_pressured = wait_pressured
-        self.exit_fraction = exit_fraction
-        self.ewma_alpha = ewma_alpha
         self.state = OverloadState.NORMAL
         self.ewma_wait = 0.0
         self.transitions = 0

@@ -203,7 +203,9 @@ class FabricFlow:
         self.start_time = start_time
         self.rate = 0.0
         self.admitted = False
-        # Completion threshold, precomputed once (see Fabric._flow_done).
+        # Completion threshold, precomputed once (see Fabric._wake). It is
+        # size-relative: accumulated float error over many rate
+        # recomputations scales with demand.
         self.done_eps = max(_EPS_BYTES, 1e-9 * demand)
         # Slot into the fabric's struct-of-arrays while admitted; -1 otherwise.
         self.slot = -1
@@ -835,13 +837,6 @@ class Fabric:
         else:
             self._busy_ci.clear()
         self._dirty.clear()
-
-    def _flow_done(self, flow: FabricFlow) -> bool:
-        # Size-relative epsilon, precomputed at flow creation: accumulated
-        # float error over many rate recomputations scales with demand.
-        if flow.slot >= 0:
-            return self._f_rem[flow.slot] <= self._f_eps[flow.slot]
-        return flow.remaining <= flow.done_eps
 
     def _wake(self, generation: int) -> None:
         if generation != self._wakeup_generation:

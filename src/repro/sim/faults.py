@@ -67,10 +67,6 @@ class FaultWindow:
     start: float
     end: float  # math.inf = never restored
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 class FaultInjector:
     """Base class: a set of fault windows plus the arming logic."""
@@ -115,13 +111,6 @@ class FaultInjector:
             engine.call_at(w.start).add_callback(opened)
             if math.isfinite(w.end):
                 engine.call_at(w.end).add_callback(closed)
-
-    def describe(self) -> str:
-        return "; ".join(
-            f"{w.kind} {w.channel} [{w.start:.6g}s, "
-            + (f"{w.end:.6g}s)" if math.isfinite(w.end) else "inf)")
-            for w in self.windows()
-        )
 
 
 class LinkDown(FaultInjector):

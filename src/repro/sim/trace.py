@@ -28,15 +28,13 @@ class TraceRecord:
 class Tracer:
     """Append-only trace sink with simple query helpers."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.records: list[TraceRecord] = []
 
     def record(
         self, channel: str, tag: str, start: float, end: float, nbytes: float
     ) -> None:
-        if self.enabled:
-            self.records.append(TraceRecord(channel, tag, start, end, nbytes))
+        self.records.append(TraceRecord(channel, tag, start, end, nbytes))
 
     # ------------------------------------------------------------------
     def for_channel(self, channel: str) -> list[TraceRecord]:

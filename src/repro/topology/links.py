@@ -95,9 +95,4 @@ CATALOG: dict[LinkKind, LinkSpec] = {
 }
 
 
-def spec(kind: LinkKind) -> LinkSpec:
-    """Look up the catalogue entry for a link kind."""
-    return CATALOG[kind]
-
-
-__all__ = ["LinkKind", "LinkSpec", "CATALOG", "spec"]
+__all__ = ["LinkKind", "LinkSpec", "CATALOG"]

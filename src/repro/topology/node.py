@@ -18,8 +18,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.sim.engine import Engine
 from repro.sim.fabric import Fabric
 from repro.sim.trace import Tracer
@@ -185,14 +183,6 @@ class NodeTopology:
         return fabric
 
     # ------------------------------------------------------------------
-    def graph(self) -> nx.DiGraph:
-        """GPU-level connectivity graph (direct links only), for analysis."""
-        g = nx.DiGraph(name=self.name)
-        g.add_nodes_from(range(self.num_gpus))
-        for (i, j), hop in self._direct.items():
-            g.add_edge(i, j, hop=hop, beta=self.hop_beta(hop))
-        return g
-
     def describe(self) -> str:
         lines = [f"NodeTopology {self.name!r}: {self.num_gpus} GPUs, "
                  f"{self.num_numa} NUMA domain(s)"]

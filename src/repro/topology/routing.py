@@ -60,13 +60,6 @@ class PathDescriptor:
     def is_staged(self) -> bool:
         return self.kind is not PathKind.DIRECT
 
-    @property
-    def channels(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for hop in self.hops:
-            out.extend(hop)
-        return tuple(out)
-
     def describe(self) -> str:
         hops = " => ".join("+".join(h) for h in self.hops)
         return f"{self.path_id} [{self.kind.value}] {self.src}->{self.dst}: {hops}"

@@ -279,19 +279,16 @@ class CudaIpcModule:
             )
 
         # Per-request software cost + (cached) IPC handle translation.
-        if cfg.request_overhead > 0:
-            yield engine.timeout(cfg.request_overhead)
+        yield engine.timeout(cfg.request_overhead)
         yield ctx.runtime.open_ipc(src, dst)
 
         eager = nbytes < cfg.rndv_threshold
         if eager:
-            if cfg.eager_overhead > 0:
-                yield engine.timeout(cfg.eager_overhead)
+            yield engine.timeout(cfg.eager_overhead)
             mode = "single"
             protocol = "eager"
         else:
-            if cfg.rndv_overhead > 0:
-                yield engine.timeout(cfg.rndv_overhead)  # RTS/CTS handshake
+            yield engine.timeout(cfg.rndv_overhead)  # RTS/CTS handshake
             protocol = "rndv"
             if not cfg.multipath:
                 mode = "single"

@@ -74,10 +74,6 @@ class PathExecution:
     start: float
     end: float
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclass(frozen=True)
 class PathFault:
@@ -89,10 +85,6 @@ class PathFault:
     start: float
     end: float  # time the path failed
     error: BaseException
-
-    @property
-    def missing(self) -> int:
-        return self.nbytes - self.delivered
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from repro.units import KiB, parse_size, us
 
@@ -45,11 +46,12 @@ class TransportConfig:
     sequential_initiation: bool = True
     # Static baseline: when set, use these fixed shares instead of the model
     static_shares: tuple[StaticShare, ...] = ()
-    # Protocol thresholds / overheads
+    # Protocol threshold, then the fixed protocol costs (class constants,
+    # not fields)
     rndv_threshold: int = 512 * KiB  # below: eager single-path
-    rndv_overhead: float = 3.0 * us  # RTS/CTS handshake cost
-    eager_overhead: float = 1.0 * us
-    request_overhead: float = 0.4 * us  # per-request software cost
+    rndv_overhead: ClassVar[float] = 3.0 * us  # RTS/CTS handshake cost
+    eager_overhead: ClassVar[float] = 1.0 * us
+    request_overhead: ClassVar[float] = 0.4 * us  # per-request software cost
     # Failure recovery (see DESIGN.md §5d).  max_path_retries=0 runs zero
     # recovery rounds: a put whose paths fail raises PathUnavailable.
     max_path_retries: int = 3  # replans of a put's remaining bytes
@@ -173,9 +175,6 @@ _KNOBS: dict[str, tuple[str | None, _Parser | None, tuple[str, float] | None]] =
     "sequential_initiation": ("UCX_MP_SEQ_INIT", _flag, None),
     "static_shares": (None, None, None),
     "rndv_threshold": ("UCX_RNDV_THRESH", parse_size, (">=", 0)),
-    "rndv_overhead": (None, None, (">=", 0)),
-    "eager_overhead": (None, None, (">=", 0)),
-    "request_overhead": (None, None, (">=", 0)),
     "max_path_retries": ("UCX_MP_MAX_RETRIES", int, (">=", 0)),
     "deadline_factor": ("UCX_MP_DEADLINE_FACTOR", _optional(float, "none", "off"), None),
     "contention_aware": ("UCX_MP_CONTENTION_AWARE", _flag, None),

@@ -34,22 +34,23 @@ class TestPlannerBasics:
         ]
 
     def test_alignment(self, beluga):
-        planner = PathPlanner(beluga, alignment=4096)
+        planner = PathPlanner(beluga)
         plan = planner.plan(0, 1, 64 * MiB + 17)
         for a in plan.assignments:
             if a.path.path_id != "direct":
-                assert a.nbytes % 4096 == 0
+                assert a.nbytes % 256 == 0
         assert sum(a.nbytes for a in plan.assignments) == 64 * MiB + 17
 
     def test_direct_gets_leftover(self, beluga):
-        planner = PathPlanner(beluga, alignment=1 * MiB)
+        planner = PathPlanner(beluga)
         n = 64 * MiB + 3
         plan = planner.plan(0, 1, n)
         assert sum(a.nbytes for a in plan.assignments) == n
-        # only direct may carry a non-aligned share
+        # only direct may carry a non-aligned share: it takes the remainder
         for a in plan.assignments:
             if a.path.path_id != "direct":
-                assert a.nbytes % (1 * MiB) == 0
+                assert a.nbytes % 256 == 0
+        assert plan.assignment_for("direct").nbytes % 256 == 3
 
     def test_staged_paths_chunked(self, beluga):
         plan = plan_transfer(beluga, 0, 1, 256 * MiB)

@@ -65,9 +65,6 @@ class TestPredictionErrorTracker:
     def test_invalid_samples_skipped(self):
         t = PredictionErrorTracker()
         assert t.record(_plan(predicted=1.0), 0.0) is None
-        disabled = PredictionErrorTracker(enabled=False)
-        assert disabled.record(_plan(predicted=1.0), 1.0) is None
-        assert not disabled.records
 
     def test_mean_abs_error_filters(self):
         t = PredictionErrorTracker()
@@ -94,14 +91,14 @@ class TestPredictionErrorTracker:
 
 class TestPageHinkley:
     def test_stationary_stream_stays_quiet(self):
-        ph = PageHinkley(threshold=0.15)
+        ph = PageHinkley()
         rng = np.random.default_rng(0)
         assert not any(
             ph.update(float(x)) for x in rng.normal(0.0, 0.01, size=500)
         )
 
     def test_fires_on_mean_shift_and_resets(self):
-        ph = PageHinkley(threshold=0.15, min_samples=5)
+        ph = PageHinkley()
         for _ in range(20):
             assert not ph.update(0.0)
         fired_at = None
@@ -114,7 +111,7 @@ class TestPageHinkley:
         assert ph.n == 0  # reset: ready for the next change
 
     def test_fires_on_downward_shift(self):
-        ph = PageHinkley(threshold=0.15, min_samples=5)
+        ph = PageHinkley()
         for _ in range(20):
             ph.update(0.0)
         assert any(ph.update(-0.3) for _ in range(20))
@@ -163,7 +160,7 @@ class TestOnlineRecalibrator:
 
     def test_no_material_change_is_a_noop(self):
         store, tracer, hop = self._store_and_tracer(beta_true=200e9)
-        recal = OnlineRecalibrator(store, tracer, change_tol=0.02)
+        recal = OnlineRecalibrator(store, tracer)
         assert recal.refit_hops([hop]) == []
         assert store.link(hop).beta == 200e9
 
@@ -171,7 +168,7 @@ class TestOnlineRecalibrator:
         store = ParameterStore(system="t")
         hop = ("link:a",)
         store.set_link(hop, LinkEstimate(alpha=0.0, beta=1e9))
-        recal = OnlineRecalibrator(store, Tracer(), min_samples=4)
+        recal = OnlineRecalibrator(store, Tracer())
         assert recal.refit_hop(hop) is None
 
     def test_hockney_refit_with_size_spread(self):

@@ -553,9 +553,22 @@ class TestIpcCache:
         ipc = IpcHandleCache(eng, open_cost=10 * us)
         eng.run(until=ipc.open(0, 1))
         ipc.invalidate()
+        assert ipc.cache.invalidations == 1
         ev = ipc.open(0, 1)
         eng.run(until=ev)
         assert ev.value == "miss"
+
+    def test_partial_invalidate_keeps_statistics(self):
+        """A free drops handles, not the lookups that already happened."""
+        eng = Engine()
+        ipc = IpcHandleCache(eng, open_cost=10 * us)
+        for _ in range(2):
+            eng.run(until=ipc.open(0, 1))
+            eng.run(until=ipc.open(2, 3))
+        ipc.invalidate(owner_device=0)
+        stats = ipc.cache.stats()
+        assert (stats["hits"], stats["misses"]) == (2, 2)
+        assert stats["invalidations"] == 1 and stats["size"] == 1
 
     def test_zero_cost_open(self):
         eng = Engine()

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.mpi import ANY_SOURCE, ANY_TAG, Communicator, waitall
+from repro.runtime.sanitizer import check_invariants
 from repro.sim import Engine
+from repro.sim.faults import FaultSchedule, LinkDown
 from repro.topology import systems
-from repro.ucx import TransportConfig, UCXContext
+from repro.ucx import PathUnavailable, TransportConfig, UCXContext
 from repro.units import MiB
 
 
@@ -193,6 +195,37 @@ class TestNonBlocking:
 
         eng.run(until=comm.run_ranks(program))
         assert out == {0: 1.0, 1: 0.0}
+
+    def test_failed_transfer_fails_both_requests(self):
+        """A put that cannot be delivered fails the send and the receive
+        with the same typed error, leaving nothing matched or leaked."""
+        eng, comm = make_comm(
+            config=TransportConfig(
+                multipath=False, include_host=False, max_path_retries=0
+            )
+        )
+        ctx = comm.context
+        FaultSchedule(LinkDown("nvl:0->1", at=0.0)).attach(ctx.runtime.fabric)
+        errors = {}
+
+        def program(view):
+            if view.rank == 0:
+                req = view.isend(1, nbytes=4 * MiB)
+            elif view.rank == 1:
+                req = view.irecv(0)
+            else:
+                return
+            try:
+                yield req.event
+            except PathUnavailable as exc:
+                errors[view.rank] = exc
+
+        eng.run(until=comm.run_ranks(program))
+        assert set(errors) == {0, 1}
+        assert errors[0] is errors[1]
+        assert comm.unmatched == (0, 0)
+        assert ctx.transfers.failed == 1
+        assert check_invariants(ctx).ok
 
 
 class TestBarrier:

@@ -138,16 +138,19 @@ class TestOverloadGovernor:
         assert g.update(2) is OverloadState.NORMAL
 
     def test_wait_signal_escalates(self):
-        g = OverloadGovernor(wait_pressured=1.0, ewma_alpha=1.0)
-        g.observe_wait(2.0)
+        g = OverloadGovernor(wait_pressured=0.5)
+        g.observe_wait(3.0)  # alpha=0.2: EWMA 0.6, over the threshold
         assert g.update(0) is OverloadState.PRESSURED
-        g.observe_wait(0.0)  # alpha=1: EWMA snaps to the sample
+        g.observe_wait(0.0)  # 0.48: under it, not under its exit fraction
+        assert g.update(0) is OverloadState.PRESSURED
+        for _ in range(3):
+            g.observe_wait(0.0)  # 0.384, 0.307, 0.246 < 0.5 * 0.5
         assert g.update(0) is OverloadState.NORMAL
 
     def test_observe_wait_folds_even_when_disabled(self):
-        g = OverloadGovernor(ewma_alpha=1.0)
+        g = OverloadGovernor()
         g.observe_wait(3.0)
-        assert g.ewma_wait == pytest.approx(3.0)
+        assert g.ewma_wait == pytest.approx(0.6)  # alpha=0.2
 
 
 # ----------------------------------------------------------------------

@@ -105,6 +105,35 @@ class TestCli:
         assert "critical-path attribution" in out
         assert "max_relative_slack" in out
 
+    def test_timeline_unknown_trace_lists_known_ids(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["timeline", "999"])
+        assert str(exc.value) == (
+            "error: trace 999: no resident root span (unknown trace id, or "
+            "evicted from the flight recorder) (known traces: 0, 1, 2)"
+        )
+
+    def test_cal_cache_round_trip(self, tmp_path, capsys):
+        """``--cal-cache DIR`` writes the calibrated store once, then a
+        fresh process state loads it from disk and prints the same."""
+        from repro.bench import runner
+        from repro.bench.calibrate import cache_stats
+
+        argv = ["calibrate", "--system", "beluga", "--cal-cache", str(tmp_path)]
+        runs = []
+        try:
+            for _ in range(2):
+                runner.clear_caches()
+                assert main(argv) == 0
+                runs.append((capsys.readouterr().out, dict(cache_stats)))
+        finally:
+            runner.set_cal_cache_dir(None)  # process-global
+        (first, first_stats), (second, second_stats) = runs
+        assert len(list(tmp_path.glob("cal_beluga_*.json"))) == 1
+        assert first_stats["misses"] == 1 and first_stats["disk_hits"] == 0
+        assert second_stats["disk_hits"] == 1 and second_stats["misses"] == 0
+        assert second == first
+
     def test_stats_dump_writes_artifacts(self, tmp_path, capsys):
         prefix = tmp_path / "run"
         assert main(

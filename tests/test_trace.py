@@ -64,11 +64,6 @@ class TestTracer:
         t.record("l", "b", 1.0, 2.0, 10)
         assert t.concurrency_profile() == [(0.0, 1), (1.0, 1), (2.0, 0)]
 
-    def test_disabled_tracer_records_nothing(self):
-        t = Tracer(enabled=False)
-        t.record("l", "t", 0, 1, 10)
-        assert t.records == []
-
     def test_clear(self):
         t = make_tracer()
         t.clear()
