@@ -9,7 +9,8 @@ and the per-figure experiment drivers (paper §5).
 * :mod:`repro.bench.baselines` — the paper's three configurations:
   single-path direct, static exhaustive search [35], dynamic model-driven;
 * :mod:`repro.bench.runner` — sweep orchestration and result tables;
-* :mod:`repro.bench.experiments` — one module per paper figure.
+* :mod:`repro.bench.experiments` — one driver per paper figure (FIG5 and
+  FIG6 share :mod:`~repro.bench.experiments.bw_grid`).
 """
 
 from repro.bench.env import BenchEnvironment

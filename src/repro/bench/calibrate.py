@@ -220,14 +220,15 @@ def calibrate(
 # ----------------------------------------------------------------------
 # Calibration cache
 # ----------------------------------------------------------------------
-# Calibration is deterministic given (system, noise model, seed, size
-# sweeps), so its result can be memoised in-process and persisted on disk.
-# Experiments that re-run identical ping-pong sweeps per figure hit the
-# cache instead; the key captures every calibration input, so any change
-# (different sweep, different noise) invalidates naturally.
+# Calibration is deterministic given (system, size sweeps) under the
+# experiments' one noise model, so its result can be memoised in-process
+# and persisted on disk.  Experiments that re-run identical ping-pong
+# sweeps per figure hit the cache instead; the key captures every
+# calibration input, so a different sweep invalidates naturally.
 
-#: Bump when the calibration algorithm changes in a result-affecting way —
-#: stale on-disk entries from older code must not be served.
+#: Bump when the calibration algorithm or the experiments' noise model
+#: (:class:`repro.bench.runner.SystemSetup`'s jitter constants) changes in
+#: a result-affecting way — stale on-disk entries must not be served.
 CAL_CACHE_VERSION = 1
 
 _CAL_MEMO: dict[str, str] = {}  # key -> ParameterStore JSON
@@ -239,8 +240,6 @@ def calibration_cache_key(
     *,
     sizes=DEFAULT_SWEEP,
     phi_window=DEFAULT_PHI_WINDOW,
-    jitter_seed: int | None = 0,
-    jitter_sigma: float = 0.0,
 ) -> tuple[dict, str]:
     """(key payload, digest) identifying one calibration's full input set."""
     payload = {
@@ -248,8 +247,6 @@ def calibration_cache_key(
         "system": system,
         "sizes": [int(s) for s in sizes],
         "phi_window": [int(s) for s in phi_window],
-        "jitter_seed": jitter_seed,
-        "jitter_sigma": float(jitter_sigma),
     }
     material = json.dumps(payload, sort_keys=True).encode()
     return payload, hashlib.sha256(material).hexdigest()[:20]
@@ -260,15 +257,14 @@ def calibrate_cached(
     *,
     sizes=DEFAULT_SWEEP,
     phi_window=DEFAULT_PHI_WINDOW,
-    jitter_seed: int | None = 0,
-    jitter_sigma: float = 0.0,
     cache_dir: str | Path | None = None,
 ) -> ParameterStore:
-    """Memoised :func:`calibrate` keyed by (system, noise model, sweeps).
+    """Memoised :func:`calibrate` keyed by (system, sweeps).
 
-    The jitter model is reconstructed from ``(jitter_seed, jitter_sigma)``
-    via :func:`repro.bench.env.default_jitter_factory` so the cache key is
-    a complete description of the calibration inputs.  With ``cache_dir``
+    Calibration runs under the experiments' one noise model, built from
+    :class:`repro.bench.runner.SystemSetup`'s jitter constants via
+    :func:`repro.bench.env.default_jitter_factory`, so the cache key is a
+    complete description of the calibration inputs.  With ``cache_dir``
     set, results are also persisted as JSON (one file per key) and shared
     across processes/runs; the stored key payload is verified on load so a
     digest collision or edited file cannot serve wrong parameters.  Each
@@ -277,13 +273,10 @@ def calibrate_cached(
     pollute the cache.
     """
     from repro.bench.env import default_jitter_factory
+    from repro.bench.runner import SystemSetup
 
     payload, digest = calibration_cache_key(
-        topology.name,
-        sizes=sizes,
-        phi_window=phi_window,
-        jitter_seed=jitter_seed,
-        jitter_sigma=jitter_sigma,
+        topology.name, sizes=sizes, phi_window=phi_window
     )
     text = _CAL_MEMO.get(digest)
     if text is not None:
@@ -303,7 +296,9 @@ def calibrate_cached(
                 cache_stats["disk_hits"] += 1
                 return ParameterStore.from_json(text)
     cache_stats["misses"] += 1
-    jitter_factory = default_jitter_factory(jitter_seed, jitter_sigma)
+    jitter_factory = default_jitter_factory(
+        SystemSetup.jitter_seed, SystemSetup.jitter_sigma
+    )
     store = calibrate(
         topology,
         sizes=sizes,

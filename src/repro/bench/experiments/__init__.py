@@ -21,8 +21,7 @@ from repro.bench.experiments.contention import (
 )
 
 from repro.bench.experiments.fig4_theta import run_fig4
-from repro.bench.experiments.fig5_bw import run_fig5
-from repro.bench.experiments.fig6_bibw import run_fig6
+from repro.bench.experiments.bw_grid import run_fig5, run_fig6
 from repro.bench.experiments.fig7_collectives import run_fig7
 from repro.bench.experiments.drift_recovery import (
     DriftRecoveryResult,

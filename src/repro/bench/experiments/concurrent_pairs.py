@@ -14,8 +14,6 @@ from __future__ import annotations
 from repro.bench.baselines import direct_config, dynamic_config
 from repro.bench.runner import SystemSetup, get_setup
 from repro.core.contention import concurrent_pattern_rates
-from repro.sim.engine import Engine
-from repro.ucx.context import UCXContext
 from repro.units import MiB, to_gbps
 from repro.util.tables import Table
 
@@ -40,15 +38,7 @@ CONC_COLUMNS = [
 
 def measure_pattern(setup: SystemSetup, config, pairs, nbytes: int) -> float:
     """Aggregate bandwidth of the concurrent transfers (fresh simulator)."""
-    engine = Engine()
-    env = setup.env(config)
-    context = UCXContext(
-        engine,
-        setup.topology,
-        config=env.config,
-        store=setup.store,
-        jitter_factory=env.jitter_factory,
-    )
+    engine, context, _comm = setup.env(config).fresh()
     events = [
         context.put(src, dst, nbytes, tag=f"conc:{i}")
         for i, (src, dst) in enumerate(pairs)
@@ -61,12 +51,11 @@ def run_concurrent_pairs(
     systems: tuple[str, ...] = ("beluga",),
     *,
     sizes: list[int] | None = None,
-    jitter_sigma: float = 0.0,
 ) -> Table:
     sizes = sizes or [16 * MiB, 64 * MiB, 256 * MiB]
     table = Table(CONC_COLUMNS, title="CONC: concurrent multi-pair transfers")
     for system in systems:
-        setup = get_setup(system, jitter_sigma=jitter_sigma)
+        setup = get_setup(system)
         for pattern, pairs in PATTERNS.items():
             for n in sizes:
                 single = measure_pattern(setup, direct_config(), pairs, n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.bench.collectives import COLLECTIVES
 from repro.bench.omb import osu_collective_latency
 from repro.bench.parallel import parallel_map
-from repro.bench.runner import configs_for, get_setup
+from repro.bench.runner import configs_for, default_sizes, get_setup
 from repro.units import MiB
 from repro.util.tables import Table
 
@@ -29,37 +29,19 @@ FIG7_COLUMNS = [
 ]
 
 
-def collective_sizes(min_mib: int = 2, max_mib: int = 64) -> list[int]:
-    """Per-rank payload sizes for the collective sweep."""
-    sizes = []
-    s = min_mib
-    while s <= max_mib:
-        sizes.append(s * MiB)
-        s *= 2
-    return sizes
-
-
-def _step_size_hint(collective: str, nbytes_per_rank: int, num_ranks: int) -> int:
-    """Representative P2P message size inside the collective.
-
-    Static shares are tuned offline at one message size; the natural choice
-    is the size of the collective's dominant transfer step: roughly half
-    the vector for recursive Allreduce's first exchange, and half the send
-    vector for each Bruck round.
-    """
-    return max(1 * MiB, nbytes_per_rank // 2)
-
-
 def _fig7_point(task: tuple) -> dict:
     """Measure one (system, collective, label, size) latency point.
 
     Module-level for pickling by the parallel runner.
     """
-    (system, name, label, n, iterations, warmup,
-     grid_steps, chunk_menu, jitter_sigma) = task
-    setup = get_setup(system, jitter_sigma=jitter_sigma)
+    (system, name, label, n, iterations, warmup, grid_steps, chunk_menu) = task
+    setup = get_setup(system)
     fn = COLLECTIVES[name]
-    hint = _step_size_hint(name, n, setup.topology.num_gpus)
+    # Static shares are tuned offline at one message size: the size of the
+    # collective's dominant transfer step, roughly half the vector for
+    # recursive Allreduce's first exchange and half the send vector for
+    # each Bruck round.
+    hint = max(1 * MiB, n // 2)
     configs = configs_for(
         setup, label, hint, grid_steps=grid_steps, chunk_menu=chunk_menu
     )
@@ -96,17 +78,17 @@ def run_fig7(
     warmup: int = 1,
     grid_steps: int = 6,
     chunk_menu: tuple[int, ...] = (1, 4, 16),
-    jitter_sigma: float = 0.0,
     jobs: int | None = None,
 ) -> Table:
-    sizes = sizes or collective_sizes()
+    # Per-rank payload sizes, 2 MiB – 64 MiB.
+    sizes = sizes or default_sizes(max_mib=64)
     table = Table(FIG7_COLUMNS, title="FIG7: collective latency speedup vs MPI+UCC+UCX")
     # Warm the calibration cache before forking so workers inherit it.
     for system in systems:
-        get_setup(system, jitter_sigma=jitter_sigma)
+        get_setup(system)
     tasks = [
         (system, name, label, n, iterations, warmup,
-         grid_steps, tuple(chunk_menu), jitter_sigma)
+         grid_steps, tuple(chunk_menu))
         for system in systems
         for name in collectives
         for label in paths_labels
@@ -117,4 +99,4 @@ def run_fig7(
     return table
 
 
-__all__ = ["run_fig7", "collective_sizes", "FIG7_COLUMNS"]
+__all__ = ["run_fig7", "FIG7_COLUMNS"]

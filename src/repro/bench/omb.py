@@ -58,6 +58,8 @@ def osu_bw(
     """Unidirectional bandwidth between two ranks."""
     if nbytes <= 0 or window < 1 or iterations < 1 or warmup < 0:
         raise ValueError("invalid benchmark parameters")
+    if src == dst:
+        raise ValueError(f"src and dst must be two ranks, got {src} twice")
     engine, _ctx, comm = env.fresh()
     marks: dict[str, float] = {}
 
@@ -117,6 +119,8 @@ def osu_bibw(
     """Bidirectional bandwidth: both ranks stream a window each way."""
     if nbytes <= 0 or window < 1 or iterations < 1 or warmup < 0:
         raise ValueError("invalid benchmark parameters")
+    if src == dst:
+        raise ValueError(f"src and dst must be two ranks, got {src} twice")
     engine, _ctx, comm = env.fresh()
     marks: dict[str, float] = {}
 

@@ -6,9 +6,9 @@ Every measurement point in the figure sweeps runs in its own fresh
 process pool and collects results **in task order**, so a parallel sweep
 produces byte-identical tables to a serial one:
 
-* determinism comes from the tasks themselves — each task carries explicit
-  seeds (see :func:`task_seed`) and the simulator is deterministic, so the
-  executing process/core/ordering cannot leak into results;
+* determinism comes from the tasks themselves — a task is a plain
+  descriptor of one measurement point and the simulator is deterministic,
+  so the executing process/core/ordering cannot leak into results;
 * the pool uses the ``fork`` start method, so workers inherit the parent's
   warmed calibration caches (pre-warm with
   :func:`repro.bench.runner.get_setup` before fanning out) instead of
@@ -26,8 +26,6 @@ from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from typing import TypeVar
 
-from repro.util.rng import spawn_seed
-
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -35,17 +33,6 @@ R = TypeVar("R")
 def default_jobs() -> int:
     """A sensible ``--jobs`` default: physical parallelism, capped at 8."""
     return max(1, min(os.cpu_count() or 1, 8))
-
-
-def task_seed(base_seed: int | None, *key: object) -> int:
-    """Deterministic per-task seed derived from a stable component key.
-
-    Identical to :func:`repro.util.rng.spawn_seed`, re-exported here so
-    sweep code derives per-point seeds the same way the simulator derives
-    per-component streams — the seed depends only on the task's identity,
-    never on scheduling order.
-    """
-    return spawn_seed(base_seed, *key)
 
 
 def parallel_map(
@@ -73,4 +60,4 @@ def parallel_map(
         return list(pool.map(fn, task_list, chunksize=chunksize))
 
 
-__all__ = ["parallel_map", "task_seed", "default_jobs"]
+__all__ = ["parallel_map", "default_jobs"]

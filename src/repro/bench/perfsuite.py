@@ -87,7 +87,7 @@ def _engine_workload(
       ``chain_length`` times (the ``schedule_fn``/callback fast path);
     * *process ping-pong* — ``procs`` generator processes yielding
       ``hops`` timeouts each (the Process/Event facade path);
-    * *cancellation churn* — ``churn`` events scheduled far in the
+    * *cancellation churn* — ``churn`` entries scheduled far in the
       future and cancelled immediately (tombstoning + compaction).
     """
     eng = Engine()
@@ -108,8 +108,11 @@ def _engine_workload(
     for p in range(procs):
         eng.process(ping(hops, 1.3e-6 * (1 + p % 5)))
 
+    def never(_arg) -> None:  # cancelled before it can run
+        pass
+
     for i in range(churn):
-        eng.cancel(eng.call_at(1.0 + i * 1e-6))
+        eng.cancel_handle(eng.schedule_fn(1.0 + i * 1e-6, never))
 
     t_start = time.perf_counter()
     eng.run()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
 from repro.bench.baselines import (
     StaticSearchResult,
@@ -54,8 +54,10 @@ class SystemSetup:
     name: str
     topology: NodeTopology
     store: ParameterStore
-    jitter_seed: int = 0
-    jitter_sigma: float = 0.0  # systematic-only by default: deterministic
+    #: The experiments' one noise model: systematic efficiency ramps only,
+    #: no run-to-run scatter, so every measurement is deterministic.
+    jitter_seed: ClassVar[int] = 0
+    jitter_sigma: ClassVar[float] = 0.0
 
     def env(
         self,
@@ -76,7 +78,7 @@ class SystemSetup:
         )
 
 
-_SETUP_CACHE: dict[tuple, SystemSetup] = {}
+_SETUP_CACHE: dict[str, SystemSetup] = {}
 
 #: Optional on-disk calibration cache directory (see ``--cal-cache``).
 #: When set, :func:`get_setup` persists/loads calibrated parameter stores
@@ -90,29 +92,15 @@ def set_cal_cache_dir(path: str | Path | None) -> None:
     _CAL_CACHE_DIR = None if path is None else Path(path)
 
 
-def get_setup(
-    system: str, *, jitter_seed: int = 0, jitter_sigma: float = 0.0
-) -> SystemSetup:
+def get_setup(system: str) -> SystemSetup:
     """Build (and memoise) topology + calibration for a system name."""
-    key = (system, jitter_seed, jitter_sigma)
-    cached = _SETUP_CACHE.get(key)
+    cached = _SETUP_CACHE.get(system)
     if cached is not None:
         return cached
     topology = systems_mod.by_name(system)
-    store = calibrate_cached(
-        topology,
-        jitter_seed=jitter_seed,
-        jitter_sigma=jitter_sigma,
-        cache_dir=_CAL_CACHE_DIR,
-    )
-    setup = SystemSetup(
-        name=system,
-        topology=topology,
-        store=store,
-        jitter_seed=jitter_seed,
-        jitter_sigma=jitter_sigma,
-    )
-    _SETUP_CACHE[key] = setup
+    store = calibrate_cached(topology, cache_dir=_CAL_CACHE_DIR)
+    setup = SystemSetup(name=system, topology=topology, store=store)
+    _SETUP_CACHE[system] = setup
     return setup
 
 
@@ -128,8 +116,7 @@ def get_static_shares(
     chunk_menu: tuple[int, ...] = (1, 4, 16),
 ) -> StaticSearchResult:
     """Offline-tuned static distribution, memoised per (system, cfg, size)."""
-    key = (setup.name, setup.jitter_seed, setup.jitter_sigma, paths_label,
-           nbytes, grid_steps, chunk_menu)
+    key = (setup.name, paths_label, nbytes, grid_steps, chunk_menu)
     cached = _STATIC_CACHE.get(key)
     if cached is not None:
         return cached

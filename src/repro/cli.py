@@ -41,7 +41,6 @@ from repro.bench.experiments import (
 )
 from repro.bench.baselines import dynamic_config
 from repro.bench.experiments.concurrent_pairs import run_concurrent_pairs
-from repro.bench.experiments.fig7_collectives import collective_sizes
 from repro.bench.experiments.chaos import (
     SCENARIOS,
     run_chaos,
@@ -124,7 +123,7 @@ def cmd_fig6(args):
 
 
 def cmd_fig7(args):
-    sizes = [4 * MiB, 16 * MiB, 64 * MiB] if args.quick else collective_sizes()
+    sizes = [4 * MiB, 16 * MiB, 64 * MiB] if args.quick else None
     table = run_fig7(_systems(args), sizes=sizes, **_grid(args))
     print(table.render())
     print()
@@ -163,7 +162,7 @@ def cmd_all(args):
     fig4_tables = [run_fig4(s, sizes=sizes) for s in systems if s == "beluga"]
     fig5 = run_fig5(systems, sizes=sizes, **grid)
     fig6 = run_fig6(systems, sizes=sizes, **grid)
-    coll_sizes = [4 * MiB, 16 * MiB, 64 * MiB] if args.quick else collective_sizes()
+    coll_sizes = [4 * MiB, 16 * MiB, 64 * MiB] if args.quick else None
     fig7 = run_fig7(systems, sizes=coll_sizes, **grid)
     conc = run_concurrent_pairs(
         systems, sizes=[64 * MiB] if args.quick else [64 * MiB, 256 * MiB]

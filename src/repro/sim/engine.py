@@ -28,7 +28,8 @@ never reaches ``fn``.  There is one entry kind:
   its handle; :meth:`Engine.cancel_handle` tombstones it in O(1) by
   clearing its ``fn`` without touching the heap.
 * A scheduled :class:`Event` (:class:`Timeout`, :meth:`Engine.call_at`)
-  is the same entry holding the event's fire method and value.
+  goes through :meth:`Engine.schedule_fn` too: its entry holds the
+  event's fire method and value.
 * :meth:`Engine.run` drains the heap **one timestamp at a time**: all
   entries sharing the front timestamp execute back-to-back, then the
   engine's *flush hooks* run once before the clock moves.  Subscribers
@@ -67,15 +68,7 @@ class Event:
     triggering is always initiated from engine context).
     """
 
-    __slots__ = (
-        "engine",
-        "callbacks",
-        "_value",
-        "_exception",
-        "triggered",
-        "cancelled",
-        "_entry",
-    )
+    __slots__ = ("engine", "callbacks", "_value", "_exception", "triggered")
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
@@ -83,8 +76,6 @@ class Event:
         self._value: Any = _PENDING
         self._exception: BaseException | None = None
         self.triggered = False
-        self.cancelled = False
-        self._entry: list | None = None  # heap entry once scheduled
 
     # ------------------------------------------------------------------
     @property
@@ -100,8 +91,6 @@ class Event:
     def succeed(self, value: Any = None) -> "Event":
         if self.triggered:
             raise SimError("event already triggered")
-        if self.cancelled:
-            raise SimError("event was cancelled")
         self.triggered = True
         self._value = value
         self._dispatch()
@@ -119,7 +108,8 @@ class Event:
         return self
 
     def _fire(self, value: Any) -> None:
-        """Heap-entry callback of a scheduled event (see ``Engine._schedule``)."""
+        """Heap-entry callback of a scheduled event (:class:`Timeout`,
+        :meth:`Engine.call_at`)."""
         if not self.triggered:
             self.succeed(value)
 
@@ -129,18 +119,9 @@ class Event:
             cb(self)
 
     def add_callback(self, callback) -> None:
-        """Run ``callback(event)`` when triggered (immediately if already).
-
-        Registering on a *cancelled* event is an error: the event can never
-        trigger, so the callback would silently never run (the classic
-        symptom was a process yielding a cancelled event and deadlocking).
-        """
+        """Run ``callback(event)`` when triggered (immediately if already)."""
         if self.triggered:
             callback(self)
-        elif self.cancelled:
-            raise SimError(
-                "add_callback on a cancelled event: it will never trigger"
-            )
         else:
             self.callbacks.append(callback)
 
@@ -159,7 +140,7 @@ class Timeout(Event):
             raise ValueError(f"negative delay {delay}")
         super().__init__(engine)
         self.delay = float(delay)
-        engine._schedule(engine.now + self.delay, self, value)
+        engine.schedule_fn(engine.now + self.delay, self._fire, value)
 
 
 class AllOf(Event):
@@ -248,18 +229,6 @@ class Process(Event):
                 )
             )
             return
-        if target.cancelled and not target.triggered:
-            # A cancelled event never triggers; registering would deadlock
-            # the process silently.  Fail loudly instead, inside the
-            # generator first so it can release resources via try/finally.
-            self.generator.close()
-            self.fail(
-                SimError(
-                    f"process {self.name!r} yielded a cancelled event; "
-                    "it would never resume"
-                )
-            )
-            return
         self._waiting_on = target
         target.add_callback(self._resume)
 
@@ -309,18 +278,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _schedule(self, at: float, event: Event, value: Any) -> None:
-        """Schedule ``event`` to succeed with ``value`` at time ``at``."""
-        if at < self.now:
-            raise SimError(f"cannot schedule in the past ({at} < {self.now})")
-        self._seq += 1
-        entry = [at, self._seq, event._fire, value]
-        event._entry = entry
-        heappush(self._heap, entry)
-        self._live += 1
-        if self._live > self.peak_queued:
-            self.peak_queued = self._live
-
     def schedule_fn(self, at: float, fn, arg: Any = None) -> list:
         """Schedule a bare ``fn(arg)`` call at time ``at`` (>= now).
 
@@ -341,30 +298,12 @@ class Engine:
     def call_at(self, at: float) -> Event:
         """An event succeeding at absolute time ``at`` (>= now)."""
         ev = Event(self)
-        self._schedule(at, ev, None)
+        self.schedule_fn(at, ev._fire)
         return ev
 
     # ------------------------------------------------------------------
     # Cancellation
     # ------------------------------------------------------------------
-    def cancel(self, event: Event) -> bool:
-        """Lazily cancel a pending scheduled event (tombstone it).
-
-        The heap entry is cleared immediately; it is skipped — without
-        advancing the clock — when popped.  Once tombstones dominate the
-        heap it is compacted in one pass.  Returns False (a no-op) for
-        events already triggered or cancelled.
-        """
-        if event.triggered or event.cancelled:
-            return False
-        event.cancelled = True
-        entry = event._entry
-        if entry is not None and entry[2] is not None:
-            entry[2] = entry[3] = None
-            self._tombstone()
-        self.events_cancelled += 1
-        return True
-
     def cancel_handle(self, handle: list) -> bool:
         """Cancel a pending :meth:`schedule_fn` entry by its handle.
 
@@ -374,11 +313,7 @@ class Engine:
         if handle[2] is None:
             return False
         handle[2] = handle[3] = None
-        self._tombstone()
         self.events_cancelled += 1
-        return True
-
-    def _tombstone(self) -> None:
         self._live -= 1
         self._tombstones += 1
         heap = self._heap
@@ -391,6 +326,7 @@ class Engine:
             heapify(heap)
             self._tombstones = 0
             self.heap_compactions += 1
+        return True
 
     # ------------------------------------------------------------------
     # Execution

@@ -20,8 +20,9 @@ reviewed one-line edit of that file.
 
 The ``paper_*`` entries digest (:func:`table_digest`) the reduced paper
 tables ``tests/test_experiments.py`` computes: fig4–fig7, the prediction
-error table, the headline speedups and the five observations.  They pin
-the paper's numbers exactly, not only within their bands.
+error table, the headline speedups, the five observations and the
+concurrent-pairs (CONC) table.  They pin the paper's numbers exactly, not
+only within their bands.
 
 The ``copy_order_*`` entries digest (:func:`copy_order_digest`) the
 ``fabric.copy`` calls of a run in the order they were made.  Tracer

@@ -58,6 +58,15 @@ class TestOsuBw:
         with pytest.raises(ValueError):
             osu_bibw(beluga_env, 1 * MiB, iterations=0)
 
+    @pytest.mark.parametrize("loop", [osu_bw, osu_bibw], ids=["bw", "bibw"])
+    def test_same_rank_pair_rejected(self, loop):
+        # A rank paired with itself used to deadlock (bw) or report a
+        # zero-time local copy as 0.0 GB/s (bibw).
+        env = BenchEnvironment(systems.beluga(), config=direct_config())
+        with pytest.raises(ValueError, match="two ranks"):
+            loop(env, 1 * MiB, src=1, dst=1)
+        assert env.last_context is None  # rejected before any context
+
     def test_deterministic_repeats(self, beluga_env):
         r1 = osu_bw(beluga_env, 8 * MiB, iterations=2)
         r2 = osu_bw(beluga_env, 8 * MiB, iterations=2)

@@ -1,21 +1,23 @@
-"""Dedicated regression tests for the three ISSUE-6 engine bugfixes.
+"""Regression tests for the engine's lazy cancellation.
 
-Each test fails on the pre-slab engine (tuple-heap ``step()``):
+Each of the first two failed on the pre-slab engine (tuple-heap
+``step()``):
 
 1. ``step`` advanced ``self.now`` to a popped entry's timestamp *before*
-   checking ``event.cancelled``, so the final clock after ``run()`` could
-   reflect a cancelled wakeup that never fired.
-2. ``Process._step`` registered ``add_callback`` on a yielded event that
-   was already cancelled — the callback can never fire, so the process
-   deadlocked silently (and ``run()`` reported a bogus deadlock only if
-   nothing else was queued).
-3. ``peak_queued`` counted tombstoned heap entries, overstating the peak
-   backlog after heavy ``cancel()`` traffic.
+   checking whether the entry was cancelled, so the final clock after
+   ``run()`` could reflect a cancelled wakeup that never fired.
+2. ``peak_queued`` counted tombstoned heap entries, overstating the peak
+   backlog after heavy cancellation traffic.
+
+The others pin compaction from inside a running ``run()`` and cancelling
+an entry that already fired.
 """
 
-import pytest
+from repro.sim import Engine
 
-from repro.sim import Engine, SimError
+
+def _noop(_arg) -> None:
+    pass
 
 
 class TestClockSkipsTombstones:
@@ -24,14 +26,14 @@ class TestClockSkipsTombstones:
         # must not move the clock past the last *live* event at t=1.
         eng = Engine()
         eng.call_at(1.0)
-        eng.cancel(eng.call_at(3.0))
+        eng.cancel_handle(eng.schedule_fn(3.0, _noop))
         eng.run()
         assert eng.now == 1.0
         assert eng.stats_snapshot()["now"] == 1.0
 
     def test_step_over_tombstone_keeps_clock(self):
         eng = Engine()
-        eng.cancel(eng.call_at(2.0))
+        eng.cancel_handle(eng.schedule_fn(2.0, _noop))
         live = eng.call_at(5.0)
         eng.step()  # consumes the tombstone only
         assert eng.now == 0.0
@@ -43,67 +45,12 @@ class TestClockSkipsTombstones:
         eng = Engine()
         seen = []
         for t in (1.0, 2.0, 3.0, 4.0):
-            ev = eng.call_at(t)
+            handle = eng.schedule_fn(t, lambda _arg: seen.append(eng.now))
             if t in (2.0, 4.0):
-                eng.cancel(ev)
-            else:
-                ev.add_callback(lambda _e: seen.append(eng.now))
+                eng.cancel_handle(handle)
         eng.run()
         assert seen == [1.0, 3.0]
         assert eng.now == 3.0  # not 4.0: that entry was a tombstone
-
-
-class TestCancelledYieldFailsProcess:
-    def test_yielding_cancelled_event_raises_descriptive_error(self):
-        eng = Engine()
-        doomed = eng.call_at(4.0)
-        eng.cancel(doomed)
-
-        def proc():
-            yield eng.timeout(1.0)
-            yield doomed  # would never resume: must fail, not hang
-
-        with pytest.raises(SimError, match="cancelled event"):
-            eng.run(until=eng.process(proc()))
-        assert eng.now == 1.0
-
-    def test_waiting_parent_sees_the_failure(self):
-        eng = Engine()
-        doomed = eng.call_at(4.0)
-        eng.cancel(doomed)
-
-        def child():
-            yield doomed
-
-        def parent():
-            try:
-                yield eng.process(child())
-            except SimError as exc:
-                return f"caught: {exc}"
-
-        result = eng.run(until=eng.process(parent()))
-        assert result.startswith("caught:")
-        assert "cancelled event" in result
-
-    def test_add_callback_on_cancelled_event_is_an_error(self):
-        eng = Engine()
-        ev = eng.call_at(1.0)
-        eng.cancel(ev)
-        with pytest.raises(SimError, match="cancelled"):
-            ev.add_callback(lambda _e: None)
-
-    def test_first_yield_already_cancelled(self):
-        # The very first target a process waits on is cancelled: the
-        # failure must surface at process start, not hang the run.
-        eng = Engine()
-        doomed = eng.call_at(2.0)
-        eng.cancel(doomed)
-
-        def proc():
-            yield doomed
-
-        with pytest.raises(SimError, match="cancelled event"):
-            eng.run(until=eng.process(proc()))
 
 
 class TestPeakQueuedCountsLiveOnly:
@@ -114,9 +61,9 @@ class TestPeakQueuedCountsLiveOnly:
         # but the reported peak must only ever count live entries.
         live = [eng.call_at(100.0 + i) for i in range(10)]
         for i in range(40):
-            eng.cancel(eng.call_at(1.0 + i))
+            eng.cancel_handle(eng.schedule_fn(1.0 + i, _noop))
         assert eng.queued == 50  # tombstones really are still queued
-        # each churn event was live for an instant before its cancel, so
+        # each churn entry was live for an instant before its cancel, so
         # the true high-water mark is 10 + 1 — nowhere near the 50 heap
         # entries the tombstone-counting implementation reported
         assert eng.peak_queued == 11
@@ -127,9 +74,9 @@ class TestPeakQueuedCountsLiveOnly:
     def test_peak_tracks_high_water_mark_of_live_entries(self):
         eng = Engine()
         first = eng.call_at(1.0)
-        second = eng.call_at(2.0)
+        second = eng.schedule_fn(2.0, _noop)
         assert eng.peak_queued == 2
-        eng.cancel(second)
+        eng.cancel_handle(second)
         third = eng.call_at(3.0)  # live again at 2: no new peak
         assert eng.peak_queued == 2
         eng.call_at(4.0)
@@ -143,14 +90,15 @@ class TestCompactionInsideRun:
         # A callback cancels most of the heap, which compacts it while
         # run() is draining; the loop must keep popping the live heap.
         eng = Engine()
-        late = [eng.call_at(10.0 + i) for i in range(100)]
         fired: list[tuple[str, float]] = []
-        for ev in late:
-            ev.add_callback(lambda _e: fired.append(("late", eng.now)))
+        late = [
+            eng.schedule_fn(10.0 + i, lambda _arg: fired.append(("late", eng.now)))
+            for i in range(100)
+        ]
 
         def cancel_most(_arg):
-            for ev in late[:80]:
-                eng.cancel(ev)
+            for handle in late[:80]:
+                eng.cancel_handle(handle)
             assert eng.heap_compactions == 1
             eng.schedule_fn(5.0, lambda _a: fired.append(("f", eng.now)))
 

@@ -17,6 +17,7 @@ from repro.bench.experiments import (
     run_fig6,
     run_fig7,
 )
+from repro.bench.experiments.concurrent_pairs import run_concurrent_pairs
 from repro.bench.experiments.error_analysis import overall_mean_error
 from repro.bench.runner import clear_caches, get_setup
 from repro.units import MiB
@@ -175,6 +176,11 @@ class TestPaperDigests:
     def test_paper_digest_observations(self, fig5_table, fig6_table):
         results = check_observations(fig5_table, fig6_table)
         assert_golden("paper_observations", table_digest(results))
+
+    def test_paper_digest_conc(self):
+        table = run_concurrent_pairs(("beluga",), sizes=[64 * MiB])
+        assert len(table) == 4
+        assert_golden("paper_conc", table_digest(table.rows))
 
 
 class TestSetupCache:

@@ -449,7 +449,8 @@ class TestSanitizer:
     def test_counted_tombstones_pass_at_quiescence(self):
         eng, ctx = make_ctx()
         eng.run(until=ctx.put(0, 1, 8 * MiB))
-        eng.cancel(eng.call_at(eng.now + 1.0))  # queued until popped
+        # queued until popped
+        eng.cancel_handle(eng.schedule_fn(eng.now + 1.0, lambda _arg: None))
         report = check_invariants(ctx)
         assert report.checked["engine_heap"] == {
             "queued": 1, "live": 0, "tombstones": 1

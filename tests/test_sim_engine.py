@@ -5,6 +5,10 @@ import pytest
 from repro.sim import Engine, SimError
 
 
+def _noop(_arg) -> None:
+    pass
+
+
 class TestEventBasics:
     def test_succeed_carries_value(self):
         eng = Engine()
@@ -242,21 +246,19 @@ class TestCancellation:
     def test_cancelled_event_never_fires(self):
         eng = Engine()
         fired = []
-        ev = eng.call_at(1.0)
-        ev.add_callback(lambda e: fired.append(eng.now))
-        assert eng.cancel(ev) is True
+        handle = eng.schedule_fn(1.0, lambda _arg: fired.append(eng.now))
+        assert eng.cancel_handle(handle) is True
         eng.run()
         assert fired == []
-        assert not ev.triggered and ev.cancelled
+        assert eng.now == 0.0
         assert eng.events_cancelled == 1
 
     def test_cancelled_pop_does_not_touch_clock(self):
         # lazy cancellation must be fully unobservable: popping a tombstone
-        # neither fires the callback nor moves `now` — only live events
+        # neither runs its callback nor moves `now` — only live entries
         # advance the clock
         eng = Engine()
-        ev = eng.call_at(2.0)
-        eng.cancel(ev)
+        eng.cancel_handle(eng.schedule_fn(2.0, _noop))
         eng.call_at(5.0)
         eng.run()
         assert eng.now == 5.0
@@ -264,39 +266,33 @@ class TestCancellation:
 
     def test_cancel_is_idempotent_and_rejects_triggered(self):
         eng = Engine()
-        ev = eng.call_at(0.0)
-        assert eng.cancel(ev) is True
-        assert eng.cancel(ev) is False
-        done = eng.call_at(0.0)
+        handle = eng.schedule_fn(0.0, _noop)
+        assert eng.cancel_handle(handle) is True
+        assert eng.cancel_handle(handle) is False
+        ran = []
+        done = eng.schedule_fn(0.0, ran.append, "done")
         eng.run()
-        assert done.triggered
-        assert eng.cancel(done) is False
+        assert ran == ["done"]
+        assert eng.cancel_handle(done) is False
         assert eng.events_cancelled == 1
-
-    def test_succeed_after_cancel_rejected(self):
-        eng = Engine()
-        ev = eng.call_at(1.0)
-        eng.cancel(ev)
-        with pytest.raises(SimError):
-            ev.succeed()
 
     def test_tombstone_compaction_shrinks_heap(self):
         eng = Engine()
-        events = [eng.call_at(float(i + 1)) for i in range(200)]
+        handles = [eng.schedule_fn(float(i + 1), _noop) for i in range(200)]
         assert eng.queued == 200
-        for ev in events[:150]:
-            eng.cancel(ev)
+        for handle in handles[:150]:
+            eng.cancel_handle(handle)
         # compaction fires at the 100th cancel (>=64 tombstones and half
         # the heap); the trailing 50 tombstones stay below the threshold
         assert eng.heap_compactions == 1
         assert eng.queued == 100
         eng.run()
-        assert eng.events_processed == 50  # live events only
+        assert eng.events_processed == 50  # live entries only
         assert eng.queued == 0
 
     def test_stats_snapshot_reports_cancellations(self):
         eng = Engine()
-        eng.cancel(eng.call_at(1.0))
+        eng.cancel_handle(eng.schedule_fn(1.0, _noop))
         keep = eng.call_at(2.0)
         snap = eng.stats_snapshot()
         assert snap["events_cancelled"] == 1
