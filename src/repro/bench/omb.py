@@ -45,6 +45,25 @@ class BwResult:
         return self.elapsed / msgs if msgs else 0.0
 
 
+def _check_loop(
+    env: BenchEnvironment, nbytes: int, window: int, iterations: int,
+    warmup: int, src: int, dst: int,
+) -> None:
+    """Reject a BW/BIBW loop's arguments before any context exists.
+
+    A rank outside the node would otherwise fail only inside the run: a
+    negative ``src`` reads as ``ANY_SOURCE`` to the receiver, which then
+    waits forever.
+    """
+    if nbytes <= 0 or window < 1 or iterations < 1 or warmup < 0:
+        raise ValueError("invalid benchmark parameters")
+    if src == dst:
+        raise ValueError(f"src and dst must be two ranks, got {src} twice")
+    n = env.topology.num_gpus
+    if not (0 <= src < n and 0 <= dst < n):
+        raise ValueError(f"src and dst must be ranks in [0, {n}), got {src} and {dst}")
+
+
 def osu_bw(
     env: BenchEnvironment,
     nbytes: int,
@@ -56,10 +75,7 @@ def osu_bw(
     dst: int = 1,
 ) -> BwResult:
     """Unidirectional bandwidth between two ranks."""
-    if nbytes <= 0 or window < 1 or iterations < 1 or warmup < 0:
-        raise ValueError("invalid benchmark parameters")
-    if src == dst:
-        raise ValueError(f"src and dst must be two ranks, got {src} twice")
+    _check_loop(env, nbytes, window, iterations, warmup, src, dst)
     engine, _ctx, comm = env.fresh()
     marks: dict[str, float] = {}
 
@@ -117,10 +133,7 @@ def osu_bibw(
     dst: int = 1,
 ) -> BwResult:
     """Bidirectional bandwidth: both ranks stream a window each way."""
-    if nbytes <= 0 or window < 1 or iterations < 1 or warmup < 0:
-        raise ValueError("invalid benchmark parameters")
-    if src == dst:
-        raise ValueError(f"src and dst must be two ranks, got {src} twice")
+    _check_loop(env, nbytes, window, iterations, warmup, src, dst)
     engine, _ctx, comm = env.fresh()
     marks: dict[str, float] = {}
 

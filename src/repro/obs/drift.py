@@ -154,19 +154,18 @@ class PredictionErrorTracker:
 
     def ewma_for_pair(self, src: int, dst: int) -> float:
         """Sample-weighted mean of per-key signed EWMAs for one pair."""
-        total = weight = 0.0
-        for (s, d, _, _), stats in self._stats.items():
-            if s == src and d == dst:
-                total += stats.ewma_signed * stats.count
-                weight += stats.count
-        return total / weight if weight else 0.0
+        return self._pair_mean(src, dst, "ewma_signed")
 
     def ewma_abs_for_pair(self, src: int, dst: int) -> float:
         """Sample-weighted mean of per-key absolute EWMAs for one pair."""
+        return self._pair_mean(src, dst, "ewma_abs")
+
+    def _pair_mean(self, src: int, dst: int, stat: str) -> float:
+        """Sample-weighted mean of one per-key statistic over a pair."""
         total = weight = 0.0
         for (s, d, _, _), stats in self._stats.items():
             if s == src and d == dst:
-                total += stats.ewma_abs * stats.count
+                total += getattr(stats, stat) * stats.count
                 weight += stats.count
         return total / weight if weight else 0.0
 

@@ -2,10 +2,12 @@
 
 Every transfer admitted to the system gets a **trace id**, and every layer
 it crosses emits a parent-linked span into a :class:`FlightRecorder` — a
-fixed-capacity ring of slab arrays (``trace_id``, ``parent``, ``kind_id``,
-``t0``, ``t1``, ``attrs``).  The recorder is cheap enough to be **on by default** (a span is a handful of
-list writes; no allocation beyond the optional attrs dict), so a production
-run always carries the evidence needed to answer "where did this transfer's
+fixed-capacity ring of slab columns (``sid``, ``trace_id``, ``parent``,
+``kind_id``, ``t0``, ``t1``, ``attrs``).  The numeric columns are typed
+``array.array`` slabs, so a resident span is a handful of machine-word
+writes and holds no allocation beyond its optional attrs dict.  That makes
+the recorder cheap enough to be **on by default**, so a production run
+always carries the evidence needed to answer "where did this transfer's
 time go?" after the fact:
 
 ``transfer`` (root, submit → settle)
@@ -27,10 +29,11 @@ wraps.
 The recorder is **journalled**: recording appends one small tuple to a
 write-ahead log (sids are reserved eagerly, so ids stay chronological),
 and the slab ring + per-stage latency aggregates are materialised in
-batches — on any query, or when the journal reaches its bound.  A span
-on the transfer critical path therefore costs a method call and a list
-append; the scattered slab writes happen later in one cache-friendly
-pass that the simulation's hot loop never sees.
+batches — on any query, or when the journal reaches its bound
+(``capacity/64`` entries, at least 256).  A span on the transfer critical
+path therefore costs a method call and a list append; the scattered slab
+writes happen later in one cache-friendly pass that the simulation's hot
+loop never sees.
 
 Timestamps come from the simulation clock.  Per-stage latency aggregates
 (queue-wait, planning, execution, recovery) are fed at materialisation:
@@ -50,6 +53,7 @@ On top of the ring sits :class:`TraceTree`, the query API the CLI renders:
 from __future__ import annotations
 
 import re
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -179,19 +183,21 @@ class FlightRecorder:
         self.engine = engine
         self.capacity = capacity
         self.enabled = enabled
-        # The ring: parallel slab arrays, slot = sid % capacity.  _sid holds
-        # the occupant's span id (-1 = never used), which disambiguates a
-        # slot across wraps without a free list: eviction is overwrite.
-        # Allocation is deferred to the first materialisation — sweeps and
-        # searches build thousands of short-lived contexts whose journals
-        # never drain, and a fresh recorder must cost microseconds, not a
-        # capacity-sized allocation.
-        self._sid: list | None = None
-        self._trace: list | None = None
-        self._parent: list | None = None
-        self._kind: list | None = None
-        self._t0: list | None = None
-        self._t1: list | None = None
+        # The ring: parallel slab columns, slot = sid % capacity.  _sid
+        # holds the occupant's span id (-1 = never used), which
+        # disambiguates a slot across wraps without a free list: eviction
+        # is overwrite.  The six numeric columns are typed arrays (8 bytes
+        # a slot, 4 for the kind id), not lists of boxed ints and floats;
+        # only _attrs holds objects.  Allocation is deferred to the first
+        # materialisation — sweeps and searches build thousands of
+        # short-lived contexts whose journals never drain, and a fresh
+        # recorder must cost microseconds, not a capacity-sized allocation.
+        self._sid: array | None = None
+        self._trace: array | None = None
+        self._parent: array | None = None
+        self._kind: array | None = None
+        self._t0: array | None = None
+        self._t1: array | None = None
         self._attrs: list | None = None
         # Interned kind strings: span records carry small ints.  The
         # latency stage a kind feeds (or None) is resolved at intern time,
@@ -203,9 +209,12 @@ class FlightRecorder:
         self._next_trace = 0
         # The write-ahead journal: recording appends here; the ring and
         # stage aggregates materialise in batches (`_drain`).  Sids are
-        # reserved at append time, so span ids stay chronological.
+        # reserved at append time, so span ids stay chronological.  The
+        # bound is a small share of the ring: undrained entries (and the
+        # landed copy events a path entry holds) sit on top of a full
+        # ring, and a batch of ~1k entries already amortises the drain.
         self._log: list[tuple] = []
-        self.journal_limit = max(256, capacity // 8)
+        self.journal_limit = max(256, capacity // 64)
         # Exact running totals (ring eviction never loses the aggregates).
         self.dropped = 0  # finished spans evicted by ring wrap
         self.dropped_open = 0  # spans evicted before being finished
@@ -412,12 +421,12 @@ class FlightRecorder:
         self._log = []
         if self._sid is None:
             cap = self.capacity
-            self._sid = [-1] * cap
-            self._trace = [0] * cap
-            self._parent = [0] * cap
-            self._kind = [0] * cap
-            self._t0 = [0.0] * cap
-            self._t1 = [0.0] * cap
+            self._sid = array("q", (-1,)) * cap
+            self._trace = array("q", (0,)) * cap
+            self._parent = array("q", (0,)) * cap
+            self._kind = array("i", (0,)) * cap
+            self._t0 = array("d", (0.0,)) * cap
+            self._t1 = array("d", (0.0,)) * cap
             self._attrs = [None] * cap
         write = self._write
         for e in log:

@@ -72,7 +72,7 @@ class Event:
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
-        self.callbacks: list = []
+        self.callbacks: list | None = []
         self._value: Any = _PENDING
         self._exception: BaseException | None = None
         self.triggered = False
@@ -114,7 +114,9 @@ class Event:
             self.succeed(value)
 
     def _dispatch(self) -> None:
-        callbacks, self.callbacks = self.callbacks, []
+        # A triggered event runs later callbacks at once (add_callback),
+        # so it keeps no list.
+        callbacks, self.callbacks = self.callbacks, None
         for cb in callbacks:
             cb(self)
 
@@ -207,21 +209,26 @@ class Process(Event):
         self._step(event._value, event._exception)
 
     def _step(self, value: Any, exception: BaseException | None) -> None:
+        # A finished process drops its generator before it triggers: the
+        # event the caller holds keeps only its value.
         try:
             if exception is None:
                 target = self.generator.send(value)
             else:
                 target = self.generator.throw(exception)
         except StopIteration as stop:
+            self.generator = None
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate into waiters
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
+            self.generator = None
             self.fail(exc)
             return
         if not isinstance(target, Event):
             self.generator.close()
+            self.generator = None
             self.fail(
                 SimError(
                     f"process {self.name!r} yielded {target!r}; "

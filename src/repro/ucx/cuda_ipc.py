@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
 RETRY_BACKOFF = 25 * us
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PutResult:
     """Completion record of a one-sided PUT."""
 

@@ -67,6 +67,17 @@ class TestOsuBw:
             loop(env, 1 * MiB, src=1, dst=1)
         assert env.last_context is None  # rejected before any context
 
+    @pytest.mark.parametrize("loop", [osu_bw, osu_bibw], ids=["bw", "bibw"])
+    @pytest.mark.parametrize("src,dst", [(-1, 1), (0, 7)])
+    def test_out_of_range_rank_rejected(self, loop, src, dst):
+        # bw with src=-1 used to deadlock: the receiver's irecv(-1) is
+        # ANY_SOURCE and no rank sends; the other cases failed only after
+        # a context and its rank processes existed.
+        env = BenchEnvironment(systems.beluga(), config=direct_config())
+        with pytest.raises(ValueError, match=r"ranks in \[0, 4\)"):
+            loop(env, 1 * MiB, src=src, dst=dst)
+        assert env.last_context is None
+
     def test_deterministic_repeats(self, beluga_env):
         r1 = osu_bw(beluga_env, 8 * MiB, iterations=2)
         r2 = osu_bw(beluga_env, 8 * MiB, iterations=2)

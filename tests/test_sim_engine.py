@@ -1,8 +1,15 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import Engine, SimError
+from repro.topology import systems
+from repro.ucx import UCXContext
+from repro.ucx.cuda_ipc import PutResult
+from repro.units import MiB
 
 
 def _noop(_arg) -> None:
@@ -301,3 +308,68 @@ class TestCancellation:
         eng.run()
         assert keep.triggered
         assert eng.stats_snapshot()["queued"] == 0
+
+
+class TestFinishedWorkReleased:
+    """A finished process and a triggered event keep only their outcome."""
+
+    def test_finished_process_drops_generator(self):
+        eng = Engine()
+
+        def proc():
+            yield eng.timeout(1.0)
+            return "done"
+
+        p = eng.process(proc())
+        assert p.generator is not None
+        assert eng.run(until=p) == "done"
+        assert p.generator is None
+
+    def test_failed_process_drops_generator(self):
+        eng = Engine()
+
+        def raises():
+            yield eng.timeout(1.0)
+            raise ValueError("boom")
+
+        def bad_yield():
+            yield 123
+
+        for gen in (raises(), bad_yield()):
+            p = eng.process(gen)
+            with pytest.raises((ValueError, SimError)):
+                eng.run(until=p)
+            assert not p.ok
+            assert p.generator is None
+
+    def test_triggered_event_drops_callbacks(self):
+        eng = Engine()
+        ok, failed = eng.event(), eng.event()
+        seen = []
+        ok.add_callback(lambda e: seen.append(("ok", e.value)))
+        ok.succeed(3)
+        failed.fail(RuntimeError("x"))
+        assert ok.callbacks is None and failed.callbacks is None
+        ok.add_callback(lambda e: seen.append(("late", e.value)))
+        failed.add_callback(lambda e: seen.append(("late", e.ok)))
+        assert seen == [("ok", 3), ("late", 3), ("late", False)]
+
+    def test_completed_put_releases_its_generator(self):
+        eng = Engine()
+        ctx = UCXContext(eng, systems.beluga())
+        module = ctx.cuda_ipc
+        put_proc = module._put_proc
+        refs = []
+
+        def spy(*args, **kwargs):
+            gen = put_proc(*args, **kwargs)
+            refs.append(weakref.ref(gen))
+            return gen
+
+        module._put_proc = spy
+        events = [ctx.put(0, 1, 16 * MiB), ctx.put(2, 3, 4096)]
+        eng.run()
+        assert all(isinstance(ev.value, PutResult) for ev in events)
+        gc.collect()
+        assert len(refs) == 2
+        assert all(ref() is None for ref in refs)

@@ -129,8 +129,9 @@ class TestRingSemantics:
 
 class TestJournal:
     def test_journal_drains_at_bound(self):
-        _, rec = make_recorder(capacity=4096)
-        assert rec.journal_limit == max(256, 4096 // 8)
+        eng, rec = make_recorder(capacity=4096)
+        assert rec.journal_limit == max(256, 4096 // 64) == 256
+        assert FlightRecorder(eng).journal_limit == DEFAULT_CAPACITY // 64
         for i in range(rec.journal_limit):
             rec.record("marker", trace_id=0, t0=float(i))
         assert len(rec._log) == rec.journal_limit
@@ -197,6 +198,57 @@ class TestJournal:
         assert settle.parent == root
         assert settle.t0 == settle.t1 == 2.5
         assert settle.attrs == {"ok": True, "retries": 0}
+
+
+class TestTypedColumns:
+    def test_columns_round_trip_across_wrap(self):
+        """Every numeric column reads back exactly what was recorded,
+        after the ring wrapped: sids and trace ids past 2**31, parent -1,
+        an open span's t1, and times such as 0.1 + 0.2 and the smallest
+        subnormal."""
+        eng, rec = make_recorder(capacity=8)
+        rec._next_sid = rec._next_trace = 2**31 + 5
+        times = (0.1 + 0.2, 5e-324, 1e300, 2.0**-1022 * 3)
+        rows = []  # (sid, trace_id, parent, kind, t0, t1) per recorded span
+        tid_a, root_a = rec.begin_trace("transfer")
+        rows.append((root_a, tid_a, -1, "transfer", 0.0, -1.0))
+        for i in range(10):
+            t0, t1 = times[i % 4], times[(i + 1) % 4]
+            sid = rec.record(f"mark[{i}]", tid_a, root_a, t0=t0, t1=t1)
+            rows.append((sid, tid_a, root_a, f"mark[{i}]", t0, t1))
+        eng.now = 0.1 + 0.2
+        tid_b, root_b = rec.begin_trace("transfer")  # stays open
+        rows.append((root_b, tid_b, -1, "transfer", 0.1 + 0.2, -1.0))
+        psid = rec.record_path(
+            "pipeline.path[0]", tid_b, root_b, 5e-324, 0.1 + 0.2, {"path": 1},
+            chunk_kinds=("pipeline.path[0].chunk[0]",),
+            chunk_events=(fake_chunk_event(0.1 + 0.2),),
+        )
+        rows.append((psid, tid_b, root_b, "pipeline.path[0]", 5e-324, 0.1 + 0.2))
+        rows.append((
+            psid + 1, tid_b, psid, "pipeline.path[0].chunk[0]", 0.1 + 0.2, 0.1 + 0.2,
+        ))
+        assert root_a > 2**31 and tid_b > 2**31
+
+        def cols(span):
+            return (span.sid, span.trace_id, span.parent, span.kind, span.t0, span.t1)
+
+        resident = rows[-8:]
+        spans = list(rec.iter_spans())
+        assert [cols(s) for s in spans] == resident
+        assert all(
+            type(v) is int for s in spans for v in (s.sid, s.trace_id, s.parent)
+        )
+        assert all(type(v) is float for s in spans for v in (s.t0, s.t1))
+        assert [cols(rec.get(row[0])) for row in resident] == resident
+        assert rec.get(root_a) is None  # wrapped over
+        assert (rec.dropped, rec.dropped_open) == (5, 1)
+        tree = TraceTree(rec)
+        assert [r.sid for r in tree.roots()] == [root_b]
+        breakdown = tree.breakdown(tid_b)
+        assert [cols(s) for s in breakdown.spans] == rows[-3:]
+        assert breakdown.root.open and breakdown.root.t1 == -1.0
+        assert breakdown.stages["execute"] == (0.1 + 0.2) - 5e-324
 
 
 class TestStageStats:
