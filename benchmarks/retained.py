@@ -13,6 +13,9 @@ checkout's ``src`` on the path.  Per workload it prints one line with
 * ``rss_setup_mb`` — ``ru_maxrss`` after set-up (calibration, context
   build, warm-up);
 * ``rss_pass_mb`` — ``ru_maxrss`` after the pass;
+* ``minflt_pass`` — the minor page faults the pass took (``ru_minflt``),
+  memory the pass touched for the first time or the allocator handed back
+  to the system and took again;
 * ``puts`` — the puts the pass submitted;
 
 then the ten object types with the most instances the pass left alive
@@ -49,6 +52,10 @@ def _maxrss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def census() -> Counter:
     """Live objects by type: every tracked object and all it reaches."""
     gc.collect()
@@ -80,7 +87,9 @@ def measure(spec: dict) -> dict:
     wl.warmup(rig, inputs)
     out = {"rss_setup_mb": _maxrss_mb()}
     if spec["pass"]:
+        faults = _minflt()
         out["puts"] = len(wl.run_pass(rig, inputs).puts)
+        out["minflt_pass"] = _minflt() - faults
         out["rss_pass_mb"] = _maxrss_mb()
     out["objects"] = census()
     return out
@@ -104,7 +113,8 @@ def report(name: str, setup: dict, passed: dict) -> str:
     top = sorted(alive, key=lambda kv: (-kv[1], kv[0]))[:TOP]
     lines = [
         f"{name:<17} rss_setup_mb={passed['rss_setup_mb']:.1f} "
-        f"rss_pass_mb={passed['rss_pass_mb']:.1f} puts={passed['puts']}"
+        f"rss_pass_mb={passed['rss_pass_mb']:.1f} "
+        f"minflt_pass={passed['minflt_pass']} puts={passed['puts']}"
     ]
     lines += [f"  {count:+9d} {kind}" for kind, count in top]
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Collective algorithms built from non-blocking P2P (paper §5.3).
+"""Collective algorithms built from P2P steps (paper §5.3).
 
 For large GPU messages the UCC/UCP stack selects:
 
@@ -7,17 +7,22 @@ For large GPU messages the UCC/UCP stack selects:
   :func:`allreduce`), with a ring fallback for non-power-of-two sizes;
 * **Alltoall** — the Bruck algorithm (:func:`alltoall`).
 
-Every step is an ``isend``/``irecv`` pair, so each hits the cuda_ipc module
-and — when multi-path is enabled — is split across paths by the model,
-which is how the paper's collective speedups arise.
+Every step posts a send and a matching receive, so each message hits the
+cuda_ipc module and — when multi-path is enabled — is split across paths
+by the model, which is how the paper's collective speedups arise.
 
-Each message is copied once, by ``isend``'s snapshot
-(:func:`~repro.mpi.datatypes.copy_payload`): a step ships views of its
-buffer or the caller's blocks (several as one ``{key: block}`` bundle)
-and keeps what it receives as a result block or reduces it in place,
+Each message is read once, at delivery, where the receiving rank keeps it.
+Steps are blocking (``sendrecv``, ``send``/``recv``), so a step ships
+views of its buffer or the caller's blocks (several as one
+``{key: block}`` bundle) with no snapshot.  The reductions and the
+allreduce allgather land each message in the rank's own buffer
+(``into=``): copied in, or reduced in with
 ``op(target, received, out=target)``, so ``op`` is a numpy ufunc
-(``np.add``, ``np.maximum``, ...).  A rank copies the caller's data only
-where it keeps it, so no result shares memory with an input.
+(``np.add``, ``np.maximum``, ...).
+Bruck, allgather, bcast, scatter and gather keep what they receive as a
+result block, a copy made at delivery
+(:func:`~repro.mpi.datatypes.copy_payload`).  A rank copies the caller's
+data only where it keeps it, so no result shares memory with an input.
 """
 
 from repro.mpi.collectives.allreduce import allreduce, allreduce_recursive, allreduce_ring

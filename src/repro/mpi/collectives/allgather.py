@@ -35,7 +35,8 @@ def allgather_recursive_doubling(view: RankView, array):
     while dist < p:
         partner = rank ^ dist
         # Ship everything gathered so far as one {owner: block} bundle;
-        # ``isend`` snapshots it, so later updates do not reach the wire.
+        # it is read at delivery, before this rank updates it, and the
+        # receiver keeps a copy.
         received = yield from view.sendrecv(
             partner, partner, payload=gathered, tag=tag + step
         )

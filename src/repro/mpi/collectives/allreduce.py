@@ -8,6 +8,9 @@ handles any count.  :func:`allreduce` dispatches.
 
 Reduction arithmetic is performed for real on the payloads (so tests can
 check numerics) *and* charged as simulated GPU time via ``view.compute``.
+A step's message is reduced into the kept region as it is delivered
+(``sendrecv(..., into=region, op=op)``) and the step's GPU time is charged
+after the step returns; the allgather lands each region the same way.
 """
 
 from __future__ import annotations
@@ -19,21 +22,6 @@ from repro.mpi.comm import RankView
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
-
-
-def reduce_into(view: RankView, target: np.ndarray, received, op):
-    """``op(target, received, out=target)``, charged as GPU time.  In place,
-    numpy would broadcast a short ``received`` or cast the result to
-    ``target``'s dtype (int64 ones plus float64 halves give 2), so a
-    mismatch in size or dtype raises instead."""
-    if received.size != target.size or received.dtype != target.dtype:
-        raise ValueError(
-            f"reduction region mismatch: received {received.size} "
-            f"{received.dtype} into {target.size} {target.dtype} "
-            "(unequal payloads?)"
-        )
-    op(target, received, out=target)
-    yield from view.compute(int(received.nbytes))
 
 
 def ring_reduce_scatter(view: RankView, buf: np.ndarray, op, tag: int):
@@ -48,10 +36,16 @@ def ring_reduce_scatter(view: RankView, buf: np.ndarray, op, tag: int):
         return buf[bounds[i] : bounds[i + 1]]
 
     for s in range(p - 1):
-        received = yield from view.sendrecv(
-            (rank + 1) % p, (rank - 1) % p, payload=block(rank - s), tag=tag + s
+        target = block(rank - s - 1)
+        yield from view.sendrecv(
+            (rank + 1) % p,
+            (rank - 1) % p,
+            payload=block(rank - s),
+            into=target,
+            op=op,
+            tag=tag + s,
         )
-        yield from reduce_into(view, block(rank - s - 1), received, op)
+        yield from view.compute(target.nbytes)
     return bounds, block
 
 
@@ -68,16 +62,18 @@ def allreduce_recursive(view: RankView, array, op=np.add):
     """Recursive halving (scatter-reduce) + recursive doubling (allgather)."""
     if not _is_power_of_two(view.size):
         raise ValueError("recursive allreduce requires power-of-two ranks")
-    buf = np.array(array, copy=True)
-    if buf.ndim != 1:
+    array = np.asarray(array)
+    if array.ndim != 1:
         raise ValueError("allreduce payloads must be 1-D")
     p, rank = view.size, view.rank
     tag = view.next_collective_tag()
     if p == 1:
-        return buf
+        return array.copy()
 
     # Phase 1: recursive halving — each step trades half of the active
-    # region with the partner and reduces the kept half.
+    # region with the partner, which reduces it into its kept half as it
+    # arrives.
+    buf = np.empty_like(array)
     steps = []
     offset, count = 0, buf.size
     dist = p // 2
@@ -91,31 +87,38 @@ def allreduce_recursive(view: RankView, array, op=np.add):
         else:
             send_off, send_cnt = offset, half
             keep_off, keep_cnt = offset + half, count - half
-        received = yield from view.sendrecv(
+        kept = buf[keep_off : keep_off + keep_cnt]
+        source = buf
+        if step_id == 0:
+            # The result starts as the half of the input this rank keeps;
+            # the other half ships straight from the caller's array.
+            kept[:] = array[keep_off : keep_off + keep_cnt]
+            source = array
+        yield from view.sendrecv(
             partner,
             partner,
-            payload=buf[send_off : send_off + send_cnt],
+            payload=source[send_off : send_off + send_cnt],
+            into=kept,
+            op=op,
             tag=tag + step_id,
         )
-        yield from reduce_into(
-            view, buf[keep_off : keep_off + keep_cnt], received, op
-        )
+        yield from view.compute(kept.nbytes)
         steps.append((send_off, send_cnt, keep_off, keep_cnt, partner))
         offset, count = keep_off, keep_cnt
         dist //= 2
         step_id += 1
 
     # Phase 2: recursive doubling — replay in reverse, exchanging owned
-    # regions so everyone reassembles the fully reduced vector.
+    # regions so everyone reassembles the fully reduced vector; each
+    # region lands in the result where it belongs.
     for send_off, send_cnt, keep_off, keep_cnt, partner in reversed(steps):
-        received = yield from view.sendrecv(
+        yield from view.sendrecv(
             partner,
             partner,
             payload=buf[keep_off : keep_off + keep_cnt],
+            into=buf[send_off : send_off + send_cnt],
             tag=tag + step_id,
         )
-        buf[send_off : send_off + send_cnt] = received
-        keep_off = min(keep_off, send_off)
         step_id += 1
     return buf
 
@@ -137,10 +140,13 @@ def allreduce_ring(view: RankView, array, op=np.add):
     for s in range(p - 1):
         send_idx = (rank - s + 1) % p
         recv_idx = (rank - s) % p
-        received = yield from view.sendrecv(
-            right, left, payload=block(send_idx), tag=tag + p + s
+        yield from view.sendrecv(
+            right,
+            left,
+            payload=block(send_idx),
+            into=block(recv_idx),
+            tag=tag + p + s,
         )
-        block(recv_idx)[:] = received
     return buf
 
 

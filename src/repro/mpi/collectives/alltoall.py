@@ -49,7 +49,7 @@ def alltoall_bruck(view: RankView, blocks):
     # Slot 0, this rank's own block, is its result and the one copy made
     # here.  Every other slot has a bit set, so a round replaces it with a
     # received block; until then it is a view of the caller's block,
-    # which ``isend`` snapshots when it ships.
+    # which is copied at delivery when it ships.
     slots = [arrs[(rank + i) % p] for i in range(p)]
     slots[0] = slots[0].copy()
 

@@ -25,7 +25,7 @@ def reduce_scatter_ring(view: RankView, array, op=np.add):
     # After p-1 steps, rank owns block (rank + 1) % p fully reduced; one
     # final neighbour shift moves ownership to block == rank: block b sits
     # on rank (b - 1) % p, so ship it to rank + 1 and take mine from
-    # rank - 1.  The received snapshot is the result.
+    # rank - 1.  The received copy, made at delivery, is the result.
     bounds, block = yield from ring_reduce_scatter(view, buf, op, tag)
     received = yield from view.sendrecv(
         (rank + 1) % p, (rank - 1) % p, payload=block(rank + 1), tag=tag + p

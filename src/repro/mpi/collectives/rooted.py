@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mpi.collectives.allreduce import reduce_into
 from repro.mpi.comm import RankView
 
 
@@ -63,7 +62,7 @@ def scatter_binomial(view: RankView, blocks=None, root: int = 0):
     if rank == root:
         if blocks is None or len(blocks) != p:
             raise ValueError(f"root must supply {p} blocks")
-        # ``isend`` snapshots every block it ships: copy only the root's.
+        # Every block shipped is copied at delivery: copy only the root's.
         bundle = {j: blocks[(j + root) % p] for j in range(p)}
         bundle[0] = np.array(bundle[0], copy=True)
     else:
@@ -90,7 +89,7 @@ def gather_binomial(view: RankView, array, root: int = 0):
     vrank = (rank - root) % p
     children, parent = _children_and_parent(vrank, p)
 
-    # A non-root rank only ships its array, which ``isend`` snapshots.
+    # A non-root rank only ships its array, which is copied at delivery.
     bundle = {vrank: array if parent is not None else np.array(array, copy=True)}
     # Children report in increasing-subtree order (reverse of scatter).
     for child_v in sorted(children):
@@ -113,8 +112,9 @@ def reduce_binomial(view: RankView, array, op=np.add, root: int = 0):
 
     acc = np.array(array, copy=True)
     for child_v in sorted(children):
-        received = yield from view.recv((child_v + root) % p, tag=tag)
-        yield from reduce_into(view, acc, received, op)
+        # The child's partial result is reduced into ``acc`` as it arrives.
+        yield from view.recv((child_v + root) % p, tag=tag, into=acc, op=op)
+        yield from view.compute(acc.nbytes)
     if parent is not None:
         yield from view.send((parent + root) % p, payload=acc, tag=tag)
         return None

@@ -4,7 +4,10 @@ Ranks are generator functions driven by the simulation engine, one per GPU.
 Point-to-point matching follows MPI semantics: a transfer starts once both
 the send and a matching receive are posted (rendezvous — correct for the
 large GPU messages this stack targets), matching on (source, tag) with
-wildcards, in posting order.
+wildcards, in posting order.  A message is delivered when its put
+completes: the communicator reads it then, keeps it for the receive or
+lands it in the receive's ``into`` buffer, and finishes the send and then
+the receive.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from typing import Any
 
-from repro.mpi.datatypes import copy_payload, payload_nbytes
+import numpy as np
+
+from repro.mpi.datatypes import copy_payload, land_payload, payload_nbytes
 from repro.mpi.request import Request, waitall
 from repro.sim.engine import Engine, Event
 from repro.ucx.context import UCXContext
@@ -23,22 +28,34 @@ ANY_SOURCE = -1
 ANY_TAG = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingSend:
     src: int
     dst: int
     tag: int
     nbytes: int
     payload: Any
+    #: True for ``isend``'s snapshot, which a receive may keep as it is;
+    #: False for a blocking send's own buffer, which only delivery reads.
+    snapshot: bool
     request: Request
 
 
-@dataclass
+@dataclass(slots=True)
 class _PostedRecv:
     dst: int
     src: int  # may be ANY_SOURCE
     tag: int  # may be ANY_TAG
+    into: np.ndarray | None  # the buffer the message lands in
+    op: Any  # numpy ufunc reducing the message into ``into``
     request: Request
+
+
+def _check_landing(into, op) -> None:
+    if op is not None and into is None:
+        raise ValueError("op reduces into a buffer: pass into= as well")
+    if into is not None and not isinstance(into, np.ndarray):
+        raise TypeError("into must be a numpy array")
 
 
 class Communicator:
@@ -101,12 +118,16 @@ class Communicator:
     # Matching
     # ------------------------------------------------------------------
     def _post_send(
-        self, src: int, dst: int, tag: int, nbytes: int, payload: Any
+        self, src: int, dst: int, tag: int, nbytes: int | None, payload: Any,
+        snapshot: bool,
     ) -> Request:
+        size = payload_nbytes(payload, nbytes)
         if not 0 <= dst < self.size:
             raise ValueError(f"destination rank {dst} out of range")
         req = Request(self.engine, "send", dst, tag)
-        pend = _PendingSend(src, dst, tag, nbytes, copy_payload(payload), req)
+        if snapshot:
+            payload = copy_payload(payload)
+        pend = _PendingSend(src, dst, tag, size, payload, snapshot, req)
         recv = self._match_recv(pend)
         if recv is not None:
             self._start_transfer(pend, recv)
@@ -114,11 +135,11 @@ class Communicator:
             self._pending_sends.append(pend)
         return req
 
-    def _post_recv(self, dst: int, src: int, tag: int) -> Request:
+    def _post_recv(self, dst: int, src: int, tag: int, into, op) -> Request:
         if src != ANY_SOURCE and not 0 <= src < self.size:
             raise ValueError(f"source rank {src} out of range")
         req = Request(self.engine, "recv", src, tag)
-        post = _PostedRecv(dst, src, tag, req)
+        post = _PostedRecv(dst, src, tag, into, op, req)
         send = self._match_send(post)
         if send is not None:
             self._start_transfer(send, post)
@@ -159,8 +180,7 @@ class Communicator:
             # Same-device "transfer": local copy, effectively instant at
             # this modelling granularity.
             self.local_copies += 1
-            send.request._finish(None)
-            recv.request._finish(send.payload)
+            self._deliver(send, recv)
             return
         # All MPI traffic (and with it every collective) goes through the
         # transfer service: admission control, load tracking, deadlines.
@@ -173,13 +193,31 @@ class Communicator:
 
         def complete(ev):
             if ev.ok:
-                send.request._finish(None)
-                recv.request._finish(send.payload)
+                self._deliver(send, recv)
             else:
                 send.request._fail(ev._exception)
                 recv.request._fail(ev._exception)
 
         put.add_callback(complete)
+
+    @staticmethod
+    def _deliver(send: _PendingSend, recv: _PostedRecv) -> None:
+        """Read the message where the receive keeps it, then finish the
+        send and then the receive.  A message that cannot land (a region
+        mismatch, or an error of ``op``) fails the receive alone."""
+        try:
+            if recv.into is not None:
+                value = land_payload(send.payload, recv.into, recv.op)
+            elif send.snapshot:
+                value = send.payload
+            else:
+                value = copy_payload(send.payload)
+        except Exception as exc:
+            send.request._finish(None)
+            recv.request._fail(exc)
+        else:
+            send.request._finish(None)
+            recv.request._finish(value)
 
     # ------------------------------------------------------------------
     def barrier_event(self) -> Event:
@@ -235,22 +273,44 @@ class RankView:
     def isend(
         self, dst: int, *, nbytes: int | None = None, payload=None, tag: int = 0
     ) -> Request:
-        size = payload_nbytes(payload, nbytes)
-        return self.comm._post_send(self.rank, dst, tag, size, payload)
+        """Post a send and go on running.  The payload is snapshotted here,
+        so the caller may change its buffer at once; the receiver gets the
+        snapshot itself, or it is landed in the receive's ``into``."""
+        return self.comm._post_send(self.rank, dst, tag, nbytes, payload, True)
 
-    def irecv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG) -> Request:
-        return self.comm._post_recv(self.rank, src, tag)
+    def irecv(
+        self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG, into=None, op=None
+    ) -> Request:
+        """Post a receive.  Without ``into`` its value is an array the
+        receiver owns (``isend``'s snapshot, or a copy of a blocking send's
+        buffer made at delivery).  With ``into`` (an array) the message is
+        copied into it at delivery, or reduced into it with
+        ``op(into, msg, out=into)`` (``op`` a numpy ufunc, allowed only with
+        ``into``), and the value is ``into`` itself.  A message that
+        differs from ``into`` in size or dtype, a size-only message and a
+        bundle fail the receive alone with ``ValueError`` ("region
+        mismatch"), leaving ``into`` untouched; the send still completes.
+        """
+        _check_landing(into, op)
+        return self.comm._post_recv(self.rank, src, tag, into, op)
 
     # ------------------------------------------------------------------
     # Blocking (generator helpers: `result = yield from view.recv(...)`)
     # ------------------------------------------------------------------
     def send(self, dst: int, *, nbytes: int | None = None, payload=None, tag: int = 0):
-        req = self.isend(dst, nbytes=nbytes, payload=payload, tag=tag)
+        """Send and wait until the message is delivered.  The rank waits
+        until then, so its buffer ships as it is, read at delivery, with
+        no snapshot."""
+        req = self.comm._post_send(self.rank, dst, tag, nbytes, payload, False)
         yield req.event
         return None
 
-    def recv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG):
-        req = self.irecv(src, tag=tag)
+    def recv(
+        self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG, into=None, op=None
+    ):
+        """Receive and wait for the message; ``into`` and ``op`` as for
+        :meth:`irecv`."""
+        req = self.irecv(src, tag=tag, into=into, op=op)
         value = yield req.event
         return value
 
@@ -262,10 +322,22 @@ class RankView:
         nbytes: int | None = None,
         payload=None,
         tag: int = 0,
+        into=None,
+        op=None,
     ):
-        """Concurrent exchange; returns the received payload."""
-        sreq = self.isend(dst, nbytes=nbytes, payload=payload, tag=tag)
-        rreq = self.irecv(src, tag=tag)
+        """Concurrent exchange; returns the received payload (``into``
+        when given, as for :meth:`irecv`).  The rank waits for both, so
+        the payload ships as :meth:`send` ships it, read at delivery.
+        ``into`` must not overlap ``payload`` (as MPI_Sendrecv's buffers
+        must not): a delivery into it could change what is sent, so that
+        raises ``ValueError`` before anything is posted."""
+        _check_landing(into, op)
+        if into is not None and payload is not None:
+            blocks = payload.values() if isinstance(payload, dict) else (payload,)
+            if any(np.may_share_memory(into, b) for b in blocks):
+                raise ValueError("sendrecv: into overlaps the payload")
+        sreq = self.comm._post_send(self.rank, dst, tag, nbytes, payload, False)
+        rreq = self.comm._post_recv(self.rank, src, tag, into, op)
         yield waitall(self.engine, [sreq, rreq])
         return rreq.event.value
 

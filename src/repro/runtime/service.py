@@ -41,6 +41,7 @@ bit-identical to a bare ``start_put`` — asserted by
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -170,8 +171,12 @@ class TransferManager:
         engine-flush sweep.  Both default to ``None`` (no deadline), which
         keeps timelines bit-identical to the pre-deadline service.  A NaN
         deadline or timeout raises :class:`ValueError`: no comparison with
-        it is ever true, so it would be counted but never enforced.
+        it is ever true, so it would be counted but never enforced.  A
+        size that is not an integer (``operator.index`` rejects it: a
+        float, a string) raises :class:`TypeError`, since the plan and
+        graph caches would key it by its truncation.
         """
+        operator.index(nbytes)
         if nbytes < 0:
             raise ValueError("negative transfer size")
         if deadline is not None and timeout is not None:

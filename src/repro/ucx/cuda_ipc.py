@@ -215,6 +215,8 @@ class CudaIpcModule:
         self.path_link_failures = 0  # faulted paths lost to a link failure
         self.deadline_timeouts = 0  # puts whose deadline ran out in recovery
         self.budget_fallbacks = 0  # unmetered replans on a dry retry budget
+        # One process name per pair, shared by all its puts' processes.
+        self._put_names: dict[tuple[int, int], str] = {}
 
     # ------------------------------------------------------------------
     def start_put(
@@ -240,12 +242,15 @@ class CudaIpcModule:
         """
         self.puts_issued += 1
         trace_id, root_sid = trace
+        name = self._put_names.get((src, dst))
+        if name is None:
+            name = self._put_names[src, dst] = f"put:{src}->{dst}"
         return self.context.engine.process(
             self._put_proc(
                 src, dst, nbytes, tag, self.puts_issued, trace_id, root_sid,
                 deadline_at=deadline_at,
             ),
-            name=f"put:{src}->{dst}",
+            name=name,
         )
 
     def _put_proc(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpi import Communicator, collectives
+from repro.mpi import comm as comm_module
 from repro.sim import Engine
 from repro.topology import systems
 from repro.ucx import TransportConfig, UCXContext
@@ -354,6 +355,33 @@ class TestOwnership:
             x[:] = -1.0
         for a, want in zip(arrays, before):
             np.testing.assert_array_equal(a, want)
+
+
+class TestPayloadCopies:
+    """Allreduce lands every message in the result buffer at delivery, so
+    the MPI layer makes no message copy for it."""
+
+    def test_allreduce_recursive_copies_no_message(self, monkeypatch):
+        copies = []
+        copy_payload = comm_module.copy_payload
+
+        def counting(payload):
+            copies.append(payload)
+            return copy_payload(payload)
+
+        monkeypatch.setattr(comm_module, "copy_payload", counting)
+        inputs = [np.arange(64, dtype=np.int64) * (r + 1) for r in range(4)]
+
+        def fn(view):
+            result = yield from collectives.allreduce_recursive(
+                view, inputs[view.rank]
+            )
+            return result
+
+        results, _ = run_collective(fn)
+        for r in range(4):
+            np.testing.assert_array_equal(results[r], np.arange(64) * 10)
+        assert len(copies) == 0
 
 
 class TestCollectiveTiming:

@@ -83,6 +83,135 @@ class TestBasicSendRecv:
         assert eng.now > 100e-6
 
 
+class TestLanding:
+    """A receive given ``into`` lands the message in that buffer at
+    delivery, copied or reduced in; without it, the receiver owns what
+    it gets."""
+
+    def exchange(self, payload, **recv_kw):
+        """Rank 0 sends ``payload`` to rank 1, which receives it with
+        ``recv_kw``; returns what the receive returned."""
+        eng, comm = make_comm()
+        out = {}
+
+        def program(view):
+            if view.rank == 0:
+                yield from view.send(1, payload=payload)
+            elif view.rank == 1:
+                out["got"] = yield from view.recv(0, **recv_kw)
+
+        eng.run(until=comm.run_ranks(program))
+        return out["got"]
+
+    def test_recv_into_returns_the_buffer(self):
+        data = np.arange(1024, dtype=np.float64)
+        into = np.zeros(1024)
+        got = self.exchange(data, into=into)
+        assert got is into
+        np.testing.assert_array_equal(into, data)
+
+    def test_recv_into_with_op_reduces_in_place(self):
+        acc = np.arange(8, dtype=np.int64) * 10
+        got = self.exchange(np.full(8, 3, dtype=np.int64), into=acc, op=np.add)
+        assert got is acc
+        np.testing.assert_array_equal(acc, np.arange(8) * 10 + 3)
+        assert acc.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            np.ones(4, dtype=np.int64),
+            np.full(8, 0.5),
+            None,
+            {0: np.ones(8, dtype=np.int64)},
+        ],
+        ids=["size", "dtype", "size_only", "bundle"],
+    )
+    @pytest.mark.parametrize("op", [None, np.add], ids=["copy", "reduce"])
+    def test_mismatch_fails_only_the_receive(self, payload, op):
+        into = np.arange(8, dtype=np.int64)
+        eng, comm = make_comm()
+        out = {}
+
+        def program(view):
+            if view.rank == 0:
+                if payload is None:
+                    req = view.isend(1, nbytes=64)
+                else:
+                    req = view.isend(1, payload=payload)
+                yield req.event
+                out["send_ok"] = req.event.ok
+            elif view.rank == 1:
+                with pytest.raises(ValueError, match="region mismatch"):
+                    yield from view.recv(0, into=into, op=op)
+                out["failed"] = True
+
+        eng.run(until=comm.run_ranks(program))
+        assert out == {"send_ok": True, "failed": True}
+        np.testing.assert_array_equal(into, np.arange(8))
+        assert comm.unmatched == (0, 0)
+
+    def test_op_error_fails_only_the_receive(self):
+        """An ``op`` that raises at delivery fails the receive, not the
+        put's completion callback."""
+        into = np.zeros(8)
+        eng, comm = make_comm()
+        out = {}
+
+        def program(view):
+            if view.rank == 0:
+                yield from view.send(1, payload=np.ones(8))
+                out["sent"] = True
+            elif view.rank == 1:
+                with pytest.raises(TypeError):
+                    yield from view.recv(0, into=into, op=np.bitwise_and)
+                out["failed"] = True
+
+        eng.run(until=comm.run_ranks(program))
+        assert out == {"sent": True, "failed": True}
+        np.testing.assert_array_equal(into, np.zeros(8))
+
+    def test_op_without_into_posts_nothing(self):
+        _, comm = make_comm()
+        view = comm.view(0)
+        with pytest.raises(ValueError, match="into"):
+            view.irecv(1, op=np.add)
+        with pytest.raises(ValueError, match="into"):
+            next(view.sendrecv(1, 1, payload=np.zeros(4), op=np.add))
+        assert comm.unmatched == (0, 0)
+
+    def test_non_array_into_posts_nothing(self):
+        _, comm = make_comm()
+        with pytest.raises(TypeError, match="numpy array"):
+            comm.view(0).irecv(1, into=[0.0] * 4)
+        assert comm.unmatched == (0, 0)
+
+    def test_sendrecv_into_overlapping_payload_posts_nothing(self):
+        _, comm = make_comm()
+        buf = np.zeros(16)
+        with pytest.raises(ValueError, match="overlaps"):
+            next(comm.view(0).sendrecv(1, 1, payload=buf[:8], into=buf[4:12]))
+        with pytest.raises(ValueError, match="overlaps"):
+            next(comm.view(0).sendrecv(1, 1, payload={3: buf[:8]}, into=buf[4:12]))
+        assert comm.unmatched == (0, 0)
+
+    @pytest.mark.parametrize("size,dst", [(4, 1), (8, 4)], ids=["put", "same_device"])
+    def test_blocking_send_receiver_owns_its_array(self, size, dst):
+        eng, comm = make_comm(size=size)
+        data = np.arange(64, dtype=np.float64)
+        out = {}
+
+        def program(view):
+            if view.rank == 0:
+                yield from view.send(dst, payload=data)
+            elif view.rank == dst:
+                out["got"] = yield from view.recv(0)
+
+        eng.run(until=comm.run_ranks(program))
+        np.testing.assert_array_equal(out["got"], data)
+        assert not np.shares_memory(out["got"], data)
+
+
 class TestMatching:
     def test_tag_matching(self):
         eng, comm = make_comm()

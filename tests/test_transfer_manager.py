@@ -6,6 +6,7 @@ blocking), load accounting, cancellation and expiry, and the re-routed
 entry points (context.put, endpoints, MPI traffic).
 """
 
+import numpy as np
 import pytest
 
 from repro.runtime import (
@@ -218,6 +219,24 @@ class TestAdmissionControl:
         _, ctx = make_ctx()
         with pytest.raises(ValueError):
             ctx.put(0, 1, -1)
+
+    def test_non_integer_size_rejected_at_submit(self):
+        """A float size would replay the graph compiled for its
+        truncation and book the fraction as delivered."""
+        eng, ctx = make_ctx()
+        eng.run(until=ctx.put(0, 1, 4 * MiB))
+        done = ctx.transfers.submitted
+        for size in (4 * MiB + 0.5, 4.0 * MiB, "4194304"):
+            with pytest.raises(TypeError):
+                ctx.put(0, 1, size)
+        assert ctx.transfers.submitted == done
+        assert ctx.transfers.bytes_submitted == 4 * MiB
+
+    def test_numpy_integer_size_completes(self):
+        eng, ctx = make_ctx()
+        result = eng.run(until=ctx.put(0, 1, np.int64(4 * MiB)))
+        assert result.nbytes == 4 * MiB
+        assert ctx.transfers.completed == 1
 
 
 class TestEntryPoints:
