@@ -49,8 +49,8 @@ class StaticSearchResult:
     candidates_evaluated: int
 
 
-def _simulate_candidate(env: BenchEnvironment, src, dst, nbytes, paths, fractions, chunks):
-    """Time a single transfer with an explicit distribution."""
+def _simulate_candidate(env: BenchEnvironment, nbytes, paths, fractions, chunks):
+    """Time a single GPU 0 -> GPU 1 transfer with an explicit distribution."""
     engine, ctx, _comm = env.fresh()
     assignments = []
     shares = [int(f * nbytes) for f in fractions]
@@ -72,7 +72,7 @@ def _simulate_candidate(env: BenchEnvironment, src, dst, nbytes, paths, fraction
             )
         )
     plan = TransferPlan(
-        src=src, dst=dst, nbytes=nbytes,
+        src=0, dst=1, nbytes=nbytes,
         assignments=tuple(assignments),
         predicted_time=1e-9,
     )
@@ -87,20 +87,19 @@ def static_search(
     env: BenchEnvironment,
     nbytes: int,
     *,
-    src: int = 0,
-    dst: int = 1,
     include_host: bool = True,
     max_gpu_staged: int | None = None,
     grid_steps: int = 8,
     chunk_menu: tuple[int, ...] = (1, 4, 16),
 ) -> StaticSearchResult:
-    """Offline exhaustive search for the best fixed distribution."""
+    """Offline exhaustive search for the best fixed distribution from
+    GPU 0 to GPU 1, the pair every experiment measures."""
     if nbytes <= 0:
         raise ValueError("nbytes must be > 0")
     paths = enumerate_paths(
         env.topology,
-        src,
-        dst,
+        0,
+        1,
         include_host=include_host,
         max_gpu_staged=max_gpu_staged,
     )
@@ -111,7 +110,7 @@ def static_search(
     menu = chunk_menu if has_staged else (1,)
     for fractions, chunks in product(simplex_grid(len(paths), grid_steps), menu):
         evaluated += 1
-        t = _simulate_candidate(env, src, dst, nbytes, paths, fractions, chunks)
+        t = _simulate_candidate(env, nbytes, paths, fractions, chunks)
         if t < best_time:
             best_time = t
             best = (fractions, chunks)
@@ -132,10 +131,9 @@ def static_search(
 # Config factories for the three paper configurations
 # ---------------------------------------------------------------------------
 
-def direct_config(base: TransportConfig | None = None) -> TransportConfig:
+def direct_config() -> TransportConfig:
     """The MPI+UCX default: one direct path."""
-    base = base or TransportConfig()
-    return base.with_(multipath=False, include_host=False, static_shares=())
+    return TransportConfig.single_path()
 
 
 def dynamic_config(

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.chunking import chunking_ratio, fit_phi
+from repro.core.chunking import fit_phi_for_sizes
 from repro.core.params import LinkEstimate, ParameterStore
 from repro.gpu.runtime import GPURuntime
 from repro.sim.engine import Engine
@@ -72,12 +72,13 @@ def fit_hockney(sizes: np.ndarray, times: np.ndarray) -> LinkEstimate:
 
 
 def calibrate_hop(
-    topology: NodeTopology, hop: Hop, sizes=DEFAULT_SWEEP, jitter_factory=None
+    topology: NodeTopology, hop: Hop, jitter_factory=None
 ) -> LinkEstimate:
+    """(α̂, β̂) of one hop from timed copies over :data:`DEFAULT_SWEEP`."""
     times = np.array(
-        [_time_hop(topology, hop, int(n), jitter_factory) for n in sizes]
+        [_time_hop(topology, hop, n, jitter_factory) for n in DEFAULT_SWEEP]
     )
-    return fit_hockney(np.asarray(sizes, dtype=float), times)
+    return fit_hockney(np.asarray(DEFAULT_SWEEP, dtype=float), times)
 
 
 def _measure_staged_k1(
@@ -106,15 +107,15 @@ def calibrate_epsilon(
     topology: NodeTopology,
     path: PathDescriptor,
     store: ParameterStore,
-    sizes=DEFAULT_SWEEP,
     jitter_factory=None,
 ) -> float:
-    """ε̂ = measured staged k=1 time − sum of calibrated hop times."""
+    """ε̂ = measured staged k=1 time − sum of calibrated hop times, over
+    :data:`DEFAULT_SWEEP`."""
     est1 = store.link(path.hops[0])
     est2 = store.link(path.hops[1])
     residuals = []
-    for n in sizes:
-        measured = _measure_staged_k1(topology, path, int(n), jitter_factory)
+    for n in DEFAULT_SWEEP:
+        measured = _measure_staged_k1(topology, path, n, jitter_factory)
         predicted_hops = (
             est1.alpha + n / est1.beta + est2.alpha + n / est2.beta
         )
@@ -122,22 +123,16 @@ def calibrate_epsilon(
     return max(float(np.mean(residuals)), 0.0)
 
 
-def calibrate_phi_analytic(
-    path_params, sizes=DEFAULT_PHI_WINDOW, theta_ref: float = 0.25
-) -> float:
-    """φ̂ from the calibrated (α̂, β̂, ε̂): least-squares sqrt(x) ≈ φx."""
-    xs = [
-        chunking_ratio(path_params, theta_ref, float(n))
-        for n in sizes
-    ]
-    xs = [x for x in xs if x > 0]
-    return fit_phi(xs)
+def calibrate_phi_analytic(path_params) -> float:
+    """φ̂ from the calibrated (α̂, β̂, ε̂): least-squares sqrt(x) ≈ φx over
+    :data:`DEFAULT_PHI_WINDOW`."""
+    return fit_phi_for_sizes(path_params, DEFAULT_PHI_WINDOW)
 
 
 def calibrate_launch_overhead(
-    topology: NodeTopology, repeats: int = 8, jitter_factory=None
+    topology: NodeTopology, jitter_factory=None
 ) -> float:
-    """Mean gap between back-to-back zero-byte copies on one stream."""
+    """Mean gap between 8 back-to-back zero-byte copies on one stream."""
     engine = Engine()
     runtime = GPURuntime(engine, topology, jitter_factory=jitter_factory)
     stream = runtime.create_stream(0)
@@ -150,19 +145,13 @@ def calibrate_launch_overhead(
         hop = topology.host_hops(0, 1)[0]
     start = engine.now
     last = None
-    for i in range(repeats):
+    for i in range(8):
         last = runtime.copy_on_hop_async(hop, 0, stream, tag=f"launch{i}")
     engine.run(until=last)
-    return (engine.now - start) / repeats
+    return (engine.now - start) / 8
 
 
-def calibrate(
-    topology: NodeTopology,
-    *,
-    sizes=DEFAULT_SWEEP,
-    phi_window=DEFAULT_PHI_WINDOW,
-    jitter_factory=None,
-) -> ParameterStore:
+def calibrate(topology: NodeTopology, *, jitter_factory=None) -> ParameterStore:
     """Full Step-1 extraction for one system.
 
     ``jitter_factory`` must match the one the experiments run with — on a
@@ -187,18 +176,18 @@ def calibrate(
                 if path.via is None and len(path.hops) == 2 and host_example is None:
                     host_example = path
     for hop in sorted(hops):
-        store.set_link(hop, calibrate_hop(topology, hop, sizes, jitter_factory))
+        store.set_link(hop, calibrate_hop(topology, hop, jitter_factory))
 
     # 2. Staging synchronization overheads.
     if gpu_staged_example is not None:
         store.set_epsilon(
             "gpu",
-            calibrate_epsilon(topology, gpu_staged_example, store, sizes, jitter_factory),
+            calibrate_epsilon(topology, gpu_staged_example, store, jitter_factory),
         )
     if host_example is not None:
         store.set_epsilon(
             "host",
-            calibrate_epsilon(topology, host_example, store, sizes, jitter_factory),
+            calibrate_epsilon(topology, host_example, store, jitter_factory),
         )
 
     # 3. Topology constants φ per staged path id.
@@ -208,7 +197,7 @@ def calibrate(
             continue
         seen.add(path.path_id)
         params = store.path_params(path)
-        store.set_phi(path.path_id, calibrate_phi_analytic(params, phi_window))
+        store.set_phi(path.path_id, calibrate_phi_analytic(params))
 
     # 4. Per-transfer launch overhead (Line 18's accumulated α).
     store.launch_overhead = calibrate_launch_overhead(
@@ -235,29 +224,21 @@ _CAL_MEMO: dict[str, str] = {}  # key -> ParameterStore JSON
 cache_stats = {"memo_hits": 0, "disk_hits": 0, "misses": 0}
 
 
-def calibration_cache_key(
-    system: str,
-    *,
-    sizes=DEFAULT_SWEEP,
-    phi_window=DEFAULT_PHI_WINDOW,
-) -> tuple[dict, str]:
-    """(key payload, digest) identifying one calibration's full input set."""
+def calibration_cache_key(system: str) -> tuple[dict, str]:
+    """(key payload, digest) identifying one calibration's full input set:
+    the system and both size sweeps."""
     payload = {
         "version": CAL_CACHE_VERSION,
         "system": system,
-        "sizes": [int(s) for s in sizes],
-        "phi_window": [int(s) for s in phi_window],
+        "sizes": list(DEFAULT_SWEEP),
+        "phi_window": list(DEFAULT_PHI_WINDOW),
     }
     material = json.dumps(payload, sort_keys=True).encode()
     return payload, hashlib.sha256(material).hexdigest()[:20]
 
 
 def calibrate_cached(
-    topology: NodeTopology,
-    *,
-    sizes=DEFAULT_SWEEP,
-    phi_window=DEFAULT_PHI_WINDOW,
-    cache_dir: str | Path | None = None,
+    topology: NodeTopology, *, cache_dir: str | Path | None = None
 ) -> ParameterStore:
     """Memoised :func:`calibrate` keyed by (system, sweeps).
 
@@ -275,9 +256,7 @@ def calibrate_cached(
     from repro.bench.env import default_jitter_factory
     from repro.bench.runner import SystemSetup
 
-    payload, digest = calibration_cache_key(
-        topology.name, sizes=sizes, phi_window=phi_window
-    )
+    payload, digest = calibration_cache_key(topology.name)
     text = _CAL_MEMO.get(digest)
     if text is not None:
         cache_stats["memo_hits"] += 1
@@ -299,12 +278,7 @@ def calibrate_cached(
     jitter_factory = default_jitter_factory(
         SystemSetup.jitter_seed, SystemSetup.jitter_sigma
     )
-    store = calibrate(
-        topology,
-        sizes=sizes,
-        phi_window=phi_window,
-        jitter_factory=jitter_factory,
-    )
+    store = calibrate(topology, jitter_factory=jitter_factory)
     text = store.to_json()
     _CAL_MEMO[digest] = text
     if path is not None:

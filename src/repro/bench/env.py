@@ -80,10 +80,10 @@ class BenchEnvironment:
     config: TransportConfig = field(default_factory=TransportConfig)
     store: ParameterStore | None = None
     jitter_factory: Callable | None = None
-    trace: bool = False
     #: Attach an :class:`~repro.obs.Observability` bundle (pull metrics
-    #: and the prediction-error tracker) to every fresh context.  Implies
-    #: tracing, so the Chrome-trace export covers fabric copies too.
+    #: and the prediction-error tracker) and a fabric :class:`Tracer` to
+    #: every fresh context, so the Chrome-trace export covers fabric
+    #: copies too.
     observe: bool = False
     #: Enable the closed loop (drift detection + online recalibration) on
     #: top of ``observe``; has no effect unless ``observe`` is set too.
@@ -95,20 +95,20 @@ class BenchEnvironment:
             config=config,
             store=self.store,
             jitter_factory=self.jitter_factory,
-            trace=self.trace,
             observe=self.observe,
             autotune=self.autotune,
         )
 
-    def fresh(self, size: int | None = None):
-        """New (engine, context, communicator[, tracer]) for one run.
+    def fresh(self):
+        """New (engine, context, communicator) for one run, with one rank
+        per GPU.
 
         The created context stays reachable as :attr:`last_context`, so
         callers of measurement loops that build their own fresh context
         (``osu_bw`` et al.) can read metrics/traces after the run.
         """
         engine = Engine()
-        tracer = Tracer() if (self.trace or self.observe) else None
+        tracer = Tracer() if self.observe else None
         obs = Observability(autotune=self.autotune) if self.observe else None
         context = UCXContext(
             engine,
@@ -121,7 +121,6 @@ class BenchEnvironment:
         )
         comm = Communicator(
             context,
-            size=size,
             reduce_bandwidth=REDUCE_BANDWIDTH.get(
                 self.topology.name, DEFAULT_REDUCE_BANDWIDTH
             ),

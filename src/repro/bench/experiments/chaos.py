@@ -141,29 +141,23 @@ def run_chaos(
     seed: int = 0,
     src: int = 0,
     dst: int = 1,
-    channel: str | None = None,
-    deadline_factor: float | None = None,
     keep_context: bool = False,
 ) -> ChaosResult:
     """Run one chaos scenario and contrast it with the fault-free put.
 
-    ``channel`` defaults to the first channel of the pair's direct hop —
-    the path carrying the largest θ share, so its loss hurts most.  The
-    ``stall`` scenario enables the deadline watchdog (``deadline_factor``
-    defaults to 1.5 there; ``None`` keeps the config default elsewhere).
+    The fault hits the first channel of the pair's direct hop — the path
+    carrying the largest θ share, so its loss hurts most.  The ``stall``
+    scenario enables the deadline watchdog (``deadline_factor=1.5``).
     With ``keep_context`` the chaotic run's live context is attached to
     the result as ``_context`` for report/CLI consumers (trace export).
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown chaos scenario {scenario!r} (have {SCENARIOS})")
     setup = get_setup(system)
-    if channel is None:
-        channel = setup.topology.direct_hop(src, dst)[0]
+    channel = setup.topology.direct_hop(src, dst)[0]
     config = dynamic_config()
-    if scenario == "stall" and deadline_factor is None:
-        deadline_factor = 1.5
-    if deadline_factor is not None:
-        config = config.with_(deadline_factor=deadline_factor)
+    if scenario == "stall":
+        config = config.with_(deadline_factor=1.5)
 
     _base_ctx, fault_free = _measure_put(
         setup, config, nbytes=nbytes, src=src, dst=dst, schedule=None, tag="chaos"

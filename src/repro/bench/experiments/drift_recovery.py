@@ -139,23 +139,21 @@ def run_drift_recovery(
     ramp_puts: int = 10,
     degrade: float = 0.30,
     recovery_window: int = 16,
-    channel: str | None = None,
     src: int = 0,
     dst: int = 1,
     keep_contexts: bool = False,
 ) -> DriftRecoveryResult:
     """Run the drift scenario closed- and open-loop and compare.
 
-    ``channel`` defaults to the first channel of the pair's direct hop —
-    the path carrying the largest θ share, so staleness hurts most.
+    The degraded channel is the first of the pair's direct hop — the path
+    carrying the largest θ share, so staleness hurts most.
     With ``keep_contexts`` the two live contexts are attached to the
     result as ``_contexts`` (closed, open) for report/CLI consumers.
     """
     if not 0.0 < degrade < 1.0:
         raise ValueError("degrade must be in (0, 1)")
     setup = get_setup(system)
-    if channel is None:
-        channel = setup.topology.direct_hop(src, dst)[0]
+    channel = setup.topology.direct_hop(src, dst)[0]
     kwargs = dict(
         nbytes=nbytes,
         total_puts=total_puts,

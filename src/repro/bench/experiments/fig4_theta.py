@@ -18,7 +18,6 @@ def run_fig4(
     system: str = "beluga",
     *,
     sizes: list[int] | None = None,
-    paths_labels: tuple[str, ...] = ("2_GPUs", "3_GPUs", "3_GPUs_w_host"),
     setup: SystemSetup | None = None,
 ) -> Table:
     """θ per path per message size, one row per (panel, size, path)."""
@@ -29,8 +28,7 @@ def run_fig4(
         title=f"FIG4: theta distribution on {setup.name} (BW)",
     )
     planner = PathPlanner(setup.topology, setup.store)
-    for label in paths_labels:
-        kwargs = PATH_CONFIGS[label]
+    for label, kwargs in PATH_CONFIGS.items():
         for n in sizes:
             plan = planner.plan(0, 1, n, **kwargs)
             for a in plan.assignments:

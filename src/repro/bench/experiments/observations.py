@@ -36,17 +36,16 @@ def _panel_errors(table: Table, *, above_mib: int, **criteria) -> list[float]:
     ]
 
 
-def obs1_large_message_accuracy(
-    fig5: Table, *, above_mib: int = 8, tolerance_pct: float = 10.0
-) -> ObservationResult:
-    """Obs 1: BW prediction error is small (<~6 %) for large messages."""
-    errors = _panel_errors(fig5, above_mib=above_mib)
+def obs1_large_message_accuracy(fig5: Table) -> ObservationResult:
+    """Obs 1: BW prediction error is small (<~6 %) for large messages:
+    the mean above 8 MiB is under a 10 % tolerance."""
+    errors = _panel_errors(fig5, above_mib=8)
     mean_err = float(np.mean(errors)) if errors else float("nan")
     return ObservationResult(
         name="obs1_large_message_accuracy",
-        holds=bool(errors) and mean_err < tolerance_pct,
-        detail=f"mean BW error >{above_mib}MiB = {mean_err:.2f}% "
-        f"(paper: <6%; tolerance {tolerance_pct}%)",
+        holds=bool(errors) and mean_err < 10.0,
+        detail=f"mean BW error >8MiB = {mean_err:.2f}% "
+        "(paper: <6%; tolerance 10.0%)",
         values={"mean_error_pct": mean_err, "points": len(errors)},
     )
 

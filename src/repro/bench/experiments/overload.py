@@ -2,8 +2,8 @@
 
 The chaos experiment asks "does one transfer survive a fault?"; this one
 asks the production question: what happens when transfers arrive *faster
-than the fabric can serve them* — 4x offered load by default — while a
-link dies mid-run?  The overload layer (DESIGN.md §5h) must keep the
+than the fabric can serve them* — 4x offered load — while a link dies
+mid-run?  The overload layer (DESIGN.md §5h) must keep the
 admission queue bounded (shed policies), fast-fail work whose deadline is
 provably unreachable, meter recovery retries through the shared budget,
 and account for every byte exactly.
@@ -14,16 +14,16 @@ The scenario:
    chaos scenarios — all timing scales with message size);
 2. in a fresh simulation with ``max_inflight_per_pair=1`` (so the pair's
    service rate is ~1/T₀), submit ``n`` puts at intervals of
-   ``T₀ / load_factor`` with per-put deadlines, an admission-queue limit,
-   overload thresholds, and retry budgets;
+   ``T₀ / LOAD_FACTOR`` with per-put deadlines of ``DEADLINE_SLACK * T₀``,
+   an admission-queue limit of ``QUEUE_LIMIT``, overload thresholds, and
+   retry budgets;
 3. hard-fail the pair's direct channel mid-run (anchored on T₀) and bring
    it back after a few T₀, so recovery and the budget both engage;
 4. drain the engine, classify every submission (delivered / failed /
    shed / expired / rejected), and run the invariant sanitizer.
 
-Everything derives from measured durations, fixed constants, and the
-caller's seed, so a (system, size, n, load_factor) tuple reproduces
-bit-identically.
+Everything derives from measured durations and fixed constants, so a
+(system, size, n) tuple reproduces bit-identically.
 """
 
 from __future__ import annotations
@@ -40,6 +40,16 @@ from repro.units import MiB
 
 #: The shed policies a scenario can exercise (mirrors TransportConfig).
 SHED_POLICIES = ("reject-newest", "reject-cheapest", "tenant-fair")
+
+#: Offered load over the serialized pair's service rate.
+LOAD_FACTOR = 4.0
+#: Admission-queue limit.
+QUEUE_LIMIT = 8
+#: Each put's relative deadline, in units of T₀.
+DEADLINE_SLACK = 12.0
+#: The admitted-p99 bound, in units of T₀: deadline admission plus one
+#: recovery's worth of execution headroom.
+P99_BOUND_FACTOR = DEADLINE_SLACK + 4.0
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,7 @@ class OverloadResult:
     overload: dict  # governor snapshot
     retry_budget: dict  # budget snapshot
     recovery: dict  # cuda_ipc recovery stats
-    sanitizer: SanitizerReport | None
+    sanitizer: SanitizerReport
     bytes_ledger: dict = field(default_factory=dict)
     windows: tuple[FaultWindow, ...] = ()  # for the Chrome-trace fault rows
 
@@ -100,7 +110,7 @@ class OverloadResult:
 
     @property
     def conserved(self) -> bool:
-        return self.sanitizer is None or self.sanitizer.ok
+        return self.sanitizer.ok
 
     def describe(self) -> str:
         lines = [
@@ -127,9 +137,8 @@ class OverloadResult:
             f"  retry budget: {self.retry_budget.get('consumed', 0)} consumed, "
             f"{self.retry_budget.get('denied', 0)} denied "
             f"(capacity {self.retry_budget.get('total_capacity')})",
+            f"  {self.sanitizer.describe()}",
         ]
-        if self.sanitizer is not None:
-            lines.append(f"  {self.sanitizer.describe()}")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -169,11 +178,10 @@ class OverloadResult:
             "retry_budget": self.retry_budget,
             "recovery": self.recovery,
             "bytes": self.bytes_ledger,
-            "sanitizer": (
-                {"ok": self.sanitizer.ok, "violations": self.sanitizer.violations}
-                if self.sanitizer is not None
-                else None
-            ),
+            "sanitizer": {
+                "ok": self.sanitizer.ok,
+                "violations": self.sanitizer.violations,
+            },
         }
 
 
@@ -185,26 +193,16 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[rank - 1]
 
 
-def overload_config(
-    base=None,
-    *,
-    queue_limit: int = 8,
-    shed_policy: str = "reject-newest",
-    pressured_depth: int = 3,
-    shedding_depth: int = 6,
-    retry_budget_total: int | None = 8,
-    retry_budget_per_pair: int | None = 4,
-):
+def overload_config(shed_policy: str):
     """The scenario's transport config: serialized pair + overload layer."""
-    config = base if base is not None else dynamic_config()
-    return config.with_(
+    return dynamic_config().with_(
         max_inflight_per_pair=1,
-        admission_queue_limit=queue_limit,
+        admission_queue_limit=QUEUE_LIMIT,
         shed_policy=shed_policy,
-        overload_pressured_depth=pressured_depth,
-        overload_shedding_depth=shedding_depth,
-        retry_budget_total=retry_budget_total,
-        retry_budget_per_pair=retry_budget_per_pair,
+        overload_pressured_depth=3,
+        overload_shedding_depth=6,
+        retry_budget_total=8,
+        retry_budget_per_pair=4,
     )
 
 
@@ -213,34 +211,21 @@ def run_overload(
     *,
     nbytes: int = 8 * MiB,
     n: int = 48,
-    load_factor: float = 4.0,
     src: int = 0,
     dst: int = 1,
-    queue_limit: int = 8,
     shed_policy: str = "reject-newest",
-    deadline_slack: float = 12.0,
-    p99_bound_factor: float | None = None,
     fault: bool = True,
-    sanitize: bool = True,
     keep_context: bool = False,
 ) -> OverloadResult:
     """Run the chaos+overload scenario; see module docstring.
 
-    ``deadline_slack`` sets each put's relative deadline to
-    ``deadline_slack * T₀``; ``p99_bound_factor`` the admitted-latency
-    bound in units of T₀ (default ``deadline_slack + 4`` — deadline
-    admission plus one recovery's worth of execution headroom).  With
-    ``fault=False`` the link stays up (pure-overload ablation).
+    With ``fault=False`` the link stays up (pure-overload ablation).
     """
     if n < 2:
         raise ValueError("need at least 2 offered transfers")
-    if load_factor <= 0:
-        raise ValueError("load_factor must be > 0")
     setup: SystemSetup = get_setup(system)
     channel = setup.topology.direct_hop(src, dst)[0]
-    config = overload_config(
-        queue_limit=queue_limit, shed_policy=shed_policy
-    )
+    config = overload_config(shed_policy)
 
     # Step 1: fault-free baseline with the same config (so T₀ prices the
     # serialized pair exactly as the scenario will run it).
@@ -251,12 +236,9 @@ def run_overload(
     if t0 <= 0 or not math.isfinite(t0):
         raise ValueError("degenerate baseline duration")
 
-    interval = t0 / load_factor
-    deadline = deadline_slack * t0
-    bound_factor = (
-        p99_bound_factor if p99_bound_factor is not None else deadline_slack + 4.0
-    )
-    p99_bound = bound_factor * t0
+    interval = t0 / LOAD_FACTOR
+    deadline = DEADLINE_SLACK * t0
+    p99_bound = P99_BOUND_FACTOR * t0
     fault_at = 0.3 * n * interval
     fault_duration = 6.0 * t0
 
@@ -296,7 +278,7 @@ def run_overload(
 
     manager = ctx.transfers
     stats = manager.stats_snapshot()
-    sanitizer = check_invariants(ctx, raise_on_violation=False) if sanitize else None
+    sanitizer = check_invariants(ctx, raise_on_violation=False)
     during_fault = sum(
         1 for _i, at in submissions if schedule.active_at(at)
     ) if fault else 0
@@ -305,10 +287,10 @@ def run_overload(
         system=system,
         nbytes=nbytes,
         n_offered=n,
-        load_factor=load_factor,
+        load_factor=LOAD_FACTOR,
         t0=t0,
         interval=interval,
-        queue_limit=queue_limit,
+        queue_limit=QUEUE_LIMIT,
         deadline=deadline,
         p99_bound=p99_bound,
         shed_policy=shed_policy,

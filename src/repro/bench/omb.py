@@ -187,29 +187,30 @@ def osu_collective_latency(
     *,
     iterations: int = 3,
     warmup: int = 1,
-    dtype=np.float32,
 ) -> CollectiveResult:
     """Average latency of ``collective(view, data)`` over the whole node.
 
     ``collective`` is a generator like :func:`repro.mpi.collectives.allreduce`
-    taking (view, payload); for alltoall-style collectives pass a wrapper
-    that builds the block list (see :mod:`repro.bench.collectives`).
+    taking (view, payload), where each rank's payload is a float32 array;
+    for alltoall-style collectives pass a wrapper that builds the block
+    list (see :mod:`repro.bench.collectives`).  Each call's result is
+    dropped at once, so a rank never holds two.
     """
     if nbytes_per_rank <= 0 or iterations < 1 or warmup < 0:
         raise ValueError("invalid benchmark parameters")
     engine, _ctx, comm = env.fresh()
-    itemsize = np.dtype(dtype).itemsize
+    itemsize = np.dtype(np.float32).itemsize
     elems = max(comm.size, nbytes_per_rank // itemsize)
     marks: dict[str, float] = {}
 
     def program(view):
-        data = np.zeros(elems, dtype=dtype)
+        data = np.zeros(elems, dtype=np.float32)
         for it in range(warmup + iterations):
             if it == warmup:
                 yield from view.barrier()
                 if view.rank == 0:
                     marks["start"] = engine.now
-            _ = yield from collective(view, data)
+            yield from collective(view, data)
             yield from view.barrier()
         if view.rank == 0:
             marks["stop"] = engine.now

@@ -40,7 +40,6 @@ def parallel_map(
     tasks: Iterable[T],
     *,
     jobs: int | None = None,
-    chunksize: int = 1,
 ) -> list[R]:
     """Ordered map of ``fn`` over ``tasks``, optionally across processes.
 
@@ -57,7 +56,7 @@ def parallel_map(
         return [fn(task) for task in task_list]
     workers = min(jobs, len(task_list))
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        return list(pool.map(fn, task_list, chunksize=chunksize))
+        return list(pool.map(fn, task_list))
 
 
 __all__ = ["parallel_map", "default_jobs"]

@@ -57,6 +57,10 @@ from repro.units import MiB
 
 PERF_SUITE_VERSION = 5
 
+#: Runs per timed series: the best wall clock is kept (the tracing
+#: overhead pools its paired ratios over this many environments instead).
+REPEATS = 3
+
 #: Series compared against the baseline by :func:`check_regression`:
 #: (json path, human label).  All are "higher is better" throughputs.
 GATED_SERIES = (
@@ -128,8 +132,8 @@ def _engine_workload(
     }
 
 
-def bench_engine_core(*, quick: bool = False, repeats: int = 3) -> dict:
-    """Best-of-``repeats`` raw engine throughput (ROADMAP item 2 gate)."""
+def bench_engine_core(*, quick: bool = False) -> dict:
+    """Best-of-``REPEATS`` raw engine throughput (ROADMAP item 2 gate)."""
     kw = dict(
         chains=8 if quick else 16,
         chain_length=2_000 if quick else 5_000,
@@ -138,7 +142,7 @@ def bench_engine_core(*, quick: bool = False, repeats: int = 3) -> dict:
         churn=2_000 if quick else 10_000,
     )
     best = min(
-        (_engine_workload(**kw) for _ in range(max(1, repeats))),
+        (_engine_workload(**kw) for _ in range(REPEATS)),
         key=lambda r: r["wall_s"],
     )
     best["workload"] = kw
@@ -212,7 +216,7 @@ def _solver_workload(
     }
 
 
-def bench_solver(*, quick: bool = False, repeats: int = 3) -> dict:
+def bench_solver(*, quick: bool = False) -> dict:
     """Incremental vs full-recompute solver on the synthetic workload."""
     kw = dict(
         waves=3 if quick else 6,
@@ -222,11 +226,11 @@ def bench_solver(*, quick: bool = False, repeats: int = 3) -> dict:
         chain_length=50 if quick else 200,
     )
     incr = min(
-        (_solver_workload(full_recompute=False, **kw) for _ in range(repeats)),
+        (_solver_workload(full_recompute=False, **kw) for _ in range(REPEATS)),
         key=lambda r: r["wall_s"],
     )
     full = min(
-        (_solver_workload(full_recompute=True, **kw) for _ in range(repeats)),
+        (_solver_workload(full_recompute=True, **kw) for _ in range(REPEATS)),
         key=lambda r: r["wall_s"],
     )
     incr["workload"] = kw
@@ -242,7 +246,7 @@ def bench_solver(*, quick: bool = False, repeats: int = 3) -> dict:
 # FIG5 sweep: calibration cache + parallel fan-out
 # ----------------------------------------------------------------------
 
-def bench_fig5(*, quick: bool = True, jobs: int | None = None, repeats: int = 2) -> dict:
+def bench_fig5(*, quick: bool = True, jobs: int | None = None) -> dict:
     """Pre-PR-configuration vs optimized wall clock for a FIG5 sweep.
 
     Baseline reproduces how the sweep ran before the fast-core work:
@@ -251,7 +255,7 @@ def bench_fig5(*, quick: bool = True, jobs: int | None = None, repeats: int = 2)
     and fans points across ``jobs`` workers.  Both produce byte-identical
     tables (asserted); the speedup on a single-core machine comes from the
     solver + cache alone, so ``cpu_count`` is recorded alongside.  Each
-    side is timed ``repeats`` times and the best wall clock kept.
+    side is timed twice and the best wall clock kept.
     """
     import os
 
@@ -276,7 +280,7 @@ def bench_fig5(*, quick: bool = True, jobs: int | None = None, repeats: int = 2)
     baseline_cpu = optimized_cpu = float("inf")
     baseline = optimized = None
     saved = fabric_mod.FULL_RECOMPUTE_DEFAULT
-    for _ in range(max(1, repeats)):
+    for _ in range(2):
         fabric_mod.FULL_RECOMPUTE_DEFAULT = True
         try:
             clear_caches()  # baseline pays calibration every run
@@ -317,10 +321,10 @@ def bench_fig5(*, quick: bool = True, jobs: int | None = None, repeats: int = 2)
 # Planner overhead
 # ----------------------------------------------------------------------
 
-def bench_planner(*, quick: bool = False, repeats: int = 3) -> dict:
+def bench_planner(*, quick: bool = False) -> dict:
     """Cached Algorithm-1 lookups per second (the per-put runtime cost).
 
-    Best-of-``repeats`` over a batch large enough (~0.1 s) that the
+    Best-of-``REPEATS`` over a batch large enough (~0.1 s) that the
     throughput is stable enough to gate on.
     """
     from repro.bench.runner import get_setup
@@ -331,7 +335,7 @@ def bench_planner(*, quick: bool = False, repeats: int = 3) -> dict:
     plan = planner.plan(0, 1, 64 * MiB)
     lookups = 20_000 if quick else 50_000
     wall = float("inf")
-    for _ in range(max(1, repeats)):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         for _ in range(lookups):
             plan = planner.plan(0, 1, 64 * MiB)
@@ -342,7 +346,7 @@ def bench_planner(*, quick: bool = False, repeats: int = 3) -> dict:
     # of the cache's value proposition.
     cold_plans = 200 if quick else 500
     cold_wall = float("inf")
-    for _ in range(max(1, repeats)):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         for _ in range(cold_plans):
             cold = planner.plan(0, 1, 64 * MiB, use_cache=False)
@@ -366,7 +370,7 @@ def bench_planner(*, quick: bool = False, repeats: int = 3) -> dict:
 # Compiled transfer-graph replay
 # ----------------------------------------------------------------------
 
-def bench_graph_replay(*, quick: bool = False, repeats: int = 3) -> dict:
+def bench_graph_replay(*, quick: bool = False) -> dict:
     """Warm graph replay vs cold per-transfer setup (DESIGN.md §5g).
 
     Both arms measure *setup only* — what happens between ``put`` and the
@@ -402,7 +406,7 @@ def bench_graph_replay(*, quick: bool = False, repeats: int = 3) -> dict:
         cache.compile_and_store(key, plan, pipeline)
 
     cold_wall = float("inf")
-    for _ in range(max(1, repeats)):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         for i in range(ops):
             plan = planner.plan(0, 1, sizes[i % len(sizes)])
@@ -410,7 +414,7 @@ def bench_graph_replay(*, quick: bool = False, repeats: int = 3) -> dict:
         cold_wall = min(cold_wall, time.perf_counter() - t0)
 
     warm_wall = float("inf")
-    for _ in range(max(1, repeats)):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         for i in range(ops):
             key = cache.key_for(0, 1, sizes[i % len(sizes)], "dynamic")
@@ -579,11 +583,11 @@ def _tracing_ratio_samples(pairs_n: int, warmup: int) -> tuple[list[float], int,
     return ratios, flight.spans_recorded, (pairs_n + warmup) * puts_per_block
 
 
-def bench_tracing_overhead(*, quick: bool = False, repeats: int = 3) -> dict:
+def bench_tracing_overhead(*, quick: bool = False) -> dict:
     """Flight-recorder overhead: recorder-on vs recorder-off put latency.
 
     ``overhead`` is the median of paired on/off block ratios pooled
-    across ``repeats`` fresh environments (see
+    across ``REPEATS`` fresh environments (see
     :func:`_tracing_ratio_samples` for why pairing adjacent identical
     blocks is the noise-robust design).  The acceptance budget for the
     on-by-default recorder is <3 %.
@@ -592,7 +596,7 @@ def bench_tracing_overhead(*, quick: bool = False, repeats: int = 3) -> dict:
     warmup = 5 if quick else 12
     pooled: list[float] = []
     spans = traced_puts = 0
-    for _ in range(max(1, repeats)):
+    for _ in range(REPEATS):
         ratios, recorded, n = _tracing_ratio_samples(pairs_n, warmup)
         pooled.extend(ratios)
         spans += recorded
@@ -601,7 +605,7 @@ def bench_tracing_overhead(*, quick: bool = False, repeats: int = 3) -> dict:
     overhead = pooled[len(pooled) // 2]
     return {
         "paired_blocks": len(pooled),
-        "repeats": repeats,
+        "repeats": REPEATS,
         "overhead": overhead,
         "p90_ratio": pooled[int(0.9 * (len(pooled) - 1))],
         "spans_recorded": spans,

@@ -13,15 +13,15 @@ def render_fig_panels(
     *,
     series_columns: dict[str, str],
     panel_keys: tuple[str, ...] = ("system", "paths", "window"),
-    x_column: str = "size_mib",
     ylabel: str = "GB/s",
 ) -> str:
-    """One ASCII chart per panel (panel = unique combination of keys)."""
+    """One ASCII chart per panel (panel = unique combination of keys),
+    against ``size_mib``."""
     out = io.StringIO()
     for key, group in sorted(table.groupby(*panel_keys).items()):
         label = ", ".join(f"{k}={v}" for k, v in zip(panel_keys, key))
-        sizes = sorted({r[x_column] for r in group})
-        by_x = {r[x_column]: r for r in group}
+        sizes = sorted({r["size_mib"] for r in group})
+        by_x = {r["size_mib"]: r for r in group}
         series = {
             name: [by_x[s][col] if s in by_x else None for s in sizes]
             for name, col in series_columns.items()

@@ -32,10 +32,11 @@ PATH_CONFIGS: dict[str, dict] = {
 }
 
 
-def default_sizes(min_mib: int = 2, max_mib: int = 512) -> list[int]:
-    """Power-of-two message sizes, 2 MiB – 512 MiB like the paper's x-axes."""
+def default_sizes(max_mib: int = 512) -> list[int]:
+    """Power-of-two message sizes from 2 MiB to ``max_mib``; the default
+    512 MiB spans the paper's x-axes."""
     sizes = []
-    s = min_mib
+    s = 2
     while s <= max_mib:
         sizes.append(s * MiB)
         s *= 2
@@ -63,7 +64,6 @@ class SystemSetup:
         self,
         config,
         *,
-        trace: bool = False,
         observe: bool = False,
         autotune: bool = False,
     ) -> BenchEnvironment:
@@ -72,7 +72,6 @@ class SystemSetup:
             config=config,
             store=self.store,
             jitter_factory=default_jitter_factory(self.jitter_seed, self.jitter_sigma),
-            trace=trace,
             observe=observe,
             autotune=autotune,
         )

@@ -423,7 +423,7 @@ def cmd_overload(args):
             f"admitted p99 {result.admitted_p99:.6g}s exceeds bound "
             f"{result.p99_bound:.6g}s"
         )
-    if result.sanitizer is not None and not result.sanitizer.ok:
+    if not result.sanitizer.ok:
         problems.append(result.sanitizer.describe())
     if problems:
         raise SystemExit("error: overload scenario failed:\n  " + "\n  ".join(problems))

@@ -69,19 +69,15 @@ def fit_phi(x_values: Sequence[float]) -> float:
     return float((x ** 1.5).sum() / (x ** 2).sum())
 
 
-def fit_phi_for_sizes(
-    params: PathParams,
-    sizes: Sequence[float],
-    *,
-    theta_ref: float = 0.25,
-) -> float:
+def fit_phi_for_sizes(params: PathParams, sizes: Sequence[float]) -> float:
     """Topology constant φ for one staged path over a message-size window.
 
-    ``theta_ref`` is the representative fraction the path is expected to
-    carry (the paper's Fig. 4 shows staged paths carrying 15–35 %); the fit
-    is insensitive to it because x enters both sides.
+    The chunking ratios are taken at θ = 0.25, a representative fraction
+    for a staged path to carry (the paper's Fig. 4 shows staged paths
+    carrying 15–35 %); the fit is insensitive to it because x enters both
+    sides.
     """
-    xs = [chunking_ratio(params, theta_ref, float(n)) for n in sizes]
+    xs = [chunking_ratio(params, 0.25, float(n)) for n in sizes]
     xs = [x for x in xs if x > 0]
     if not xs:
         raise ValueError("no positive chunking ratios in the size window")

@@ -119,15 +119,12 @@ def max_min_path_rates(
 
 
 class ContentionAwareModel:
-    """MaxRate-style multi-path model over shared channels."""
+    """MaxRate-style multi-path model over shared channels, with the
+    topology's ground-truth parameters."""
 
-    def __init__(
-        self,
-        topology: NodeTopology,
-        store: ParameterStore | None = None,
-    ) -> None:
+    def __init__(self, topology: NodeTopology) -> None:
         self.topology = topology
-        self.store = store if store is not None else ParameterStore.ground_truth(topology)
+        self.store = ParameterStore.ground_truth(topology)
 
     def solve(
         self,
@@ -197,10 +194,8 @@ class ContentionAwareModel:
     def predict_bandwidth(self, src: int, dst: int, nbytes: int, **kw) -> float:
         return nbytes / self.predict_time(src, dst, nbytes, **kw)
 
-    def multipath_worthwhile(
-        self, src: int, dst: int, *, threshold: float = 1.1, **kw
-    ) -> bool:
-        """Does splitting beat the best single path by > threshold?
+    def multipath_worthwhile(self, src: int, dst: int, **kw) -> bool:
+        """Does splitting beat the best single path by more than 10 %?
 
         On NVSwitch-style topologies the shared ports make the answer "no"
         — the check the naive model cannot make.
@@ -217,7 +212,7 @@ class ContentionAwareModel:
             caps = [self.topology.channels[c].beta for c in single_channels]
             rate, _ = max_min_path_rates(caps, u)
             best_single = max(best_single, float(rate[0]))
-        return sol.aggregate_bandwidth > threshold * best_single
+        return sol.aggregate_bandwidth > 1.1 * best_single
 
 
 def concurrent_pattern_rates(

@@ -537,13 +537,11 @@ def plan_transfer(
     src: int,
     dst: int,
     nbytes: int,
-    *,
-    store: ParameterStore | None = None,
     **kwargs,
 ) -> TransferPlan:
-    """One-shot convenience wrapper around :class:`PathPlanner`."""
-    planner = PathPlanner(topology, store)
-    return planner.plan(src, dst, nbytes, **kwargs)
+    """One-shot convenience wrapper around :class:`PathPlanner`, with the
+    topology's ground-truth parameters."""
+    return PathPlanner(topology).plan(src, dst, nbytes, **kwargs)
 
 
 __all__ = ["PathPlanner", "TransferPlan", "PathAssignment", "plan_transfer"]

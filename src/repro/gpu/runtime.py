@@ -196,7 +196,6 @@ class GPURuntime:
         *,
         tracer: Tracer | None = None,
         jitter_factory: Callable | None = None,
-        ipc_open_cost: float | None = None,
     ) -> None:
         self.engine = engine
         self.topology = topology
@@ -208,8 +207,7 @@ class GPURuntime:
             Device(device_id=g, numa=topology.gpu_numa[g])
             for g in range(topology.num_gpus)
         ]
-        kwargs = {} if ipc_open_cost is None else {"open_cost": ipc_open_cost}
-        self.ipc = IpcHandleCache(engine, **kwargs)
+        self.ipc = IpcHandleCache(engine)
         self._stream_count = 0
         # run-level counters (always on: one int add per enqueued copy)
         self.copies_issued = 0

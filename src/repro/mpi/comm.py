@@ -59,14 +59,14 @@ def _check_landing(into, op) -> None:
 
 
 class Communicator:
-    """An intra-node communicator whose ranks map 1:1 onto GPUs."""
+    """An intra-node communicator: rank ``r`` runs on GPU ``r % num_gpus``,
+    so ranks map 1:1 onto GPUs unless there are more ranks than GPUs."""
 
     def __init__(
         self,
         context: UCXContext,
         size: int | None = None,
         *,
-        rank_to_device: list[int] | None = None,
         reduce_bandwidth: float = 250e9,
     ) -> None:
         topo_gpus = context.topology.num_gpus
@@ -75,13 +75,7 @@ class Communicator:
         self.size = size if size is not None else topo_gpus
         if self.size < 1:
             raise ValueError("communicator needs at least one rank")
-        if rank_to_device is None:
-            rank_to_device = [r % topo_gpus for r in range(self.size)]
-        if len(rank_to_device) != self.size:
-            raise ValueError("rank_to_device length mismatch")
-        for dev in rank_to_device:
-            context.runtime.device(dev)  # validates
-        self.rank_to_device = list(rank_to_device)
+        self.rank_to_device = [r % topo_gpus for r in range(self.size)]
         if reduce_bandwidth <= 0:
             raise ValueError("reduce_bandwidth must be > 0")
         self.reduce_bandwidth = float(reduce_bandwidth)

@@ -14,6 +14,8 @@ copied or reduced in (:func:`land_payload`).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
@@ -23,19 +25,23 @@ def payload_nbytes(payload, nbytes: int | None) -> int:
     Exactly one of ``payload`` / ``nbytes`` determines the size; if both
     are given they must agree (catching benchmark-harness bugs).  Dict
     payloads (bundles of blocks) count the sum of their values' sizes,
-    the size of the blocks' concatenation.
+    the size of the blocks' concatenation.  An ``nbytes`` that is not an
+    integer (``operator.index`` rejects it: a float, a string) raises
+    :class:`TypeError` rather than ship its truncation.
     """
+    if nbytes is not None:
+        nbytes = operator.index(nbytes)
     if payload is None:
         if nbytes is None:
             raise ValueError("either payload or nbytes is required")
         if nbytes < 0:
             raise ValueError("negative message size")
-        return int(nbytes)
+        return nbytes
     if isinstance(payload, dict):
         size = int(sum(np.asarray(v).nbytes for v in payload.values()))
     else:
         size = int(np.asarray(payload).nbytes)
-    if nbytes is not None and int(nbytes) != size:
+    if nbytes is not None and nbytes != size:
         raise ValueError(f"nbytes={nbytes} disagrees with payload ({size} bytes)")
     return size
 

@@ -84,7 +84,7 @@ class CriticalPathAnalyzer:
         self.tree = source if isinstance(source, TraceTree) else TraceTree(source)
 
     # ------------------------------------------------------------------
-    def transfers(self, *, multipath_only: bool = False) -> list[TransferBreakdown]:
+    def transfers(self) -> list[TransferBreakdown]:
         """One breakdown per settled transfer with paths, in completion order."""
         out = []
         for root in self.tree.roots():
@@ -96,7 +96,7 @@ class CriticalPathAnalyzer:
                 for s in children.get(root.sid, ())
                 if s.kind.startswith("pipeline.path") and s.attrs.get("ok", True)
             ]
-            if not mine or (multipath_only and len(mine) < 2):
+            if not mine:
                 continue
             mine.sort(key=lambda s: s.attrs["path"])
             bottleneck_end = max(s.t1 for s in mine)

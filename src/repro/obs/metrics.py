@@ -32,8 +32,8 @@ class MetricsRegistry:
         """One structured dict of everything the run measured."""
         return {name: fn() for name, fn in sorted(self._collectors.items())}
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.snapshot(), indent=2, sort_keys=True)
 
 
 __all__ = ["MetricsRegistry"]

@@ -17,7 +17,6 @@ def drift_report(
     open_loop: "PredictionErrorTracker | None" = None,
     *,
     controller: "DriftController | None" = None,
-    min_bytes: int = 0,
     recovery_window: int = 16,
 ) -> str:
     """Prediction-error and recovery statistics, closed vs open loop."""
@@ -31,10 +30,8 @@ def drift_report(
         table.add(
             loop=label,
             samples=len(tracker.records),
-            mean_abs_err=f"{tracker.mean_abs_error(min_bytes=min_bytes):.3f}",
-            tail_abs_err=(
-                f"{tracker.mean_abs_error(min_bytes=min_bytes, last=recovery_window):.3f}"
-            ),
+            mean_abs_err=f"{tracker.mean_abs_error():.3f}",
+            tail_abs_err=f"{tracker.mean_abs_error(last=recovery_window):.3f}",
         )
 
     row("closed", closed)
@@ -122,17 +119,16 @@ def chaos_report(results) -> str:
     return "\n".join(lines)
 
 
-def critical_path_report(
-    analyzer: "CriticalPathAnalyzer", *, limit: int = 20
-) -> str:
-    """Per-transfer bottleneck table plus the aggregate slack summary."""
+def critical_path_report(analyzer: "CriticalPathAnalyzer") -> str:
+    """Per-transfer bottleneck table (the last 20 transfers) plus the
+    aggregate slack summary."""
     transfers = analyzer.transfers()
     table = Table(
         ["transfer", "nbytes", "dur_ms", "bottleneck", "max_slack_us",
          "rel_slack", "last_chunk"],
         title="critical-path attribution (slack ≈ 0 ⇔ Theorem 1 split)",
     )
-    for t in transfers[-limit:]:
+    for t in transfers[-20:]:
         table.add(
             transfer=t.name,
             nbytes=t.nbytes,

@@ -95,7 +95,7 @@ _OP_SETTLE = 3  # (op, sid, trace, root_sid, t, attrs)
 
 class _StageStat:
     """Lean latency aggregate: exact count/mean/min/max plus percentiles
-    over a bounded window of recent observations.
+    over the 4096 most recent observations.
 
     The one latency aggregate in the package: queue wait, planning wall
     time, per-path execution and recovery all land here.  Observe is a few
@@ -107,12 +107,12 @@ class _StageStat:
 
     __slots__ = ("count", "total", "min", "max", "values")
 
-    def __init__(self, window: int = 4096) -> None:
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = 0.0
-        self.values: deque = deque(maxlen=window)
+        self.values: deque = deque(maxlen=4096)
 
     def observe(self, value: float) -> None:
         self.count += 1

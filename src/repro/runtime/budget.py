@@ -50,11 +50,12 @@ class TokenBucket:
         self._refill(now)
         return self.tokens
 
-    def try_take(self, now: float, n: float = 1.0) -> bool:
+    def try_take(self, now: float) -> bool:
+        """Take one token if the bucket holds one."""
         self._refill(now)
-        if self.tokens + 1e-12 < n:
+        if self.tokens + 1e-12 < 1.0:
             return False
-        self.tokens -= n
+        self.tokens -= 1.0
         return True
 
 

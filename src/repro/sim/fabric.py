@@ -351,15 +351,13 @@ class Fabric:
         nbytes: int,
         *,
         tag: str = "",
-        skip_latency: bool = False,
-        extra_latency: float = 0.0,
     ) -> Event:
         """Start a copy occupying all named channels concurrently.
 
-        Latency is the sum of the channels' alphas (plus ``extra_latency``),
-        charged once up front; then the flow enters the bandwidth phase where
-        its rate is the max-min fair allocation across its channels.  The
-        returned event succeeds with a :class:`TransferResult`.
+        Latency is the sum of the channels' alphas, charged once up front;
+        then the flow enters the bandwidth phase where its rate is the
+        max-min fair allocation across its channels.  The returned event
+        succeeds with a :class:`TransferResult`.
         """
         hops = self._hops
         try:
@@ -371,13 +369,10 @@ class Fabric:
         names, cis, alpha, jitters = spec
         if nbytes < 0:
             raise ValueError(f"negative copy size {nbytes}")
-        if extra_latency < 0:
-            raise ValueError("extra_latency must be >= 0")
 
         engine = self.engine
         done = Event(engine)
         start = engine.now
-        latency = extra_latency + (0.0 if skip_latency else alpha)
         # Per-channel jitter multipliers compose *additively* in their
         # overhead part: each channel contributes (jitter-1)·n extra service
         # demand.  Multiplicative composition would square small-message
@@ -396,9 +391,9 @@ class Fabric:
         self._issued[flow_id] = flow
         if nbytes == 0:
             self.zero_byte_copies += 1
-            engine.schedule_fn(start + latency, self._finish, flow)
+            engine.schedule_fn(start + alpha, self._finish, flow)
             return done
-        engine.schedule_fn(start + latency, self._admit, flow)
+        engine.schedule_fn(start + alpha, self._admit, flow)
         return done
 
     # ------------------------------------------------------------------

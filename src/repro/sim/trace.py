@@ -9,7 +9,6 @@ second hop) and to render per-link utilisation summaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -58,19 +57,16 @@ class Tracer:
         """Length of the time interval where both records are active."""
         return max(0.0, min(a.end, b.end) - max(a.start, b.start))
 
-    def concurrency_profile(
-        self, records: Iterable[TraceRecord] | None = None
-    ) -> list[tuple[float, int]]:
-        """(time, active-count) steps over the given records.
+    def concurrency_profile(self) -> list[tuple[float, int]]:
+        """(time, active-count) steps over the recorded copies.
 
         Deltas at identical timestamps are aggregated before accumulating:
         a zero-duration record (its -1 edge sorts before its +1) or a
         transfer ending exactly when another starts must not produce a
         transient dip — or a negative count — in the profile.
         """
-        recs = list(self.records if records is None else records)
         deltas: dict[float, int] = {}
-        for r in recs:
+        for r in self.records:
             deltas[r.start] = deltas.get(r.start, 0) + 1
             deltas[r.end] = deltas.get(r.end, 0) - 1
         profile = []

@@ -50,13 +50,12 @@ class ClusterTopology:
         num_nodes: int = 2,
         num_rails: int = 2,
         rail_spec: LinkSpec = DEFAULT_RAIL,
-        name: str = "cluster",
     ) -> None:
         if num_nodes < 2:
             raise ValueError("a cluster needs at least 2 nodes")
         if num_rails < 1:
             raise ValueError("need at least one rail")
-        self.name = name
+        self.name = "cluster"
         self.nodes = [node_factory() for _ in range(num_nodes)]
         self.num_nodes = num_nodes
         self.num_rails = num_rails

@@ -238,15 +238,12 @@ class TopologyBuilder:
         self.gpu_numa = list(mapping)
         return self
 
-    def add_gpu_link(
-        self, a: int, b: int, spec: LinkSpec, *, bidirectional: bool = True
-    ) -> "TopologyBuilder":
+    def add_gpu_link(self, a: int, b: int, spec: LinkSpec) -> "TopologyBuilder":
         """Add a direct GPU↔GPU link (one channel per direction)."""
         fwd = self._channel(f"nvl:{a}->{b}", spec.kind, spec.alpha, spec.beta)
+        rev = self._channel(f"nvl:{b}->{a}", spec.kind, spec.alpha, spec.beta)
         self.direct[(a, b)] = (fwd,)
-        if bidirectional:
-            rev = self._channel(f"nvl:{b}->{a}", spec.kind, spec.alpha, spec.beta)
-            self.direct[(b, a)] = (rev,)
+        self.direct[(b, a)] = (rev,)
         return self
 
     def add_shared_gpu_link(

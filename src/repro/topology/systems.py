@@ -155,16 +155,15 @@ def custom_mesh(
     num_gpus: int,
     *,
     nvlink_gbps: float = 46.0,
-    nvlink_alpha: float = 2.5 * us,
     pcie_gbps: float = 11.5,
-    pcie_alpha: float = 4.0 * us,
     dram_gbps: float = 36.0,
     num_numa: int = 1,
     name: str = "custom_mesh",
 ) -> NodeTopology:
-    """A parameterised all-to-all node for model sweeps and examples."""
-    nvl = LinkSpec(LinkKind.NVLINK2, alpha=nvlink_alpha, beta=gbps(nvlink_gbps))
-    pcie = LinkSpec(LinkKind.PCIE3, alpha=pcie_alpha, beta=gbps(pcie_gbps))
+    """A parameterised all-to-all node for model sweeps and examples, with
+    the catalog's NVLink2 and PCIe3 latencies (α = 2.5 µs and 4 µs)."""
+    nvl = LinkSpec(LinkKind.NVLINK2, alpha=2.5 * us, beta=gbps(nvlink_gbps))
+    pcie = LinkSpec(LinkKind.PCIE3, alpha=4.0 * us, beta=gbps(pcie_gbps))
     dram = LinkSpec(LinkKind.DRAM, alpha=0.5 * us, beta=gbps(dram_gbps), full_duplex=False)
 
     b = TopologyBuilder(name, num_gpus=num_gpus)

@@ -40,7 +40,6 @@ class UCXContext:
         store: ParameterStore | None = None,
         tracer: Tracer | None = None,
         jitter_factory: Callable | None = None,
-        ipc_open_cost: float | None = None,
         obs: Observability | None = None,
     ) -> None:
         self.engine = engine
@@ -53,7 +52,6 @@ class UCXContext:
             topology,
             tracer=tracer,
             jitter_factory=jitter_factory,
-            ipc_open_cost=ipc_open_cost,
         )
         self.store = store if store is not None else ParameterStore.ground_truth(topology)
         # The flight recorder is always constructed (a disabled one costs a

@@ -11,6 +11,9 @@ import math
 from collections.abc import Mapping, Sequence
 
 _MARKERS = "ox+*#@%&"
+#: Plot area in characters.
+_WIDTH = 72
+_HEIGHT = 18
 
 
 def _log2_ticks(values: Sequence[float]) -> list[str]:
@@ -21,8 +24,6 @@ def ascii_series(
     x: Sequence[float],
     series: Mapping[str, Sequence[float]],
     *,
-    width: int = 72,
-    height: int = 18,
     title: str = "",
     ylabel: str = "",
     logx: bool = True,
@@ -52,15 +53,15 @@ def ascii_series(
         ymax += 1.0
     span_y = ymax - ymin
 
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * _WIDTH for _ in range(_HEIGHT)]
     for idx, (label, vals) in enumerate(series.items()):
         marker = _MARKERS[idx % len(_MARKERS)]
         for xi, yi in zip(xs, vals):
             if yi is None or (isinstance(yi, float) and math.isnan(yi)):
                 continue
-            col = int(round((xi - xmin) / span_x * (width - 1)))
-            row = int(round((float(yi) - ymin) / span_y * (height - 1)))
-            grid[height - 1 - row][col] = marker
+            col = int(round((xi - xmin) / span_x * (_WIDTH - 1)))
+            row = int(round((float(yi) - ymin) / span_y * (_HEIGHT - 1)))
+            grid[_HEIGHT - 1 - row][col] = marker
 
     lines: list[str] = []
     if title:
@@ -71,21 +72,21 @@ def ascii_series(
     for i, row in enumerate(grid):
         if i == 0:
             prefix = top_label.rjust(label_w)
-        elif i == height - 1:
+        elif i == _HEIGHT - 1:
             prefix = bot_label.rjust(label_w)
-        elif i == height // 2 and ylabel:
+        elif i == _HEIGHT // 2 and ylabel:
             prefix = ylabel[:label_w].rjust(label_w)
         else:
             prefix = " " * label_w
         lines.append(f"{prefix} |{''.join(row)}")
-    lines.append(" " * label_w + " +" + "-" * width)
+    lines.append(" " * label_w + " +" + "-" * _WIDTH)
     ticks = _log2_ticks([x[0], x[len(x) // 2], x[-1]]) if logx else [
         f"{x[0]:.3g}",
         f"{x[len(x) // 2]:.3g}",
         f"{x[-1]:.3g}",
     ]
-    axis = ticks[0].ljust(width // 2 - len(ticks[1]) // 2) + ticks[1]
-    axis = axis.ljust(width - len(ticks[2])) + ticks[2]
+    axis = ticks[0].ljust(_WIDTH // 2 - len(ticks[1]) // 2) + ticks[1]
+    axis = axis.ljust(_WIDTH - len(ticks[2])) + ticks[2]
     lines.append(" " * label_w + "  " + axis)
     legend = "   ".join(
         f"{_MARKERS[i % len(_MARKERS)]}={label}" for i, label in enumerate(series)

@@ -28,6 +28,11 @@ The ``copy_order_*`` entries digest (:func:`copy_order_digest`) the
 ``fabric.copy`` calls of a run in the order they were made.  Tracer
 records are kept in completion order, so a timeline digest can miss two
 copies issued at one instant in the other order; these cannot.
+
+``overload_quick`` and ``drift_quick`` digest the ``cli overload --quick``
+and ``cli drift --quick`` experiments: the overload result's report dict
+with its context's timeline, and each drift loop's error records, error
+and drift summaries and timeline.
 """
 
 from __future__ import annotations

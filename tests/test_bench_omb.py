@@ -1,5 +1,9 @@
 """Tests for the OSU-style measurement loops and the baselines."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
 from repro.bench.baselines import (
@@ -124,6 +128,25 @@ class TestCollectiveLatency:
     def test_validation(self, beluga_env):
         with pytest.raises(ValueError):
             osu_collective_latency(beluga_env, COLLECTIVES["allreduce"], 0)
+
+    def test_previous_result_freed_before_next_call(self, beluga_env):
+        """A rank holds one collective result at a time: the loop drops
+        each call's result before the next call starts."""
+        last: dict[int, weakref.ref] = {}
+        survivors = []
+
+        def collective(view, data):
+            gc.collect()
+            previous = last.get(view.rank)
+            survivors.append(previous is not None and previous() is not None)
+            yield from view.barrier()
+            result = np.empty_like(data)
+            last[view.rank] = weakref.ref(result)
+            return result
+
+        osu_collective_latency(beluga_env, collective, 1 * MiB, iterations=2)
+        assert len(survivors) == 3 * 4  # warm-up plus 2 calls, 4 ranks
+        assert not any(survivors)
 
 
 class TestSimplexGrid:

@@ -15,6 +15,11 @@ The ``copy_order_*`` digests pin the order in which four staged-path
 scenarios call ``fabric.copy`` — an OSU window, a link outage, a stall
 the deadline watchdog breaks and a path that cycles through every
 circuit-breaker state twice — not only when each copy ran.
+
+The ``overload_quick`` and ``drift_quick`` digests pin the two experiments
+``cli overload --quick`` and ``cli drift --quick`` run: every outcome
+count, latency and ledger the overload report prints, and every
+prediction error and drift event of both drift loops.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ import pytest
 
 from repro.bench.env import REDUCE_BANDWIDTH, default_jitter_factory
 from repro.bench.experiments.chaos import run_chaos
+from repro.bench.experiments.drift_recovery import run_drift_recovery
+from repro.bench.experiments.overload import run_overload
 from repro.bench.runner import get_setup
 from repro.mpi import Communicator, collectives
 from repro.core.path_health import PathHealth
@@ -38,6 +45,7 @@ from tests.golden import (
     assert_golden,
     copy_calls,
     copy_order_digest,
+    table_digest,
     timeline_digest,
 )
 
@@ -257,3 +265,35 @@ def test_golden_copy_order_health_cycle():
     ] * 2
     assert ctx.graphs.stats()["compiles"] == 4
     assert_golden("copy_order_health_cycle", copy_order_digest(calls))
+
+
+def test_golden_overload_quick():
+    """``cli overload --quick``'s scenario: 24 beluga 4 MiB puts 0->1 at 4x
+    offered load while ``nvl:0->1`` goes down mid-run."""
+    r = run_overload("beluga", nbytes=4 * MiB, n=24, keep_context=True)
+    ctx = r._context
+    assert r.shed + r.expired > 0 and r.retry_budget["consumed"] >= 1
+    assert r.queue_bounded and r.p99_within_bound and r.conserved
+    assert_golden(
+        "overload_quick", table_digest([r.to_dict(), _digest(ctx, ())])
+    )
+
+
+def test_golden_drift_quick():
+    """``cli drift --quick``'s scenario: 40 beluga 64 MiB puts 0->1 with
+    the direct channel's β degraded 30 % after put 10, closed loop then
+    open loop."""
+    r = run_drift_recovery(
+        "beluga", total_puts=40, warmup_puts=10, ramp_puts=5, keep_contexts=True
+    )
+    assert r.closed.drift_events >= 1 and r.recovered
+    rows = []
+    for ctx in r._contexts:
+        drift = ctx.obs.drift.summary() if ctx.obs.drift is not None else None
+        rows.append((
+            tuple(ctx.obs.errors.records),
+            ctx.obs.errors.summary(),
+            drift,
+            _digest(ctx, ()),
+        ))
+    assert_golden("drift_quick", table_digest(rows))

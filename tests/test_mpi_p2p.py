@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mpi import ANY_SOURCE, ANY_TAG, Communicator, waitall
+from repro.mpi.datatypes import payload_nbytes
 from repro.runtime.sanitizer import check_invariants
 from repro.sim import Engine
 from repro.sim.faults import FaultSchedule, LinkDown
@@ -402,6 +403,18 @@ class TestValidation:
             comm.view(0).isend(1, nbytes=5, payload=np.zeros(4))
         with pytest.raises(ValueError):
             comm.view(0).isend(1)
+
+    def test_non_integer_nbytes_posts_nothing(self):
+        """A fractional size is not shipped as its truncation, and a float
+        size is refused even when it equals the payload's."""
+        _, comm = make_comm()
+        view = comm.view(0)
+        with pytest.raises(TypeError):
+            view.isend(1, nbytes=4.5)
+        with pytest.raises(TypeError):
+            next(view.send(1, payload=np.zeros(4), nbytes=32.0))
+        assert comm.unmatched == (0, 0)
+        assert payload_nbytes(np.zeros(4), np.int64(32)) == 32
 
     def test_oversubscribed_ranks_share_devices(self):
         eng, comm = make_comm(size=8)

@@ -12,6 +12,8 @@ import os
 import pytest
 
 from repro.bench.calibrate import (
+    DEFAULT_PHI_WINDOW,
+    DEFAULT_SWEEP,
     cache_stats,
     calibrate_cached,
     calibration_cache_key,
@@ -132,11 +134,12 @@ class TestCalibrationCache:
         assert second.to_json() == first.to_json()
 
     def test_key_covers_all_inputs(self):
-        _, base = calibration_cache_key("beluga")
+        payload, base = calibration_cache_key("beluga")
         assert base == calibration_cache_key("beluga")[1]
         assert base != calibration_cache_key("narval")[1]
-        assert base != calibration_cache_key("beluga", sizes=[4 * MiB])[1]
-        assert base != calibration_cache_key("beluga", phi_window=[MiB])[1]
+        # both sweeps are in the key, so changing either invalidates
+        assert payload["sizes"] == list(DEFAULT_SWEEP)
+        assert payload["phi_window"] == list(DEFAULT_PHI_WINDOW)
 
     def test_mutating_a_cached_store_does_not_pollute(self):
         clear_caches()

@@ -33,12 +33,6 @@ class TestSingleTransfer:
         assert eng.now == pytest.approx(5 * us)
         assert result.nbytes == 0
 
-    def test_skip_latency(self):
-        eng = Engine()
-        fab = make_link(eng, alpha=100 * us, beta=gbps(1))
-        eng.run(until=fab.copy("test", 1 * MiB, skip_latency=True))
-        assert eng.now == pytest.approx(1 * MiB / gbps(1))
-
     def test_negative_size_rejected(self):
         eng = Engine()
         with pytest.raises(ValueError):
@@ -50,8 +44,6 @@ class TestSingleTransfer:
             make_link(eng, alpha=-1.0, beta=1.0)
         with pytest.raises(ValueError):
             make_link(eng, alpha=0.0, beta=0.0)
-        with pytest.raises(ValueError):
-            make_link(eng).copy("test", 1, extra_latency=-1.0)
 
 
 class TestFairShare:

@@ -80,10 +80,10 @@ class TestTimelineInvariance:
             monkeypatch.setattr(fabric_mod, "FULL_RECOMPUTE_DEFAULT", mode)
             clear_caches()  # recalibrate under this solver mode too
             setup = get_setup("beluga")
-            env = setup.env(dynamic_config(), trace=True)
+            env = setup.env(dynamic_config(), observe=True)
             bw = osu_bw(env, 16 * MiB, window=4, iterations=2, warmup=1)
             bw_records = tuple(env.last_context.tracer.records)
-            env2 = setup.env(dynamic_config(), trace=True)
+            env2 = setup.env(dynamic_config(), observe=True)
             coll = osu_collective_latency(
                 env2, COLLECTIVES["allreduce"], 4 * MiB, iterations=1, warmup=1
             )
