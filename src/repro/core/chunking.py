@@ -95,7 +95,7 @@ def linear_chunks(
     return int(min(max_chunks, max(1, round(phi * x))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EffectiveParams:
     """The linearised (Ω, Δ) of one path — Eq. (22) for staged paths."""
 

@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
 _INF = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathParams:
     """Hockney parameters of one candidate path (direct or staged)."""
 

@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
 _PHI_SIZES = tuple(int(2**i * MiB) for i in range(1, 10))  # 2MiB..512MiB
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathAssignment:
     """One path's share of a planned transfer."""
 

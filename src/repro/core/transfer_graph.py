@@ -66,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ucx.pipeline import PipelineEngine
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompiledPath:
     """One path's frozen execution schedule (see module docstring)."""
 

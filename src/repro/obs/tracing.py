@@ -5,10 +5,10 @@ it crosses emits a parent-linked span into a :class:`FlightRecorder` — a
 fixed-capacity ring of slab columns (``sid``, ``trace_id``, ``parent``,
 ``kind_id``, ``t0``, ``t1``, ``attrs``).  The numeric columns are typed
 ``array.array`` slabs, so a resident span is a handful of machine-word
-writes and holds no allocation beyond its optional attrs dict.  That makes
-the recorder cheap enough to be **on by default**, so a production run
-always carries the evidence needed to answer "where did this transfer's
-time go?" after the fact:
+writes and holds no allocation beyond its optional attrs tuple.  That
+makes the recorder cheap enough to be **on by default**, so a production
+run always carries the evidence needed to answer "where did this
+transfer's time go?" after the fact:
 
 ``transfer`` (root, submit → settle)
   └─ ``admission.queue``   — waiting for an in-flight cap (only if queued)
@@ -34,6 +34,25 @@ batches — on any query, or when the journal reaches its bound
 path therefore costs a method call and a list append; the scattered slab
 writes happen later in one cache-friendly pass that the simulation's hot
 loop never sees.
+
+Attributes are captured **by value**, when a span is recorded, as one
+packed tuple ``(keys, *values)``; the recorder never keeps the caller's
+dict.  Every span of one schema shares its ``keys`` tuple, so a resident
+span's attributes cost one tuple of value pointers, not a dict: 80 bytes
+for four values where the dict took 184, and 104 for a settled root's
+seven where it took 272.  The four spans every put records build their
+tuples themselves from the key schemas below (``TRANSFER_KEYS`` at
+submit, ``SETTLE_KEYS`` at its settle, ``PLAN_KEYS`` for the ``plan*``
+span and ``PATH_KEYS`` for each ``pipeline.path[i]``); packing those four
+dicts inside the recorder instead cost p2p_cold about 2 % of its puts per
+CPU-second.  Any other caller passes a dict, packed on entry with its key
+tuple interned per recorder.  A merge (``finish`` with attrs, or a
+``settle`` onto its root) follows ``dict.update``: keys the span lacks
+follow its own, and a key it already has keeps its position and takes the
+later value.  The merged schema is resolved once per pair of schemas;
+disjoint ones concatenate.  :attr:`SpanView.attrs` rebuilds a fresh dict,
+so every reader sees what a dict column held.  DESIGN §5f has the
+measured table.
 
 Timestamps come from the simulation clock.  Per-stage latency aggregates
 (queue-wait, planning, execution, recovery) are fed at materialisation:
@@ -68,6 +87,16 @@ DEFAULT_CAPACITY = 65_536
 #: Sentinel for "span still open" in the t1 array.
 _OPEN = -1.0
 
+#: Key schemas of the four spans every put records.  Their recording sites
+#: build the packed ``(keys, *values)`` attrs tuple from these, so no dict
+#: is built or kept for them.
+TRANSFER_KEYS = ("src", "dst", "nbytes", "tag")  # the transfer root
+SETTLE_KEYS = ("ok", "retries", "rerouted_bytes")  # a successful settle
+PLAN_KEYS = ("mode", "paths", "predicted", "wall_time_s")  # plan*
+PLAN_LOAD_KEYS = (*PLAN_KEYS, "load_bucket")  # plan* priced against load
+PATH_KEYS = ("path", "nbytes", "chunks", "theta")  # pipeline.path[i]
+PATH_FAILED_KEYS = (*PATH_KEYS, "ok")  # a faulted path (ok=False)
+
 #: The latency stages aggregated per recorder (`stage_stats`).
 STAGES = ("queue_wait", "planning", "execution", "recovery")
 
@@ -86,7 +115,7 @@ _KIND_STAGE = {
 
 _INDEX_RE = re.compile(r"\[\d+\]")
 
-# Journal opcodes (first element of each logged tuple).
+# Journal opcodes (first element of each logged tuple); attrs are packed.
 _OP_SPAN = 0  # (op, sid, kind, trace, parent, t0, t1, attrs, stage_value)
 _OP_FIN = 1  # (op, sid, t1, attrs)
 _OP_PATH = 2  # (op, sid, kind, trace, parent, t0, t1, attrs, ckinds, ct0s)
@@ -188,10 +217,11 @@ class FlightRecorder:
         # disambiguates a slot across wraps without a free list: eviction
         # is overwrite.  The six numeric columns are typed arrays (8 bytes
         # a slot, 4 for the kind id), not lists of boxed ints and floats;
-        # only _attrs holds objects.  Allocation is deferred to the first
-        # materialisation — sweeps and searches build thousands of
-        # short-lived contexts whose journals never drain, and a fresh
-        # recorder must cost microseconds, not a capacity-sized allocation.
+        # only _attrs holds objects, each None or a packed (keys, *values)
+        # tuple.  Allocation is deferred to the first materialisation —
+        # sweeps and searches build thousands of short-lived contexts
+        # whose journals never drain, and a fresh recorder must cost
+        # microseconds, not a capacity-sized allocation.
         self._sid: array | None = None
         self._trace: array | None = None
         self._parent: array | None = None
@@ -205,6 +235,11 @@ class FlightRecorder:
         self._kind_ids: dict[str, int] = {}
         self._kind_names: list[str] = []
         self._kind_stage: list[str | None] = []
+        # Packed attrs: each key tuple packed from a dict, interned so the
+        # spans of one schema share it, and per pair of key tuples the
+        # merged keys and whether the pair shares no key.
+        self._schemas: dict[tuple, tuple] = {}
+        self._merged: dict[tuple[tuple, tuple], tuple[tuple, bool]] = {}
         self._next_sid = 0
         self._next_trace = 0
         # The write-ahead journal: recording appends here; the ring and
@@ -236,15 +271,52 @@ class FlightRecorder:
         self._kind_stage.append(_KIND_STAGE.get(_INDEX_RE.sub("", kind)))
         return kid
 
-    def begin_trace(self, kind: str, attrs: dict | None = None) -> tuple[int, int]:
+    def _packed(self, attrs: dict | tuple | None) -> tuple | None:
+        """``attrs`` as the ring stores them: a dict's items by value, as
+        ``(keys, *values)`` with the key tuple interned so each schema's
+        spans share one (None if empty); a packed tuple or None as is."""
+        if not isinstance(attrs, dict):
+            return attrs
+        if not attrs:
+            return None
+        keys = tuple(attrs)
+        return (self._schemas.setdefault(keys, keys), *attrs.values())
+
+    def _merge(self, old: tuple | None, new: tuple) -> tuple:
+        """``dict.update`` on packed attrs: ``new``'s other keys follow
+        ``old``'s, and a key in both keeps its place with ``new``'s value.
+        The merged schema is resolved once per pair of key tuples."""
+        if old is None:
+            return new
+        pair = (old[0], new[0])
+        merged = self._merged.get(pair)
+        if merged is None:
+            keys = tuple(dict.fromkeys((*old[0], *new[0])))
+            merged = self._merged[pair] = (
+                self._schemas.setdefault(keys, keys),
+                len(keys) == len(old[0]) + len(new[0]),
+            )
+        keys, disjoint = merged
+        if disjoint:
+            return (keys, *old[1:], *new[1:])
+        values = dict(zip(old[0], old[1:]))
+        values.update(zip(new[0], new[1:]))
+        return (keys, *values.values())
+
+    def begin_trace(
+        self, kind: str, attrs: dict | tuple | None = None
+    ) -> tuple[int, int]:
         """Mint a trace and open its root span in one call.
 
         Returns ``(trace_id, root_sid)``, both -1 when disabled.  This is
         the per-transfer admission fast path; it also polices the journal
-        bound, so every transfer pays exactly one length check.
+        bound, so every transfer pays exactly one length check.  Every
+        recording call takes ``attrs`` as a dict, copied on entry, or as a
+        packed ``(keys, *values)`` tuple, kept as it is.
         """
         if not self.enabled:
             return -1, -1
+        attrs = self._packed(attrs)
         log = self._log
         if len(log) >= self.journal_limit:
             self._drain()
@@ -263,7 +335,7 @@ class FlightRecorder:
         trace_id: int,
         parent: int = -1,
         t0: float | None = None,
-        attrs: dict | None = None,
+        attrs: dict | tuple | None = None,
     ) -> int:
         """Open a span; returns its sid (pass to :meth:`finish`).
 
@@ -271,6 +343,7 @@ class FlightRecorder:
         """
         if not self.enabled:
             return -1
+        attrs = self._packed(attrs)
         if len(self._log) >= self.journal_limit:
             self._drain()
         sid = self._next_sid
@@ -285,21 +358,22 @@ class FlightRecorder:
         self,
         sid: int,
         t1: float | None = None,
-        attrs: dict | None = None,
+        attrs: dict | tuple | None = None,
         **kw,
     ) -> bool:
         """Close a span opened with :meth:`begin`/:meth:`begin_trace`.
 
-        Result attributes merge into the span's: pass a prebuilt dict via
-        ``attrs`` (no repacking) or ad-hoc keywords (``ok=False``), or
-        both.  Returns False when disabled or the sid is invalid; a close
-        that arrives after the span was evicted is dropped at
-        materialisation.
+        Result attributes merge into the span's, as ``dict.update`` would:
+        pass them via ``attrs`` or as ad-hoc keywords (``ok=False``), or
+        both (keywords win).  Returns False when disabled or the sid is
+        invalid; a close that arrives after the span was evicted is
+        dropped at materialisation.
         """
         if sid < 0 or not self.enabled:
             return False
+        attrs = self._packed(attrs)
         if kw:
-            attrs = {**attrs, **kw} if attrs else kw
+            attrs = self._merge(attrs, self._packed(kw))
         self._log.append((_OP_FIN, sid, self.engine.now if t1 is None else t1, attrs))
         return True
 
@@ -310,7 +384,7 @@ class FlightRecorder:
         parent: int = -1,
         t0: float | None = None,
         t1: float | None = None,
-        attrs: dict | None = None,
+        attrs: dict | tuple | None = None,
         stage_value: float | None = None,
     ) -> int:
         """Record an already-bounded span in one shot; returns its sid.
@@ -323,6 +397,7 @@ class FlightRecorder:
         """
         if not self.enabled:
             return -1
+        attrs = self._packed(attrs)
         if len(self._log) >= self.journal_limit:
             self._drain()
         sid = self._next_sid
@@ -342,7 +417,7 @@ class FlightRecorder:
         parent: int,
         t0: float,
         t1: float,
-        attrs: dict | None,
+        attrs: dict | tuple | None,
         chunk_kinds=(),
         chunk_events=(),
     ) -> int:
@@ -357,6 +432,7 @@ class FlightRecorder:
         """
         if not self.enabled:
             return -1
+        attrs = self._packed(attrs)
         sid = self._next_sid
         self._next_sid = sid + 1 + len(chunk_kinds)
         self._log.append((
@@ -365,14 +441,18 @@ class FlightRecorder:
         ))
         return sid
 
-    def settle(self, trace_id: int, root_sid: int, attrs: dict | None) -> None:
+    def settle(
+        self, trace_id: int, root_sid: int, attrs: dict | tuple | None
+    ) -> None:
         """Record the ``settle`` marker and close the root span, one call.
 
         The completion fast path: every traced transfer ends here (or in
-        an equivalent ``record`` + ``finish`` pair from a cold path).
+        an equivalent ``record`` + ``finish`` pair from a cold path).  The
+        marker's attrs merge into the root's.
         """
         if root_sid < 0 or not self.enabled:
             return
+        attrs = self._packed(attrs)
         sid = self._next_sid
         self._next_sid = sid + 1
         self._log.append((_OP_SETTLE, sid, trace_id, root_sid, self.engine.now, attrs))
@@ -448,11 +528,7 @@ class FlightRecorder:
                     continue  # evicted while open
                 self._t1[slot] = t1
                 if attrs:
-                    existing = self._attrs[slot]
-                    if existing is None:
-                        self._attrs[slot] = attrs
-                    else:
-                        existing.update(attrs)
+                    self._attrs[slot] = self._merge(self._attrs[slot], attrs)
                 stage = self._kind_stage[self._kind[slot]]
                 if stage is not None:
                     self._stage_hist[stage].observe(t1 - self._t0[slot])
@@ -463,11 +539,7 @@ class FlightRecorder:
                 if self._sid[slot] == root_sid:
                     self._t1[slot] = t
                     if attrs:
-                        existing = self._attrs[slot]
-                        if existing is None:
-                            self._attrs[slot] = dict(attrs)
-                        else:
-                            existing.update(attrs)
+                        self._attrs[slot] = self._merge(self._attrs[slot], attrs)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -492,6 +564,7 @@ class FlightRecorder:
         return self._view(slot)
 
     def _view(self, slot: int) -> SpanView:
+        attrs = self._attrs[slot]
         return SpanView(
             sid=self._sid[slot],
             trace_id=self._trace[slot],
@@ -499,7 +572,7 @@ class FlightRecorder:
             kind=self._kind_names[self._kind[slot]],
             t0=self._t0[slot],
             t1=self._t1[slot],
-            attrs=dict(self._attrs[slot]) if self._attrs[slot] else {},
+            attrs=dict(zip(attrs[0], attrs[1:])) if attrs else {},
         )
 
     def iter_spans(self):
@@ -685,4 +758,10 @@ __all__ = [
     "TraceBreakdown",
     "STAGES",
     "DEFAULT_CAPACITY",
+    "TRANSFER_KEYS",
+    "SETTLE_KEYS",
+    "PLAN_KEYS",
+    "PLAN_LOAD_KEYS",
+    "PATH_KEYS",
+    "PATH_FAILED_KEYS",
 ]

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.gpu.errors import DeadlineUnsatisfiable, TransferCancelled, TransferShed
+from repro.obs.tracing import SETTLE_KEYS, TRANSFER_KEYS
 from repro.runtime.budget import RetryBudget
 from repro.runtime.load import LoadTracker
 from repro.runtime.overload import OverloadGovernor
@@ -191,7 +192,7 @@ class TransferManager:
         # opens here so queue wait is part of the transfer's story.
         flight = self.context.flight
         trace_id, root_sid = flight.begin_trace(
-            "transfer", {"src": src, "dst": dst, "nbytes": nbytes, "tag": tag}
+            "transfer", (TRANSFER_KEYS, src, dst, nbytes, tag)
         ) if flight.enabled else (-1, -1)
         now = self.engine.now
         deadline_at = deadline if deadline is not None else (
@@ -471,11 +472,7 @@ class TransferManager:
         flight = self.context.flight
         if ev.ok:
             result = ev.value
-            attrs = {
-                "ok": True,
-                "retries": result.retries,
-                "rerouted_bytes": result.rerouted_bytes,
-            }
+            attrs = (SETTLE_KEYS, True, result.retries, result.rerouted_bytes)
         else:
             attrs = {"ok": False}
         flight.settle(trace_id, root_sid, attrs)

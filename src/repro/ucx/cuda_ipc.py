@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 from repro.core.chunking import effective_params
 from repro.core.planner import PathAssignment, PathPlanner, TransferPlan
 from repro.gpu.errors import PathUnavailable, TransferTimeout
+from repro.obs.tracing import PLAN_KEYS, PLAN_LOAD_KEYS
 from repro.sim.engine import Event
 from repro.units import us
 
@@ -571,12 +572,13 @@ class CudaIpcModule:
         the fabric was idle).  The per-path split (θ, bytes, chunks) lives
         on the ``pipeline.path[i]`` spans under the same parent.
         """
-        attrs = {
-            "mode": mode, "paths": plan.num_active_paths,
-            "predicted": plan.predicted_time, "wall_time_s": wall,
-        }
-        if load is not None:
-            attrs["load_bucket"] = PathPlanner._plan_load_bucket(plan, load)
+        values = (mode, plan.num_active_paths, plan.predicted_time, wall)
+        if load is None:
+            attrs = (PLAN_KEYS, *values)
+        else:
+            attrs = (
+                PLAN_LOAD_KEYS, *values, PathPlanner._plan_load_bucket(plan, load)
+            )
         self.context.flight.record(
             kind, trace_id, parent_sid, attrs=attrs, stage_value=wall,
         )

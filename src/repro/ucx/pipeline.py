@@ -32,6 +32,7 @@ from repro.core.transfer_graph import compile_plan
 from repro.gpu.errors import LinkFailure, TransferTimeout
 from repro.gpu.runtime import GPURuntime
 from repro.gpu.stream import Stream
+from repro.obs.tracing import PATH_FAILED_KEYS, PATH_KEYS
 from repro.sim.engine import Engine, Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -322,14 +323,13 @@ class PipelineEngine:
             # final's TransferResult value carries the chunk's
             # destination-delivery time, so the recorder extracts
             # timestamps lazily at materialisation.
-            attrs = {
-                "path": a.path.path_id,
-                "nbytes": a.nbytes,
-                "chunks": chunks,
-                "theta": a.theta,
-            }
-            if error is not None:
-                attrs["ok"] = False
+            if error is None:
+                attrs = (PATH_KEYS, a.path.path_id, a.nbytes, chunks, a.theta)
+            else:
+                attrs = (
+                    PATH_FAILED_KEYS, a.path.path_id, a.nbytes, chunks, a.theta,
+                    False,
+                )
             self.flight.record_path(
                 _path_kind(index), trace[0], trace[1], start, end, attrs,
                 _chunk_kinds(index, len(landed)), landed,

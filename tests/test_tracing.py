@@ -4,7 +4,8 @@ Covers the slab ring's eviction accounting (bounded memory, exact dropped
 counters), the write-ahead journal (spans materialise on query or when the
 journal hits its bound, and replay is equivalent to eager writes), the
 per-stage latency aggregates, the :class:`TraceTree` query API, causal
-span parenting across recovery replans (the ISSUE-7 acceptance story), and
+span parenting across recovery replans, the packed attrs column (values
+captured when a span is recorded, merges that follow ``dict.update``), and
 the chrome-trace export's flight process.
 """
 
@@ -13,10 +14,16 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.chrome_trace import FLIGHT_PID, trace_events
 from repro.obs.tracing import (
     DEFAULT_CAPACITY,
+    PATH_KEYS,
+    PLAN_KEYS,
+    SETTLE_KEYS,
+    TRANSFER_KEYS,
     FlightRecorder,
     TraceTree,
     _StageStat,
@@ -249,6 +256,259 @@ class TestTypedColumns:
         assert [cols(s) for s in breakdown.spans] == rows[-3:]
         assert breakdown.root.open and breakdown.root.t1 == -1.0
         assert breakdown.stages["execute"] == (0.1 + 0.2) - 5e-324
+
+
+def items(attrs: dict) -> list:
+    """A span's attrs as an ordered list, so key order is compared too."""
+    return list(attrs.items())
+
+
+class TestPackedAttrs:
+    """Attrs are packed ``(keys, *values)`` tuples read back as dicts."""
+
+    def record_every_entry_point(self, rec):
+        """One trace through every recording call; returns ``(tid, sid ->
+        expected attrs as an ordered item list)``."""
+        tid, root = rec.begin_trace(
+            "transfer", {"tag": "t", "src": 0, "dst": 1, "nbytes": 8}
+        )
+        retry = rec.begin(
+            "recovery.retry[1]", tid, parent=root,
+            attrs={"failed_paths": ["gpu:2"], "backoff": 0.5},
+        )
+        rec.finish(retry, faults=2, ok=True)
+        plan = rec.record(
+            "plan", tid, root, attrs={"wall_time_s": 1e-5, "mode": "dynamic"}
+        )
+        hit = rec.record(
+            "plan.cache_hit", tid, root,
+            attrs=(PLAN_KEYS, "replan", 2, 3e-4, 2e-6),
+        )
+        path = rec.record_path(
+            "pipeline.path[0]", tid, root, 0.0, 1.0,
+            {"theta": 0.5, "path": "direct", "nbytes": 4, "chunks": 1},
+            chunk_kinds=("pipeline.path[0].chunk[0]",),
+            chunk_events=(fake_chunk_event(1.0),),
+        )
+        rec.engine.now = 2.0
+        rec.settle(tid, root, (SETTLE_KEYS, True, 1, 4))
+        settled = [("ok", True), ("retries", 1), ("rerouted_bytes", 4)]
+        return tid, {
+            root: [("tag", "t"), ("src", 0), ("dst", 1), ("nbytes", 8)]
+            + settled,
+            retry: [
+                ("failed_paths", ["gpu:2"]), ("backoff", 0.5),
+                ("faults", 2), ("ok", True),
+            ],
+            plan: [("wall_time_s", 1e-5), ("mode", "dynamic")],
+            hit: [
+                ("mode", "replan"), ("paths", 2), ("predicted", 3e-4),
+                ("wall_time_s", 2e-6),
+            ],
+            path: [
+                ("theta", 0.5), ("path", "direct"), ("nbytes", 4),
+                ("chunks", 1),
+            ],
+            path + 1: [],
+            path + 2: settled,
+        }
+
+    def test_round_trip_from_every_entry_point(self):
+        _, rec = make_recorder()
+        tid, expected = self.record_every_entry_point(rec)
+        assert {sid: items(rec.get(sid).attrs) for sid in expected} == expected
+        assert {s.sid: items(s.attrs) for s in rec.iter_spans()} == expected
+        spans = TraceTree(rec).breakdown(tid).spans
+        assert {s.sid: items(s.attrs) for s in spans} == expected
+        exported = {
+            e["args"]["sid"]: list(e["args"].items())[3:]
+            for e in trace_events(flight=rec)
+            if e.get("pid") == FLIGHT_PID and e["ph"] == "X"
+        }
+        assert exported == expected
+
+    def test_settle_appends_its_keys_to_the_root(self):
+        _, rec = make_recorder()
+        tid, root = rec.begin_trace("transfer", (TRANSFER_KEYS, 2, 3, 16, "x"))
+        rec.settle(tid, root, {"ok": False, "outcome": "shed"})
+        assert items(rec.get(root).attrs) == [
+            ("src", 2), ("dst", 3), ("nbytes", 16), ("tag", "x"),
+            ("ok", False), ("outcome", "shed"),
+        ]
+
+    def test_overlapping_key_keeps_its_place_takes_later_value(self):
+        _, rec = make_recorder()
+        sid = rec.begin("x", 0, attrs={"a": 1, "b": 2})
+        rec.finish(sid, attrs={"c": 3, "a": 9}, b=7)
+        assert items(rec.get(sid).attrs) == [("a", 9), ("b", 7), ("c", 3)]
+        tid, root = rec.begin_trace("transfer", {"ok": None, "src": 0})
+        rec.settle(tid, root, {"ok": True, "retries": 0})
+        assert items(rec.get(root).attrs) == [
+            ("ok", True), ("src", 0), ("retries", 0),
+        ]
+        # keywords win over attrs passed to the same finish, as {**a, **kw}
+        sid = rec.begin("y", 0)
+        rec.finish(sid, attrs={"b": 1, "a": 1}, a=2)
+        assert items(rec.get(sid).attrs) == [("b", 1), ("a", 2)]
+
+    def test_merge_onto_span_recorded_without_attrs(self):
+        eng, rec = make_recorder()
+        sid = rec.begin("x", 0)
+        rec.finish(sid, ok=False)
+        empty = rec.begin("y", 0, attrs={})
+        rec.finish(empty, attrs=(SETTLE_KEYS, True, 0, 0))
+        tid, root = rec.begin_trace("transfer")
+        eng.now = 1.0
+        rec.settle(tid, root, {"ok": True})
+        assert rec.get(sid).attrs == {"ok": False}
+        assert items(rec.get(empty).attrs) == [
+            ("ok", True), ("retries", 0), ("rerouted_bytes", 0),
+        ]
+        root_span = rec.get(root)
+        assert root_span.t1 == 1.0 and root_span.attrs == {"ok": True}
+
+    def test_attrs_captured_by_value(self):
+        """A caller's dict changed after the call leaves the span as
+        recorded, and a merge never writes into the caller's dict."""
+        _, rec = make_recorder()
+        mine = {"a": 1}
+        sid = rec.record("x", 0, attrs=mine)
+        mine["a"] = 2
+        mine["b"] = 3
+        opened = {"c": 1}
+        osid = rec.begin("y", 0, attrs=opened)
+        rec.finish(osid, d=4)
+        assert rec.get(sid).attrs == {"a": 1}
+        assert opened == {"c": 1}
+        assert rec.get(osid).attrs == {"c": 1, "d": 4}
+        # each read is a fresh dict
+        rec.get(sid).attrs["a"] = 5
+        assert rec.get(sid).attrs == {"a": 1}
+
+    def test_full_ring_holds_packed_tuples_one_keys_object_per_schema(self):
+        eng, ctx = make_ctx(max_inflight_per_pair=1, contention_aware=True)
+        rec = ctx.flight = ctx.pipeline.flight = FlightRecorder(eng, capacity=256)
+        for i in range(12):  # waves of three puts; the second one queues
+            wave = [
+                ctx.put(src, dst, (1 + i % 3) * 4 * MiB, tag=f"p{i}")
+                for src, dst in ((0, 1), (0, 1), (2, 3))
+            ]
+            for ev in wave:
+                eng.run(until=ev)
+        assert rec.spans_recorded > rec.capacity  # the ring wrapped
+        rec._drain()
+        column = rec._attrs
+        assert not any(isinstance(a, dict) for a in column)
+        packed = [a for a in column if a is not None]
+        assert all(type(a) is tuple for a in packed)
+        schemas = {a[0] for a in packed}
+        assert len({id(a[0]) for a in packed}) == len(schemas)
+        merged_root = (*TRANSFER_KEYS, *SETTLE_KEYS)
+        assert {merged_root, SETTLE_KEYS, PATH_KEYS, ("nbytes",)} <= schemas
+        assert all(
+            a[0] is PATH_KEYS for a in packed if a[0] == PATH_KEYS
+        ), "the pipeline's spans share the module's key tuple"
+
+
+_KEYS = st.sampled_from("abcd")
+_DICTS = st.dictionaries(_KEYS, st.integers(-3, 3), max_size=3)
+_ATTRS = st.one_of(
+    st.none(),
+    _DICTS,
+    _DICTS.filter(bool).map(lambda d: (tuple(d), *d.values())),
+)
+_OPS = st.one_of(
+    st.tuples(st.just("begin_trace"), _ATTRS),
+    st.tuples(st.just("begin"), _ATTRS),
+    st.tuples(st.just("record"), _ATTRS),
+    st.tuples(st.just("record_path"), _ATTRS, st.integers(0, 2)),
+    st.tuples(st.just("finish"), st.integers(0, 63), _ATTRS, _DICTS),
+    st.tuples(st.just("settle"), st.integers(0, 63), _ATTRS),
+    st.tuples(
+        st.just("query"), st.sampled_from(["get", "iter", "tree"]),
+        st.integers(0, 63),
+    ),
+)
+
+
+def as_dict(attrs) -> dict:
+    if isinstance(attrs, tuple):
+        return dict(zip(attrs[0], attrs[1:]))
+    return dict(attrs or {})
+
+
+class TestPackedAttrsProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_OPS, max_size=60))
+    def test_attrs_match_dict_reference(self, ops):
+        """Random recording calls on a 16-span ring, interleaved with
+        queries: every resident span's attrs equal, key order included, a
+        reference that keeps a dict per span and applies each call in
+        journal order, the way a dict column did (finish and settle update
+        the span's dict if it is still resident)."""
+        cap = 16
+        _, rec = make_recorder(capacity=cap)
+        ref: dict[int, dict] = {}
+        roots: list[tuple[int, int]] = []
+        sids: list[int] = []
+
+        def resident(sid: int) -> bool:
+            return sid >= rec.spans_recorded - cap
+
+        for op in ops:
+            name = op[0]
+            if name == "begin_trace":
+                tid, sid = rec.begin_trace("transfer", op[1])
+                roots.append((tid, sid))
+            elif name == "begin":
+                sid = rec.begin("span", 0, attrs=op[1])
+            elif name == "record":
+                sid = rec.record("marker", 0, attrs=op[1])
+            elif name == "record_path":
+                n = op[2]
+                sid = rec.record_path(
+                    "pipeline.path[0]", 0, -1, 0.0, 1.0, op[1],
+                    chunk_kinds=("pipeline.path[0].chunk[0]",) * n,
+                    chunk_events=(fake_chunk_event(1.0),) * n,
+                )
+                for j in range(1, n + 1):
+                    ref[sid + j] = {}
+            elif name == "finish":
+                if not sids:
+                    continue
+                target = sids[op[1] % len(sids)]
+                rec.finish(target, attrs=op[2], **op[3])
+                update = {**as_dict(op[2]), **op[3]}
+                if resident(target):
+                    ref[target].update(update)
+                continue
+            elif name == "settle":
+                if not roots:
+                    continue
+                tid, root = roots[op[1] % len(roots)]
+                rec.settle(tid, root, op[2])
+                ref[rec.spans_recorded - 1] = as_dict(op[2])
+                if resident(root):
+                    ref[root].update(as_dict(op[2]))
+                continue
+            else:
+                kind, pick = op[1], op[2]
+                if kind == "get" and sids:
+                    rec.get(sids[pick % len(sids)])
+                elif kind == "iter":
+                    list(rec.iter_spans())
+                elif kind == "tree":
+                    TraceTree(rec)
+                continue
+            ref[sid] = as_dict(op[1])
+            sids.append(sid)
+
+        first = max(0, rec.spans_recorded - cap)
+        expected = {
+            sid: items(ref[sid]) for sid in range(first, rec.spans_recorded)
+        }
+        assert {s.sid: items(s.attrs) for s in rec.iter_spans()} == expected
+        assert {sid: items(rec.get(sid).attrs) for sid in expected} == expected
 
 
 class TestStageStats:
